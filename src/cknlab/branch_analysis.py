@@ -33,11 +33,12 @@ from scipy.optimize import brentq, minimize_scalar
 from .cylinder_solver import (
     Branch,
     ContinuationConfig,
+    CylinderGrid,
     continue_branch,
-    cylinder_grid,
     symmetric_quotient,
 )
 from .errors import DomainError, InsufficientSamples, ShootingFailed
+from .grids import half_line_grid, zonal_laplacian, zonal_quadrature
 from .params import (
     derive_params,
     lambda_fs_theta,
@@ -142,10 +143,16 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
     lam_guess = Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
+    # the quotient of an s-only profile never reads the zonal rule, so
+    # one rule serves every lam and both line grids
+    z, wz = zonal_quadrature(d - 1, 4)
+    lap_z = zonal_laplacian(d - 1, z, wz)
 
     def best(cells: int) -> float:
         def quotient(lam: float) -> float:
-            grid = cylinder_grid(d, 20.0 / math.sqrt(lam), cells, 4)
+            length = 20.0 / math.sqrt(lam)
+            s, h = half_line_grid(length, cells)
+            grid = CylinderGrid(d, length, s, h, z, wz, lap_z)
             mu, t = symmetric_quotient(grid, p, lam)
             return (t + Lambda) ** theta * mu / (t + lam)
 

@@ -16,6 +16,15 @@ at s = 0, so the reflection is exact and no phase condition is needed: the
 odd zero mode simply does not exist in the discretized space), and the
 arclength normalization uses the quadrature-weighted inner product so that
 step lengths mean the same thing on every grid.
+
+Cost: sparse LU of the bordered Keller matrix dominates continuation.  The
+matrix keeps one nonzero pattern per grid, so its COLAMD column order is
+computed once and every corrector matrix is assembled in place, already in
+that order, and factored without reordering; the steps are bit-identical
+to ordering each matrix afresh.  Skipping COLAMD altogether (NATURAL on the
+s-major unknowns) was rejected: that LU rounds differently, and corrector
+residuals sitting at the floor just below newton_tol then change the
+Newton iteration counts of the branch.
 """
 
 from __future__ import annotations
@@ -290,14 +299,21 @@ def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     return out + lam * u - np.maximum(u, 0.0) ** (p - 1.0)
 
 
-def _jacobian_2d(grid: CylinderGrid, main, off, p: float, lam: float,
-                 u: np.ndarray):
+def _fixed_operator(grid: CylinderGrid, main, off) -> sp.csr_matrix:
+    """The u- and lam-independent part -d2/ds2 - Lap_omega of the Jacobian.
+
+    Unknowns are s-major (index j * nz + k), hence kron(A_s, I) +
+    kron(I, -Lap_z).  The full Jacobian adds the diagonal
+    lam - (p-1) u_+^(p-2) to it.
+    """
     m, nz = grid.m_cells, grid.nz
     a_s = sp.diags([off, main, off], [-1, 0, 1], shape=(m, m), format="csr")
-    jac = sp.kron(a_s, sp.identity(nz), format="csr") \
+    return sp.kron(a_s, sp.identity(nz), format="csr") \
         + sp.kron(sp.identity(m), sp.csr_matrix(-grid.lap_z), format="csr")
-    diag_term = lam - (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0)
-    return (jac + sp.diags(diag_term.ravel())).tocsc()
+
+
+def _diag_term(p: float, lam: float, u: np.ndarray) -> np.ndarray:
+    return (lam - (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0)).ravel()
 
 
 def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
@@ -309,13 +325,14 @@ def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     start routinely overshoot into the concave region of u^(p-1) and
     oscillate.
     """
+    fixed = _fixed_operator(grid, main, off)
     u = u0.copy()
     f = _residual_2d(grid, main, off, p, lam, u)
     nrm = float(np.max(np.abs(f)))
     for it in range(max_iter):
         if nrm < tol:
             return u, it, nrm
-        jac = _jacobian_2d(grid, main, off, p, lam, u)
+        jac = (fixed + sp.diags(_diag_term(p, lam, u))).tocsc()
         du = splu(jac).solve(f.ravel()).reshape(u.shape)
         step = 1.0
         for _ in range(25):
@@ -488,6 +505,69 @@ def _locate_bifurcation(grid: CylinderGrid, p: float, lam_fs: float) -> float:
     return float(brentq(lowest, lo, hi, xtol=1e-12, rtol=1e-14))
 
 
+class _BorderedKeller:
+    """The bordered Keller matrix of one grid, ordered once, filled in place.
+
+    The corrector solves [[J, u], [row]] dx = rhs, where J = fixed +
+    diag(lam - (p-1) u_+^(p-2)), the last column dF/dlam = u, and row is
+    the weighted tangent.  Its nonzero pattern (the fixed operator, the
+    diagonal, the u column and the tangent row with its (n, n) corner) is
+    the same at every corrector iteration of a run, so the matrix is kept
+    in CSC form with its columns already in COLAMD order, and each solve
+    only overwrites the diagonal, the u column and the row in `data`.  The
+    corner stays stored when the tangent's lam entry is exactly 0, as it
+    is at the branch switch, so one pattern serves the whole run.
+
+    Factoring in that order with NATURAL gives the very LU that
+    splu(A) computes with COLAMD on each matrix, hence bit-identical
+    steps.
+    """
+
+    def __init__(self, fixed: sp.csr_matrix):
+        n = fixed.shape[0]
+        coo = fixed.tocoo()
+        offdiag = coo.row != coo.col
+        k = int(np.count_nonzero(offdiag))
+        idx = np.arange(n)
+        # triplets: off-diagonal fixed entries, diagonal, u column, row
+        rows = np.concatenate([coo.row[offdiag], idx, idx, np.full(n + 1, n)])
+        cols = np.concatenate([coo.col[offdiag], idx, np.full(n, n),
+                               np.arange(n + 1)])
+        self._fixed_diag = fixed.diagonal()
+        # Any nonsingular values do, since the column order depends on the
+        # pattern alone: J = fixed + I, a zero u column and the row e_n.
+        values = np.zeros(len(rows))
+        values[:k] = coo.data[offdiag]
+        values[k:k + n] = self._fixed_diag + 1.0
+        values[-1] = 1.0
+        template = sp.csc_matrix((values, (rows, cols)), shape=(n + 1, n + 1))
+        perm_c = splu(template).perm_c
+        # perm_c[j] is the position of column j in the ordered matrix
+        new_cols = perm_c[cols]
+        src = np.lexsort((rows, new_cols))
+        slot = np.empty_like(src)
+        slot[src] = np.arange(len(src))
+        self._diag = slot[k:k + n]
+        self._ucol = slot[k + n:k + 2 * n]
+        self._row = slot[k + 2 * n:]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(new_cols, minlength=n + 1))])
+        self._matrix = sp.csc_matrix((values[src], rows[src], indptr),
+                                     shape=(n + 1, n + 1))
+        self._order = np.argsort(perm_c)
+
+    def solve(self, p: float, lam: float, u: np.ndarray, row: np.ndarray,
+              rhs: np.ndarray) -> np.ndarray:
+        """dx with [[J(u, lam), u], [row]] dx = rhs, in natural order."""
+        data = self._matrix.data
+        data[self._diag] = self._fixed_diag + _diag_term(p, lam, u)
+        data[self._ucol] = u.ravel()
+        data[self._row] = row
+        step = np.empty_like(rhs)
+        step[self._order] = splu(self._matrix, permc_spec="NATURAL").solve(rhs)
+        return step
+
+
 def _quotient_data(grid: CylinderGrid, main, off, p: float, lam: float,
                    u: np.ndarray):
     """(mu, t) from the discrete quadratic forms, full-cylinder convention."""
@@ -514,6 +594,12 @@ def symmetric_quotient(grid: CylinderGrid, p: float, lam: float):
     """
     profile, _, _ = _symmetric_profile(grid, p, lam)
     main, off = _s_operator(grid.m_cells, grid.h, "even")
+    return _profile_quotient(grid, main, off, p, lam, profile)
+
+
+def _profile_quotient(grid: CylinderGrid, main, off, p: float, lam: float,
+                      profile: np.ndarray):
+    """(mu, t) of a given s-only profile; see symmetric_quotient."""
     h = grid.h
     a_phi = _apply_s_operator(main, off, profile)
     grad = 2.0 * h * float(np.sum(a_phi * profile))
@@ -535,6 +621,12 @@ def continue_branch(d: int, p: float,
     system is the weighted tangent; this is what prevents the first step
     from relaxing back onto the symmetric family, where plain Newton would
     happily land.
+
+    The bordered matrix has the same nonzero pattern at every corrector
+    iteration on the grid, so it is ordered once (see _BorderedKeller) and
+    only its u-dependent entries are rewritten per iteration.  NATURAL
+    factorization of the raw s-major ordering is cheaper, but it flips
+    newton_iters at points whose residual sits at the rounding floor.
     """
     _check_exponent(d, p)
     cfg = config if config is not None else ContinuationConfig()
@@ -543,6 +635,7 @@ def continue_branch(d: int, p: float,
     grid = cylinder_grid(d, length, cfg.m_cells, cfg.nz)
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     m, nz = grid.m_cells, grid.nz
+    bordered = _BorderedKeller(_fixed_operator(grid, main, off))
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
     profile_b, _, _ = _symmetric_profile(grid, p, lam_b)
@@ -572,12 +665,7 @@ def continue_branch(d: int, p: float,
             res = max(float(np.max(np.abs(f))), abs(constraint))
             if res < cfg.newton_tol:
                 return xk, it, res
-            jac = _jacobian_2d(grid, main, off, p, lam, u)
-            bordered = sp.vstack([
-                sp.hstack([jac, sp.csr_matrix(u.ravel()[:, None])]),
-                sp.csr_matrix(row[None, :]),
-            ]).tocsc()
-            xk = xk - splu(bordered).solve(np.append(f, constraint))
+            xk = xk - bordered.solve(p, lam, u, row, np.append(f, constraint))
         return None
 
     points: list[BranchPoint] = []
@@ -586,8 +674,8 @@ def continue_branch(d: int, p: float,
         u = x[:-1].reshape(m, nz)
         lam = float(x[-1])
         mu, t_phi = _quotient_data(grid, main, off, p, lam, u)
-        mu_sym, _ = symmetric_quotient(grid, p, lam)
         profile, _, _ = _symmetric_profile(grid, p, lam)
+        mu_sym, _ = _profile_quotient(grid, main, off, p, lam, profile)
         eig = float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
         points.append(BranchPoint(
             lam=lam, mu=mu, mu_star=mu_sym, t_phi=t_phi, lowest_eig=eig,

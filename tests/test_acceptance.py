@@ -2,15 +2,16 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines; each
 test prints its verdict before asserting so the summary survives a
-failure.  The two flow tests feed a shared registry of mass drifts and
-density minima that the final audit test consumes, so this module is
-meant to run in file order.
+failure.  The trajectories of the two flow criteria come from
+module-scoped fixtures, which the final audit criterion reads as well,
+so every test also passes on its own.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from cknlab.branch_analysis import (
     classify_bifurcation,
@@ -45,8 +46,7 @@ from cknlab.sphere_flows import (
     tilted_density,
 )
 
-# trajectories logged by criteria 5 and 6, audited by criterion 12
-FLOW_RECORDS: list = []
+FDE_EXPONENTS = (3.0, 5.0, 5.9)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -54,20 +54,48 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {name}: {verdict} ({detail})")
 
 
-def _run_and_log(kind: str, p: float, rho0, spec: FlowSpec) -> float:
-    """Integrate one trajectory, log its audit data, return the worst
-    single-step deficit increase (negative when strictly decreasing)."""
+def _audit_flow(kind: str, p: float, rho0, spec: FlowSpec) -> dict:
+    """Integrate one trajectory and return its audit data, including the
+    worst single-step deficit increase (negative when strictly
+    decreasing)."""
     minima = [float(rho0.values.min())]
     traj = integrate(
         FlowState.initial(rho0), spec,
         observers=[lambda s: minima.append(float(s.density.values.min()))])
-    FLOW_RECORDS.append({
+    return {
         "kind": kind,
         "p": p,
         "drift": float(traj.mass_drift()),
         "min_density": min(minima),
-    })
-    return float(np.max(np.diff(traj.deficits)))
+        "worst_rise": float(np.max(np.diff(traj.deficits))),
+    }
+
+
+@pytest.fixture(scope="module")
+def heat_flows():
+    """Trajectories of criterion 05 and the seconds they took."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(20230505)
+    records = []
+    for p in (3.0, 4.5):
+        spec = FlowSpec(kind="heat", p=p, n_cells=64, t_end=0.3)
+        for _ in range(20):
+            rho0 = random_smooth_density(3, 64, rng)
+            records.append(_audit_flow("heat", p, rho0, spec))
+    return records, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def fde_flows():
+    """Trajectories of criterion 06."""
+    rng = np.random.default_rng(20230606)
+    records = []
+    for p in FDE_EXPONENTS:
+        spec = FlowSpec(kind="fde", p=p, n_cells=64, t_end=0.1)
+        inits = [tilted_density(3, 64, 0.4, 2.0)]
+        inits += [random_smooth_density(3, 64, rng) for _ in range(3)]
+        records += [_audit_flow("fde", p, rho0, spec) for rho0 in inits]
+    return records
 
 
 def test_01_first_zonal_eigenvalue_law():
@@ -156,17 +184,12 @@ def test_04_closed_form_constant_vs_quadrature():
     assert elapsed <= 5.0
 
 
-def test_05_heat_deficit_monotone_and_counterexample():
+def test_05_heat_deficit_monotone_and_counterexample(heat_flows):
+    records, flow_seconds = heat_flows
+    worst_rise = max(rec["worst_rise"] for rec in records)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20230505)
-    worst_rise = -math.inf
-    for p in (3.0, 4.5):
-        spec = FlowSpec(kind="heat", p=p, n_cells=64, t_end=0.3)
-        for _ in range(20):
-            rho0 = random_smooth_density(3, 64, rng)
-            worst_rise = max(worst_rise, _run_and_log("heat", p, rho0, spec))
     report = counterexample_search(3, 5.5, n_cells=96)
-    elapsed = time.perf_counter() - t0
+    elapsed = flow_seconds + time.perf_counter() - t0
     ok = (worst_rise <= 1e-8
           and report.derivative > 10.0 * report.error
           and elapsed <= 120.0)
@@ -178,18 +201,13 @@ def test_05_heat_deficit_monotone_and_counterexample():
     assert elapsed <= 120.0
 
 
-def test_06_fast_diffusion_deficit_monotone():
-    rng = np.random.default_rng(20230606)
-    worst_rise = -math.inf
-    for p in (3.0, 5.0, 5.9):
+def test_06_fast_diffusion_deficit_monotone(fde_flows):
+    for p in FDE_EXPONENTS:
         spec = FlowSpec(kind="fde", p=p, n_cells=64, t_end=0.1)
         # the default diffusion exponent is 1 - 1/n at n = 2p/(p-2)
         n = 2.0 * p / (p - 2.0)
         assert abs(spec.diffusion_exponent() - (1.0 - 1.0 / n)) < 1e-15
-        inits = [tilted_density(3, 64, 0.4, 2.0)]
-        inits += [random_smooth_density(3, 64, rng) for _ in range(3)]
-        for rho0 in inits:
-            worst_rise = max(worst_rise, _run_and_log("fde", p, rho0, spec))
+    worst_rise = max(rec["worst_rise"] for rec in fde_flows)
     ok = worst_rise <= 1e-7
     _report(6, "fast diffusion deficit monotonicity", ok,
             f"worst rise {worst_rise:.1e}")
@@ -327,12 +345,11 @@ def test_11_equivalence_conditions_agree():
     assert disagreements == []
 
 
-def test_12_conservation_and_positivity_audit():
-    n = len(FLOW_RECORDS)
-    worst_drift = max((rec["drift"] for rec in FLOW_RECORDS),
-                      default=math.inf)
-    min_density = min((rec["min_density"] for rec in FLOW_RECORDS),
-                      default=0.0)
+def test_12_conservation_and_positivity_audit(heat_flows, fde_flows):
+    records = heat_flows[0] + fde_flows
+    n = len(records)
+    worst_drift = max((rec["drift"] for rec in records), default=math.inf)
+    min_density = min((rec["min_density"] for rec in records), default=0.0)
     ok = n >= 52 and worst_drift <= 1e-9 and min_density > 0.0
     _report(12, "conservation and positivity audit", ok,
             f"{n} trajectories, worst drift {worst_drift:.1e}, "

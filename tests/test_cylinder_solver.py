@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from cknlab import (
     ContinuationConfig,
@@ -18,7 +20,12 @@ from cknlab import (
     solve_symmetric,
     symmetric_quotient,
 )
-from cknlab.cylinder_solver import default_grid
+from cknlab.cylinder_solver import (
+    _BorderedKeller,
+    _fixed_operator,
+    _s_operator,
+    default_grid,
+)
 
 
 def rel(a, b):
@@ -158,7 +165,8 @@ def test_branch_shape_and_diagnostics(branch_5_2_8):
     lam_fs = lambda_fs_value(5, 2.8)
     assert branch.predicted_lambda_fs == pytest.approx(lam_fs, rel=1e-15)
     assert rel(branch.bifurcation_lambda, lam_fs) < 1e-3
-    assert len(branch) >= 40
+    assert len(branch) == 71
+    assert int(branch.column("newton_iters").sum()) == 218
     lam = branch.column("lam")
     assert np.all(np.diff(lam) > 0.0)
     assert lam[-1] >= branch.config.lambda_max
@@ -173,3 +181,44 @@ def test_branch_shape_and_diagnostics(branch_5_2_8):
     assert len(rows) == len(branch)
     assert rows[0][0] == branch.points[0].lam
     assert all(len(row) == 8 for row in rows)
+
+
+def _bordered_reference_solve(grid, p, lam, u, row, rhs):
+    """Per-call assembly and COLAMD factorization of the bordered matrix."""
+    m, nz = grid.m_cells, grid.nz
+    main, off = _s_operator(m, grid.h, "even")
+    a_s = sp.diags([off, main, off], [-1, 0, 1], shape=(m, m), format="csr")
+    jac = sp.kron(a_s, sp.identity(nz), format="csr") \
+        + sp.kron(sp.identity(m), sp.csr_matrix(-grid.lap_z), format="csr")
+    diag_term = lam - (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0)
+    jac = (jac + sp.diags(diag_term.ravel())).tocsc()
+    bordered = sp.vstack([
+        sp.hstack([jac, sp.csr_matrix(u.ravel()[:, None])]),
+        sp.csr_matrix(row[None, :]),
+    ]).tocsc()
+    return splu(bordered).solve(rhs)
+
+
+def test_ordered_bordered_solve_is_bit_identical(branch_5_2_8):
+    branch, _ = branch_5_2_8
+    grid, p = branch.grid, branch.p
+    main, off = _s_operator(grid.m_cells, grid.h, "even")
+    keller = _BorderedKeller(_fixed_operator(grid, main, off))
+    w2 = grid.h * np.tile(grid.wz, grid.m_cells)
+    rng = np.random.default_rng(0)
+    # switch step: symmetric solution at the onset, tangent along the first
+    # zonal harmonic with a lam entry of exactly 0 (an unstored corner)
+    lam_b = branch.bifurcation_lambda
+    u_b = solve_symmetric(5, p, lam_b, grid).values
+    row_b = np.append(w2 * (u_b * grid.z[None, :]).ravel(), 0.0)
+    # a later point, with the secant tangent the continuation uses there
+    prev, point = branch.points[29], branch.points[30]
+    secant = np.append((point.field.values - prev.field.values).ravel(),
+                       point.lam - prev.lam)
+    row_k = np.append(w2 * secant[:-1], secant[-1])
+    for lam, u, row in ((lam_b, u_b, row_b),
+                        (point.lam, point.field.values, row_k)):
+        rhs = rng.standard_normal(u.size + 1)
+        got = keller.solve(p, lam, u, row, rhs)
+        assert np.array_equal(got, _bordered_reference_solve(
+            grid, p, lam, u, row, rhs))
