@@ -276,8 +276,8 @@ def _shoot_once(d: int, p: float, height: float, r_max: float) -> str:
     curv = (height - height ** (p - 1.0)) / d
 
     def rhs(r, y):
-        u, v = y
-        return (v, u - np.sign(u) * np.abs(u) ** (p - 1.0) - (d - 1.0) * v / r)
+        u, v = y.tolist()
+        return (v, u - math.copysign(abs(u) ** (p - 1.0), u) - (d - 1.0) * v / r)
 
     def crossing(r, y):
         return y[0]
@@ -298,7 +298,10 @@ def _shoot_once(d: int, p: float, height: float, r_max: float) -> str:
         return "crossed"
     if sol.t_events[1].size:
         return "turned"
-    return "turned"
+    raise ShootingFailed(
+        f"shot from u(0)={height!r} neither crossed zero nor turned up "
+        f"before r={r_max} (d={d}, p={p}): {sol.message}",
+        d=d, p=p, height=height, r_max=r_max)
 
 
 def _ground_height(d: int, p: float, r_max: float) -> float:
@@ -312,7 +315,8 @@ def _ground_height(d: int, p: float, r_max: float) -> float:
     lo = 1.0 + 1e-3
     if _shoot_once(d, p, lo, r_max) != "turned":
         raise ShootingFailed(
-            f"low bracket u(0)={lo} already crosses zero (d={d}, p={p})")
+            f"low bracket u(0)={lo} already crosses zero (d={d}, p={p})",
+            d=d, p=p, height=lo, r_max=r_max)
     hi = 2.0
     for _ in range(40):
         if _shoot_once(d, p, hi, r_max) == "crossed":
@@ -320,7 +324,8 @@ def _ground_height(d: int, p: float, r_max: float) -> float:
         lo, hi = hi, 2.0 * hi
     else:
         raise ShootingFailed(
-            f"no zero-crossing shot found up to u(0)={hi} (d={d}, p={p})")
+            f"no zero-crossing shot found up to u(0)={hi} (d={d}, p={p})",
+            d=d, p=p, height=hi, r_max=r_max)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if _shoot_once(d, p, mid, r_max) == "crossed":
@@ -330,6 +335,7 @@ def _ground_height(d: int, p: float, r_max: float) -> float:
     return hi
 
 
+@lru_cache(maxsize=16)
 def gn_ground_state(d: int, p: float, r_max: float = 60.0,
                     sample_dr: float = 1e-3) -> GroundState:
     """Shoot the radial ground state and integrate its norms alongside.
@@ -342,6 +348,9 @@ def gn_ground_state(d: int, p: float, r_max: float = 60.0,
     Norm accumulators ride along as extra components of the same
     error-controlled integration instead of being quadratures over
     stored samples.
+
+    Deterministic, hence cached on its arguments; every caller shares
+    one state, so its sample arrays are read-only.
     """
     _params_of(d, p)
     height = _ground_height(d, p, r_max)
@@ -350,10 +359,10 @@ def gn_ground_state(d: int, p: float, r_max: float = 60.0,
     floor_level = 1e-7 * height
 
     def rhs(r, y):
-        u, v = y[0], y[1]
+        u, v = y[:2].tolist()
         measure = r ** (d - 1.0)
-        return (v, u - np.sign(u) * np.abs(u) ** (p - 1.0) - (d - 1.0) * v / r,
-                v * v * measure, u * u * measure, np.abs(u) ** p * measure)
+        return (v, u - math.copysign(abs(u) ** (p - 1.0), u) - (d - 1.0) * v / r,
+                v * v * measure, u * u * measure, abs(u) ** p * measure)
 
     def floor(r, y):
         return y[0] - floor_level
@@ -366,10 +375,13 @@ def gn_ground_state(d: int, p: float, r_max: float = 60.0,
                     events=(floor,), rtol=1e-12, atol=1e-14, dense_output=True)
     if not sol.t_events[0].size:
         raise ShootingFailed(
-            f"polished shot never reached the decay floor (d={d}, p={p})")
+            f"polished shot never reached the decay floor (d={d}, p={p})",
+            d=d, p=p, height=height, r_max=r_max)
     radius = float(sol.t_events[0][0])
     r = np.arange(r0, radius, sample_dr)
     vals = sol.sol(r)
+    for arr in (r, vals):
+        arr.setflags(write=False)
     return GroundState(d=d, p=p, height=height, radius=radius,
                        r=r, u=vals[0], du=vals[1],
                        grad_sq=float(sol.y[2, -1]),
@@ -395,25 +407,20 @@ def gn_quotient(d: int, p: float, r: np.ndarray, u: np.ndarray,
             / (area * pint) ** (2.0 / p))
 
 
-@lru_cache(maxsize=64)
-def _gn_constant_cached(d: int, p: float) -> float:
-    state = gn_ground_state(d, p)
-    vt = _params_of(d, p).vartheta
-    area = sphere_area(d)
-    return ((area * state.grad_sq) ** vt
-            * (area * state.mass_sq) ** (1.0 - vt)
-            / (area * state.p_int) ** (2.0 / p))
-
-
 def gn_constant(d: int, p: float) -> float:
     """Gagliardo-Nirenberg constant via the radial shooting oracle.
 
     Evaluates the quotient ||grad u||^(2 vartheta) ||u||_2^(2(1-vartheta))
     / ||u||_p^2 on the ground state, in the ambient R^d normalization
-    (area measure on spheres).  Deterministic, hence cached.
+    (area measure on spheres).  Reads through the ground-state cache.
     """
-    _params_of(d, p)
-    return _gn_constant_cached(d, float(p))
+    p = float(p)
+    vt = _params_of(d, p).vartheta
+    state = gn_ground_state(d, p)
+    area = sphere_area(d)
+    return ((area * state.grad_sq) ** vt
+            * (area * state.mass_sq) ** (1.0 - vt)
+            / (area * state.p_int) ** (2.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -464,20 +463,18 @@ def _continuation_config(opts: dict) -> ContinuationConfig:
 
 
 _BRANCH_CACHE: dict = {}
-_BRANCH_LOCK = threading.Lock()
 
 
 def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
-    """One continuation per (d, p, config), shared across sweep points."""
+    """One continuation per (d, p, config), shared across sweep points.
+
+    A sweep runs all points of one (d, p) in one process, so the memo
+    needs no lock.
+    """
     key = (d, p, config)
-    with _BRANCH_LOCK:
-        cached = _BRANCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    branch = continue_branch(d, p, config)
-    with _BRANCH_LOCK:
-        _BRANCH_CACHE.setdefault(key, branch)
-    return branch
+    if key not in _BRANCH_CACHE:
+        _BRANCH_CACHE[key] = continue_branch(d, p, config)
+    return _BRANCH_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +923,39 @@ def _sweep_point(command: str, opts: dict, point_dir: Path):
     return out
 
 
+def _sweep_groups(resolved: list[dict]) -> list[list[tuple[int, dict]]]:
+    """Sweep points grouped by (d, p), groups in order of first index.
+
+    All points of a sweep share its overrides, so (d, p) is both the
+    branch-memo key and the GN-constant cache key: one group per
+    branch, each built once, in one process.
+    """
+    groups: dict[tuple, list[tuple[int, dict]]] = {}
+    for index, opts in enumerate(resolved):
+        groups.setdefault((opts["d"], opts["p"]), []).append((index, opts))
+    return list(groups.values())
+
+
+def _run_group(command: str, out_dir: Path,
+               points: list[tuple[int, dict]]) -> list[tuple]:
+    """Run one group's points in index order; a failed point fails alone.
+
+    Returns ``(index, status, message, artifact)`` per point.
+    """
+    outcomes = []
+    for index, opts in points:
+        try:
+            artifact = _sweep_point(command, opts,
+                                    out_dir / f"point_{index:04d}")
+        except (CknlabError, UsageError) as exc:
+            outcomes.append((index, "failed",
+                             f"{type(exc).__name__}: {exc}", ""))
+        else:
+            outcomes.append((index, "ok", "",
+                             os.path.relpath(artifact, out_dir)))
+    return outcomes
+
+
 def _run_sweep(args) -> int:
     t0 = time.perf_counter()
     command, axes, points, overrides = _parse_sweep_spec(args.spec)
@@ -943,21 +973,18 @@ def _run_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results: list[tuple[str, str, str]] = [("", "", "")] * len(points)
 
-    def run_point(index: int):
-        point_dir = out_dir / f"point_{index:04d}"
-        try:
-            artifact = _sweep_point(command, resolved[index], point_dir)
-        except (CknlabError, UsageError) as exc:
-            return index, "failed", f"{type(exc).__name__}: {exc}", ""
-        return index, "ok", "", os.path.relpath(artifact, out_dir)
-
-    workers = max(1, int(args.workers))
+    # Points are pure Python compute, so only processes run them in
+    # parallel.  The default start method is kept: where it is fork,
+    # workers inherit the imported modules and any warm caches.
+    groups = _sweep_groups(resolved)
+    workers = min(max(1, int(args.workers)), len(groups))
     if workers == 1:
-        outcomes = [run_point(i) for i in range(len(points))]
+        outcomes = [_run_group(command, out_dir, group) for group in groups]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_point, range(len(points))))
-    for index, status, message, artifact in outcomes:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_group, repeat(command),
+                                     repeat(out_dir), groups))
+    for index, status, message, artifact in chain.from_iterable(outcomes):
         results[index] = (status, message, artifact)
 
     aggregate = out_dir / "aggregate.csv"
@@ -1029,7 +1056,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--force", action="store_true",
                    help="reuse a non-empty output directory")
     s.add_argument("--workers", type=int, default=1,
-                   help="concurrent sweep points")
+                   help="worker processes; points sharing (d, p) run in "
+                        "one, so at most one per (d, p) pair is used")
     return parser
 
 

@@ -85,8 +85,28 @@ class ContinuationStalled(CknlabError):
 
 
 class ShootingFailed(CknlabError):
-    """The radial shooting bracket never changed sign, or bisection hit
-    its resolution floor without meeting the tolerance."""
+    """The radial shooting bracket never changed sign, a shot ended
+    without deciding its side of the bracket, or bisection hit its
+    resolution floor without meeting the tolerance.
+
+    Attributes
+    ----------
+    d, p : int and float, or None
+        The problem the shot belongs to.
+    height : float or None
+        The shooting parameter u(0) of the offending shot.
+    r_max : float or None
+        The radius the shot was allowed to run to.
+    """
+
+    def __init__(self, message: str, d: int | None = None,
+                 p: float | None = None, height: float | None = None,
+                 r_max: float | None = None):
+        super().__init__(message)
+        self.d = d
+        self.p = p
+        self.height = height
+        self.r_max = r_max
 
 
 class SearchFailed(CknlabError):

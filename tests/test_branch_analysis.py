@@ -7,6 +7,7 @@ import pytest
 
 from cknlab import (
     DomainError,
+    ShootingFailed,
     classify_bifurcation,
     conjecture_probe,
     derive_params,
@@ -18,7 +19,12 @@ from cknlab import (
     mu_star_theta_line,
     reparametrize,
 )
-from cknlab.branch_analysis import branch_direction, gn_quotient, grid_theta_reference
+from cknlab.branch_analysis import (
+    _shoot_once,
+    branch_direction,
+    gn_quotient,
+    grid_theta_reference,
+)
 
 
 def rel(a, b):
@@ -97,6 +103,22 @@ def test_ground_state_profile_solves_its_equation():
     resid = d2 + (d - 1.0) / r[i] * d1 - u[i] + u[i] ** (p - 1.0)
     assert np.max(np.abs(resid)) < 1e-5
     np.testing.assert_allclose(d1, du[i], rtol=0, atol=1e-5)
+
+
+def test_ground_state_is_shared_and_read_only():
+    state = gn_ground_state(5, 2.8)
+    assert gn_ground_state(5, 2.8) is state
+    for arr in (state.r, state.u, state.du):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_undecided_shot_raises_with_its_state():
+    # r_max far below the first zero or minimum: neither event can fire
+    with pytest.raises(ShootingFailed) as info:
+        _shoot_once(3, 3.0, 2.0, 0.01)
+    exc = info.value
+    assert (exc.d, exc.p, exc.height, exc.r_max) == (3, 3.0, 2.0, 0.01)
 
 
 def test_quotient_scale_invariance():

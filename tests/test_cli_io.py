@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cknlab.cli_io import run
+from cknlab.cli_io import _sweep_groups, run
 
 
 def read_csv(path):
@@ -290,6 +290,48 @@ def test_sweep_reports_partial_failure(tmp_path, capsys):
     assert failed_row[5] != ""
     manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
     assert manifest["summary"]["n_failed"] == 1
+
+
+def artifact_bytes(out_dir):
+    """Every file of a sweep tree but the manifests (they hold a clock)."""
+    return {p.relative_to(out_dir): p.read_bytes()
+            for p in sorted(out_dir.rglob("*"))
+            if p.is_file() and not p.name.endswith("manifest.json")}
+
+
+@pytest.mark.parametrize("spec_text, code", [
+    # two (d, p) groups of two points each
+    ("[sweep]\ncommand = params\nd = 3 5\np = 2.5\nLambda = 1.0 2.0\n", 0),
+    # p = 3.5 is admissible in dimension three but not in dimension five
+    ("[sweep]\ncommand = params\nd = 3 5\np = 3.5\n", 3),
+], ids=["all_ok", "partial_failure"])
+def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
+                                                  spec_text, code):
+    spec = tmp_path / "sweep.ini"
+    spec.write_text(spec_text)
+    trees = {}
+    for workers in (1, 2, 3):
+        out_dir = tmp_path / f"grid_{workers}"
+        assert run(["sweep", "--spec", str(spec), "--out-dir", str(out_dir),
+                    "--workers", str(workers)]) == code
+        manifest = json.loads(
+            (out_dir / "sweep.manifest.json").read_text())
+        # capped at the number of (d, p) groups
+        assert manifest["settings"]["workers"] == min(workers, 2)
+        trees[workers] = artifact_bytes(out_dir)
+    capsys.readouterr()
+    assert trees[1] == trees[2] == trees[3]
+    rows = read_csv(tmp_path / "grid_1" / "aggregate.csv")
+    assert [r[4] for r in rows[1:]].count("failed") == (1 if code else 0)
+
+
+def test_sweep_groups_by_d_and_p_in_first_index_order():
+    keys = [(4, 2.5), (3, 2.5), (4, 2.5), (3, 3.0), (3, 2.5), (4, 2.5)]
+    resolved = [{"d": d, "p": p} for d, p in keys]
+    groups = _sweep_groups(resolved)
+    assert [[i for i, _ in g] for g in groups] == [[0, 2, 5], [1, 4], [3]]
+    for group in groups:
+        assert all(opts is resolved[i] for i, opts in group)
 
 
 def test_sweep_spec_errors(tmp_path, capsys):
