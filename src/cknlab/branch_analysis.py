@@ -380,10 +380,12 @@ def gn_ground_state(d: int, p: float, r_max: float = 60.0,
     radius = float(sol.t_events[0][0])
     r = np.arange(r0, radius, sample_dr)
     vals = sol.sol(r)
-    for arr in (r, vals):
+    # own copies: rows of vals would keep all five components alive
+    u, du = np.ascontiguousarray(vals[0]), np.ascontiguousarray(vals[1])
+    for arr in (r, u, du):
         arr.setflags(write=False)
     return GroundState(d=d, p=p, height=height, radius=radius,
-                       r=r, u=vals[0], du=vals[1],
+                       r=r, u=u, du=du,
                        grad_sq=float(sol.y[2, -1]),
                        mass_sq=float(sol.y[3, -1]),
                        p_int=float(sol.y[4, -1]))

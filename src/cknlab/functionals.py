@@ -21,7 +21,7 @@ import numpy as np
 from . import params as params_mod
 from .errors import DegenerateInput, DomainError
 from .grids import (CylinderField, GridFunction1D, TensorGrid,
-                    derivative_matrix, fv_zonal_grid, zonal_laplacian)
+                    _workspace, derivative_matrix, zonal_laplacian)
 from .params import CKNParams, mu_star, sphere_area
 
 __all__ = [
@@ -100,7 +100,7 @@ def sphere_fisher(rho: GridFunction1D, p: float) -> float:
     _density_mass(rho)
     f = rho.values ** (1.0 / p)
     if rho.weight.kind == "fv_zonal":
-        grid = fv_zonal_grid(d, int(rho.weight.params["n_cells"]))
+        grid = _workspace(d, int(rho.weight.params["n_cells"]))
         return grid.dirichlet_form(f)
     D = derivative_matrix(rho.nodes, 1)
     df = D @ f

@@ -19,7 +19,8 @@ guess a rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -334,22 +335,28 @@ class FVZonalGrid:
         return len(self.centroids)
 
     def apply_laplacian(self, v: np.ndarray) -> np.ndarray:
+        """The flux-form Laplacian along the last axis of v."""
         out = self.lap_di * v
-        out[:-1] += self.lap_up[:-1] * v[1:]
-        out[1:] += self.lap_lo[1:] * v[:-1]
+        out[..., :-1] += self.lap_up[:-1] * v[..., 1:]
+        out[..., 1:] += self.lap_lo[1:] * v[..., :-1]
         return out
 
-    def dirichlet_form(self, f: np.ndarray, g: np.ndarray | None = None) -> float:
-        """Quadrature of grad f . grad g against the probability measure."""
+    def dirichlet_form(self, f: np.ndarray, g: np.ndarray | None = None):
+        """Quadrature of grad f . grad g against the probability measure.
+
+        Acts on the last axis: a float for one function, an array with
+        one value per row for a stack.
+        """
         if g is None:
             g = f
-        df = np.diff(f) / np.diff(self.centroids)
-        dg = np.diff(g) / np.diff(self.centroids)
-        return float(np.sum(self.flux[1:-1] * df * dg
-                            * np.diff(self.centroids)))
+        df = np.diff(f, axis=-1) / np.diff(self.centroids)
+        dg = np.diff(g, axis=-1) / np.diff(self.centroids)
+        return _last_axis_sum(self.flux[1:-1] * df * dg
+                              * np.diff(self.centroids))
 
-    def integrate(self, v: np.ndarray) -> float:
-        return float(np.sum(self.cell_mass * v))
+    def integrate(self, v: np.ndarray):
+        """Cell-mass quadrature along the last axis (float or per-row array)."""
+        return _last_axis_sum(self.cell_mass * v)
 
     def symmetrized_modes(self):
         """Eigen-decomposition of the similarity-symmetrized Laplacian.
@@ -370,6 +377,13 @@ class FVZonalGrid:
                                      {"sphere_dim": self.sphere_dim,
                                       "n_cells": self.n}),
                               self.cell_mass.copy())
+
+
+def _last_axis_sum(a: np.ndarray):
+    # row sums of a C-ordered stack are bit-identical to the sums of the
+    # rows taken one at a time, which the batched flow diagnostics rely on
+    total = np.sum(a, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
@@ -396,6 +410,17 @@ def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
     up[:-1] = g[1:-1] / (W[:-1] * dz)
     di = -(lo + up)
     return FVZonalGrid(d, e, zbar, W, g, lo, di, up)
+
+
+@lru_cache(maxsize=64)
+def _workspace(sphere_dim: int, n_cells: int) -> FVZonalGrid:
+    """The shared, read-only finite-volume grid for (sphere_dim, n_cells)."""
+    grid = fv_zonal_grid(sphere_dim, n_cells)
+    for f in fields(grid):
+        value = getattr(grid, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return grid
 
 
 # ---------------------------------------------------------------------------

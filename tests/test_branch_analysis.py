@@ -111,6 +111,10 @@ def test_ground_state_is_shared_and_read_only():
     for arr in (state.r, state.u, state.du):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # u and du own their memory instead of viewing the whole solver output
+    for arr in (state.u, state.du):
+        assert arr.flags.c_contiguous
+        assert arr.base is None
 
 
 def test_undecided_shot_raises_with_its_state():

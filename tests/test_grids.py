@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import eval_gegenbauer, gamma as gamma_fn
 
 from cknlab import (
@@ -19,6 +22,7 @@ from cknlab import (
 from cknlab.grids import (
     GridFunction1D,
     Weight,
+    _workspace,
     derivative_matrix,
     fornberg_weights,
     half_line_grid,
@@ -147,6 +151,53 @@ def test_fv_zonal_grid_conservation_and_spectrum():
     # z is an exact discrete eigenvector with eigenvalue -sphere_dim
     resid = grid.apply_laplacian(grid.centroids) + 3.0 * grid.centroids
     assert np.max(np.abs(resid)) < 1e-10
+
+
+@st.composite
+def positive_stacks(draw):
+    """A zonal grid size and a (k, n) stack of positive cell values."""
+    sphere_dim = draw(st.integers(2, 6))
+    n_cells = draw(st.integers(4, 200))
+    k = draw(st.integers(1, 5))
+    values = draw(arrays(np.float64, (k, n_cells),
+                         elements=st.floats(1e-3, 1e3)))
+    return sphere_dim, values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(positive_stacks())
+def test_fv_laplacian_has_zero_total_flux(case):
+    sphere_dim, stack = case
+    grid = fv_zonal_grid(sphere_dim, stack.shape[1])
+    for f in stack:
+        total = grid.integrate(grid.apply_laplacian(f))
+        # every interface flux enters two cells with opposite signs
+        scale = grid.integrate(np.abs(grid.lap_di) * f)
+        assert abs(total) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(positive_stacks())
+def test_fv_operators_on_a_stack_match_row_by_row(case):
+    sphere_dim, stack = case
+    grid = fv_zonal_grid(sphere_dim, stack.shape[1])
+    assert np.array_equal(grid.apply_laplacian(stack),
+                          [grid.apply_laplacian(f) for f in stack])
+    assert np.array_equal(grid.integrate(stack),
+                          [grid.integrate(f) for f in stack])
+    assert np.array_equal(grid.dirichlet_form(stack),
+                          [grid.dirichlet_form(f) for f in stack])
+
+
+def test_cached_fv_grid_is_shared_and_read_only():
+    grid = _workspace(3, 48)
+    assert _workspace(3, 48) is grid
+    for arr in (grid.edges, grid.centroids, grid.cell_mass, grid.lap_di):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    fresh = fv_zonal_grid(3, 48)
+    assert np.array_equal(grid.cell_mass, fresh.cell_mass)
+    assert np.array_equal(grid.lap_di, fresh.lap_di)
 
 
 def test_fv_symmetrized_modes():

@@ -10,11 +10,16 @@ from cknlab import (
     FlowSpec,
     FlowState,
     PositivityLoss,
+    SearchFailed,
     StepRejected,
+    counterexample_search,
     deficit_derivative,
     integrate,
+    sphere_flows,
 )
 from cknlab.sphere_flows import (
+    _deficit_derivatives,
+    _modes,
     _workspace,
     random_smooth_density,
     tilted_density,
@@ -146,3 +151,111 @@ def test_random_density_generator_properties():
         assert rho.values.min() > 0.0
     with pytest.raises(DomainError):
         tilted_density(3, 48, 1.5, 2.0)
+
+
+# The per-candidate derivative path the batched kernel replaced: one
+# propagator closure per density, six stencil states per attempt, and the
+# deficits of the +-h states evaluated twice.  Kept as the reference.
+
+
+def _reference_deficit(grid, rho, p):
+    mass = float(np.sum(grid.cell_mass * rho))
+    ent = (mass ** (2.0 / p)
+           - float(np.sum(grid.cell_mass * rho ** (2.0 / p)))) / (p - 2.0)
+    f = rho ** (1.0 / p)
+    df = np.diff(f) / np.diff(grid.centroids)
+    fish = float(np.sum(grid.flux[1:-1] * df * df * np.diff(grid.centroids)))
+    return fish - grid.sphere_dim * ent
+
+
+def _reference_propagator(grid, rho0, spec):
+    lam, vecs, sqw = _modes(grid.sphere_dim, grid.n)
+    lmax = float(np.max(np.abs(lam)))
+    if spec.kind == "heat":
+        y0 = vecs.T @ (sqw * rho0)
+
+        def prop(t):
+            return (vecs @ (np.exp(lam * t) * y0)) / sqw
+
+        rate_num = (vecs @ (lam * y0)) / sqw
+    else:
+        m = spec.diffusion_exponent()
+        diff_max = float(np.max(m * rho0 ** (m - 1.0)))
+        sub_dt = 1.0 / (lmax * max(diff_max, 1e-3))
+
+        def rhs(v):
+            return grid.apply_laplacian(np.abs(v) ** m * np.sign(v))
+
+        def prop(t):
+            nsub = max(1, int(math.ceil(abs(t) / sub_dt)))
+            h = t / nsub
+            v = rho0.copy()
+            for _ in range(nsub):
+                k1 = rhs(v)
+                k2 = rhs(v + 0.5 * h * k1)
+                k3 = rhs(v + 0.5 * h * k2)
+                k4 = rhs(v + h * k3)
+                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return v
+
+        rate_num = grid.apply_laplacian(rho0 ** m)
+    rate = float(np.max(np.abs(rate_num) / np.maximum(rho0, 1e-300)))
+    return prop, lmax, rate
+
+
+def _reference_derivative(grid, rho0, p, spec):
+    """(estimate or None, number of h halvings) of the per-candidate path."""
+    prop, lmax, rate = _reference_propagator(grid, rho0, spec)
+    h = min(4e-4, 1.0 / lmax, 0.1 / max(rate, 1.0))
+    halvings = 0
+    while h >= 1e-9:
+        states = {c: prop(c * h) for c in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)}
+        if all(s.min() > 0.0 for s in states.values()):
+            break
+        h *= 0.5
+        halvings += 1
+    else:
+        return None, halvings
+
+    def stencil(scale):
+        return (_reference_deficit(grid, states[-2.0 * scale], p)
+                - 8.0 * _reference_deficit(grid, states[-1.0 * scale], p)
+                + 8.0 * _reference_deficit(grid, states[1.0 * scale], p)
+                - _reference_deficit(grid, states[2.0 * scale], p)) \
+            / (12.0 * h * scale)
+
+    d1 = stencil(1.0)
+    d2 = stencil(0.5)
+    value = (16.0 * d2 - d1) / 15.0
+    error = abs(d2 - d1) / 15.0 + 1e-15 * math.exp(2.0 * h * lmax) / h
+    return (value, error, h), halvings
+
+
+@pytest.mark.parametrize("kind", ["heat", "fde"])
+def test_batched_deficit_derivatives_are_bit_identical(kind):
+    # plain rows, rows that need h halvings ((0.65, 22) for heat,
+    # (0.41, -22) for fde) and rows that lose positivity at every h
+    tilts = [(0.6, -5.0), (0.65, 22.0), (0.41, -22.0), (0.95, 22.0),
+             (0.89, -22.0), (0.2, 3.0)]
+    p = 5.5
+    grid = _workspace(3, 96)
+    spec = FlowSpec(kind=kind, p=p, n_cells=96)
+    rhos = np.array([tilted_density(3, 96, e, q).values for e, q in tilts])
+    got = _deficit_derivatives(grid, rhos, p, spec)
+    refs = [_reference_derivative(grid, rho, p, spec) for rho in rhos]
+    assert [est is None for est in got] == [ref is None for ref, _ in refs]
+    for est, (ref, _) in zip(got, refs):
+        if ref is not None:
+            assert (est.value, est.error, est.h) == ref
+    # the batch covers both ways the h-halving loop can end
+    assert any(ref is not None and n > 0 for ref, n in refs)
+    assert any(ref is None for ref, _ in refs)
+
+
+def test_search_with_every_candidate_skipped_fails_typed(monkeypatch):
+    monkeypatch.setattr(sphere_flows, "_deficit_derivatives",
+                        lambda grid, rhos, p, spec: [None] * len(rhos))
+    with pytest.raises(SearchFailed) as info:
+        counterexample_search(3, 5.5, n_cells=32)
+    assert info.value.best_value is None
+    assert "all 640 scan candidates" in str(info.value)
