@@ -96,8 +96,6 @@ from .params import (
     two_sharp_value,
 )
 from .profiles import (
-    ProfileSpec,
-    eval_profile,
     gaussian_profile,
     phi_star,
     v_star,

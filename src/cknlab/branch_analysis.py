@@ -40,10 +40,14 @@ from .cylinder_solver import (
 from .errors import DomainError, InsufficientSamples, ShootingFailed
 from .grids import half_line_grid, zonal_laplacian, zonal_quadrature
 from .params import (
+    check_theta,
     derive_params,
     lambda_fs_theta,
     mu_star,
     sphere_area,
+    theta_Lambda,
+    theta_mu,
+    theta_optimal_lam,
 )
 
 __all__ = [
@@ -66,20 +70,11 @@ __all__ = [
     "conjecture_probe",
 ]
 
-_THETA_SLACK = 1e-9
 _WITNESS_MARGIN = 1e-5
 
 
 def _params_of(d: int, p: float):
     return derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder")
-
-
-def _check_theta(d: int, p: float, theta: float) -> float:
-    vt = _params_of(d, p).vartheta
-    if theta > 1.0 + 1e-12 or theta < vt - _THETA_SLACK:
-        raise DomainError(
-            f"theta must lie in [{vt:.6f}, 1], got {theta}")
-    return vt
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +134,10 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
     harmless, so the combination really is fourth-order.  Shares no code
     with the closed-form route in `params`, which is the point.
     """
-    _check_theta(d, p, theta)
+    check_theta(d, p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
-    lam_guess = Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
+    lam_guess = theta_optimal_lam(p, theta, Lambda)
     # the quotient of an s-only profile never reads the zonal rule, so
     # one rule serves every lam and both line grids
     z, wz = zonal_quadrature(d - 1, 4)
@@ -154,7 +149,7 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
             s, h = half_line_grid(length, cells)
             grid = CylinderGrid(d, length, s, h, z, wz, lap_z)
             mu, t = symmetric_quotient(grid, p, lam)
-            return (t + Lambda) ** theta * mu / (t + lam)
+            return theta_mu(theta, lam, t, Lambda, mu)
 
         res = minimize_scalar(quotient, bounds=(0.5 * lam_guess, 2.0 * lam_guess),
                               method="bounded",
@@ -173,7 +168,7 @@ def reparametrize(branch: Branch, theta: float) -> CurveB:
     branch's own grid-consistent mu_star; comparisons near the
     bifurcation must use the latter.
     """
-    _check_theta(branch.d, branch.p, theta)
+    check_theta(branch.d, branch.p, theta)
     lam = branch.column("lam")
     t_phi = branch.column("t_phi")
     mu = branch.column("mu")
@@ -181,8 +176,8 @@ def reparametrize(branch: Branch, theta: float) -> CurveB:
         Lambda = lam.copy()
         mu_theta = mu.copy()
     else:
-        Lambda = theta * lam - (1.0 - theta) * t_phi
-        mu_theta = (t_phi + Lambda) ** theta * mu / (t_phi + lam)
+        Lambda = theta_Lambda(theta, lam, t_phi)
+        mu_theta = theta_mu(theta, lam, t_phi, Lambda, mu)
     stars = np.array([mu_star_theta_line(branch.d, branch.p, theta, v)
                       for v in Lambda])
     slope = np.gradient(Lambda, lam)
@@ -235,12 +230,12 @@ def branch_direction(branch: Branch, theta: float) -> str:
     Lambda(lam) samples, never the theta-constants, so skipping them
     keeps the bisection cheap.
     """
-    _check_theta(branch.d, branch.p, theta)
+    check_theta(branch.d, branch.p, theta)
     if len(branch.points) < 10:
         raise InsufficientSamples(
             f"need at least 10 branch points, got {len(branch.points)}")
     lam = branch.column("lam")
-    Lambda = theta * lam - (1.0 - theta) * branch.column("t_phi")
+    Lambda = theta_Lambda(theta, lam, branch.column("t_phi"))
     onset, _ = _slope_and_turnings(lam, Lambda)
     return "left" if onset < 0.0 else "right"
 
@@ -471,11 +466,11 @@ def grid_theta_reference(branch: Branch, theta: float,
     as the branch samples and the bias cancels from their difference.
     """
     p = branch.p
-    lam_opt = Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
+    lam_opt = theta_optimal_lam(p, theta, Lambda)
     out = np.empty_like(Lambda)
     for i, (lam_s, lam_v) in enumerate(zip(lam_opt, Lambda)):
         mu, t = symmetric_quotient(branch.grid, p, float(lam_s))
-        out[i] = (t + lam_v) ** theta * mu / (t + lam_s)
+        out[i] = theta_mu(theta, lam_s, t, lam_v, mu)
     return out
 
 
@@ -484,15 +479,16 @@ def _witness_scan(branch: Branch, theta: float):
 
     Grid-consistent on the branch's own grid, with a relative margin that
     sits well above the observed near-onset quadrature noise (~2e-6) and
-    well below genuine breaking signals (>= 5e-5).
+    well below genuine breaking signals (>= 5e-5).  Returns the branch
+    samples' Lambda and theta-quotient along with the witness mask.
     """
     lam = branch.column("lam")
     t_phi = branch.column("t_phi")
-    Lambda = theta * lam - (1.0 - theta) * t_phi
-    mu_theta = (t_phi + Lambda) ** theta * branch.column("mu") / (t_phi + lam)
+    Lambda = theta_Lambda(theta, lam, t_phi)
+    mu_theta = theta_mu(theta, lam, t_phi, Lambda, branch.column("mu"))
     ref = grid_theta_reference(branch, theta, Lambda)
     mask = mu_theta < ref * (1.0 - _WITNESS_MARGIN)
-    return Lambda, mask
+    return Lambda, mu_theta, mask
 
 
 def lemma_criterion(d: int, p: float,
@@ -525,7 +521,7 @@ def lemma_criterion(d: int, p: float,
                 break
         upper = float(brentq(excess, lo, lam_fs_th, xtol=1e-12))
         if branch is not None:
-            Lambda, mask = _witness_scan(branch, vt)
+            Lambda, _, mask = _witness_scan(branch, vt)
             below = Lambda[mask & (Lambda < lam_fs_th)]
             if below.size:
                 upper = min(upper, float(below.min()))
@@ -584,21 +580,16 @@ def conjecture_probe(d: int, p: float, theta_grid,
     thetas = sorted(float(t) for t in np.atleast_1d(theta_grid))
     if not thetas:
         raise DomainError("theta grid is empty")
-    vt = _params_of(d, p).vartheta
     for t in thetas:
-        _check_theta(d, p, t)
+        vt = check_theta(d, p, t)
     if branch is None:
         branch = continue_branch(d, p, config)
 
     rows = []
     for t in thetas:
-        lam = branch.column("lam")
-        t_phi = branch.column("t_phi")
-        Lambda = t * lam - (1.0 - t) * t_phi
-        mu_theta = (t_phi + Lambda) ** t * branch.column("mu") / (t_phi + lam)
-        onset, turnings = _slope_and_turnings(lam, Lambda)
-        Lambda_w, mask = _witness_scan(branch, t)
-        witnesses = Lambda_w[mask]
+        Lambda, mu_theta, mask = _witness_scan(branch, t)
+        onset, turnings = _slope_and_turnings(branch.column("lam"), Lambda)
+        witnesses = Lambda[mask]
         rows.append(ProbeRow(
             theta=t,
             direction="left" if onset < 0.0 else "right",

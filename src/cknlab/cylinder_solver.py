@@ -46,7 +46,7 @@ from .errors import (
     NewtonDiverged,
 )
 from .grids import CylinderField, half_line_grid, zonal_laplacian, zonal_quadrature
-from .params import lambda_fs_value
+from .params import check_cylinder_exponent, lambda_fs_value
 from .profiles import phi_star
 
 __all__ = [
@@ -66,16 +66,6 @@ __all__ = [
 
 _ZERO_FLOOR = 1e-13
 _NEGATIVE_TOL = 1e-8
-
-
-def _check_exponent(d: int, p: float) -> None:
-    if d < 2:
-        raise DomainError(f"cylinder problems need d >= 2, got d={d}")
-    if p <= 2.0:
-        raise DomainError(f"cylinder exponent must satisfy p > 2, got p={p}")
-    if d > 2 and p >= 2.0 * d / (d - 2.0):
-        raise DomainError(
-            f"p={p} is not subcritical for d={d} (needs p < {2 * d / (d - 2)})")
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,7 @@ def solve_symmetric(d: int, p: float, Lambda: float,
     solution.  That distinction matters everywhere a discrete quotient is
     compared against a discrete branch point.
     """
-    _check_exponent(d, p)
+    check_cylinder_exponent(d, p)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
     if grid is None:
@@ -361,7 +351,7 @@ def newton_solve(init: CylinderField, Lambda: float, tol: float = 1e-10,
     """
     if init.p is None:
         raise DomainError("initial field carries no exponent p")
-    _check_exponent(init.d, init.p)
+    check_cylinder_exponent(init.d, init.p)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
     grid = _grid_of(init)
@@ -628,7 +618,7 @@ def continue_branch(d: int, p: float,
     factorization of the raw s-major ordering is cheaper, but it flips
     newton_iters at points whose residual sits at the rounding floor.
     """
-    _check_exponent(d, p)
+    check_cylinder_exponent(d, p)
     cfg = config if config is not None else ContinuationConfig()
     lam_fs = lambda_fs_value(d, p)
     length = cfg.length if cfg.length is not None else 20.0 / math.sqrt(lam_fs)

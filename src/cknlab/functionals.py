@@ -34,8 +34,6 @@ __all__ = [
     "weighted_fisher",
     "k_functional",
     "h_functional",
-    "renyi_power",
-    "renyi_sigma",
     "cylinder_quotient",
     "gaussian_h",
 ]
@@ -298,23 +296,6 @@ def h_functional(u: np.ndarray, params: CKNParams, grid: TensorGrid,
     return (m - m1) * variance + k_int + (m - m1) * correction
 
 
-def renyi_sigma(params: CKNParams) -> float:
-    """Exponent of the entropy power, (2/n)/(1-m) - 1."""
-    m, n, _ = _flow_exponents(params)
-    return (2.0 / n) / (1.0 - m) - 1.0
-
-
-def renyi_power(u: np.ndarray, params: CKNParams, grid: TensorGrid) -> float:
-    """Entropy power (integral of u^m dmu)^sigma."""
-    m, n, _ = _flow_exponents(params)
-    sigma = renyi_sigma(params)
-    val = float(np.sum(_measure_weights(grid, n)
-                       * np.asarray(u, dtype=float) ** m))
-    if val <= 0.0:
-        raise DegenerateInput("entropy power needs positive u^m mass")
-    return val ** sigma
-
-
 # ---------------------------------------------------------------------------
 # cylinder quotients
 
@@ -323,12 +304,6 @@ def _line_energy(gf: GridFunction1D) -> float:
     """Discrete gradient energy matching the grid's boundary convention."""
     v = gf.values
     kind = gf.weight.kind
-    if kind == "cylinder_even":
-        h = float(gf.weight.params["h"])
-        e = float(np.sum(np.diff(v) ** 2)) / h
-        if gf.weight.params.get("boundary", "dirichlet") == "dirichlet":
-            e += v[-1] ** 2 / h
-        return 2.0 * e
     if kind == "flat_line":
         h = float(gf.weight.params["h"])
         if gf.weight.params.get("boundary") == "periodic":

@@ -213,8 +213,7 @@ class Weight:
     kind: str
     params: dict = field(default_factory=dict)
 
-    _KINDS = ("sphere_zonal", "fv_zonal", "radial_power", "flat_line",
-              "cylinder_even")
+    _KINDS = ("sphere_zonal", "fv_zonal", "flat_line")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -267,18 +266,6 @@ class GridFunction1D:
         vals = np.ones_like(z) if fn is None else np.asarray(fn(z), dtype=float)
         return cls(z, vals, Weight("sphere_zonal",
                                    {"sphere_dim": sphere_dim, "rule": rule}), w)
-
-    @classmethod
-    def on_radial_grid(cls, n_power: float, r_lo: float, r_hi: float,
-                       n_panels: int,
-                       fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                       n_nodes: int = 8) -> "GridFunction1D":
-        r, wr = log_radial_quadrature(r_lo, r_hi, n_panels, n_nodes)
-        vals = np.ones_like(r) if fn is None else np.asarray(fn(r), dtype=float)
-        return cls(r, vals, Weight("radial_power",
-                                   {"n_power": n_power, "r_lo": r_lo,
-                                    "r_hi": r_hi}),
-                   wr * r ** (n_power - 1.0))
 
     def to_csv(self, path) -> None:
         """Write nodes/values as CSV plus a JSON sidecar for the measure."""
@@ -524,9 +511,3 @@ class CylinderField:
 
     def lp_norm(self, p: float) -> float:
         return self.integrate(np.abs(self.values) ** p) ** (1.0 / p)
-
-    @classmethod
-    def from_symmetric(cls, d: int, s: np.ndarray, h: float, z: np.ndarray,
-                       wz: np.ndarray, profile: np.ndarray) -> "CylinderField":
-        vals = np.tile(np.asarray(profile, dtype=float)[:, None], (1, len(z)))
-        return cls(d, s, h, z, wz, vals)

@@ -37,13 +37,21 @@ __all__ = [
     "optimal_constant_star",
     "mu_star",
     "lambda_fs_theta",
+    "lambda_fs_value",
+    "two_sharp_value",
     "b_fs_value",
     "symmetric_profile_data",
     "sphere_area",
+    "check_cylinder_exponent",
+    "check_theta",
+    "theta_Lambda",
+    "theta_mu",
+    "theta_optimal_lam",
 ]
 
 _MODES = ("critical", "subcritical", "cylinder")
 _TOL = 1e-12
+_THETA_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,10 @@ class CKNParams:
 
     @property
     def vartheta(self) -> float:
-        return self.d * (self.p - 2.0) / (2.0 * self.p)
+        return _vartheta(self.d, self.p)
 
     def with_theta(self, theta: float) -> "CKNParams":
-        _require_theta(self, theta)
+        check_theta(self.d, self.p, theta)
         return replace(self, theta=theta)
 
 
@@ -106,14 +114,35 @@ def _reject(condition: bool, message: str) -> None:
         raise AdmissibilityError(message, violated=message)
 
 
-def _require_theta(params: CKNParams, theta: float) -> None:
-    if params.p <= 2.0:
-        raise DomainError(f"theta range needs p > 2, got p={params.p}")
-    lo = params.vartheta
-    if not (lo - _TOL <= theta <= 1.0 + _TOL):
+def _vartheta(d: int, p: float) -> float:
+    return d * (p - 2.0) / (2.0 * p)
+
+
+def check_cylinder_exponent(d: int, p: float) -> None:
+    """Reject (d, p) outside the cylinder range 2 < p < 2d/(d-2)."""
+    if d < 2:
+        raise DomainError(f"cylinder problems need d >= 2, got d={d}")
+    if p <= 2.0:
+        raise DomainError(f"cylinder exponent must satisfy p > 2, got p={p}")
+    if d > 2 and p >= 2.0 * d / (d - 2.0):
+        raise DomainError(
+            f"p={p} is not subcritical for d={d} (needs p < {2 * d / (d - 2)})")
+
+
+def check_theta(d: int, p: float, theta: float) -> float:
+    """Reject theta outside [vartheta(p), 1] and return vartheta(p).
+
+    The range only exists for a cylinder exponent, which is checked
+    first.  The lower end has 1e-9 of slack, so a theta set to vartheta
+    from rounded input passes.
+    """
+    check_cylinder_exponent(d, p)
+    vt = _vartheta(d, p)
+    if not vt - _THETA_SLACK <= theta <= 1.0 + _TOL:
         raise AdmissibilityError(
-            f"theta = {theta} outside [{lo}, 1]",
+            f"theta = {theta} outside [{vt}, 1]",
             violated="theta < d*(p-2)/(2*p) or theta > 1")
+    return vt
 
 
 def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
@@ -126,8 +155,11 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
     """
     if mode not in _MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if d < 2 or int(d) != d:
+    if d < 2:
         raise AdmissibilityError(f"d = {d} below 2", violated="d < 2")
+    if not float(d).is_integer():
+        raise AdmissibilityError(f"d = {d} is not an integer",
+                                 violated="d not an integer")
     d = int(d)
     required = {"critical": {"a", "b"},
                 "subcritical": {"beta", "gamma", "p"},
@@ -278,12 +310,30 @@ def symmetric_t(p: float, lam: float) -> float:
     return symmetric_profile_data(p, lam)[2]
 
 
-def _check_cylinder_exponent(params: CKNParams) -> None:
-    if params.p <= 2.0:
-        raise DomainError(f"needs p > 2, got p={params.p}")
-    if params.d > 2 and params.p >= params.two_star:
-        raise DomainError(
-            f"needs p < 2d/(d-2) = {params.two_star}, got p={params.p}")
+# ---------------------------------------------------------------------------
+# the theta reading of the cylinder family
+#
+# A field of the theta = 1 problem at scale lam, with gradient-to-mass
+# ratio t and quotient mu, sits at position Lambda of the theta problem
+# with quotient mu_theta.  The helpers take scalars or arrays and keep the
+# operation order their callers had, so no caller's rounding moves.
+
+
+def theta_Lambda(theta, lam, t):
+    return theta * lam - (1.0 - theta) * t
+
+
+def theta_mu(theta, lam, t, Lambda, mu):
+    return (t + Lambda) ** theta * mu / (t + lam)
+
+
+def theta_optimal_lam(p: float, theta, Lambda):
+    """Scale of the symmetric profile whose position is Lambda.
+
+    The explicit family has t = lam (p-2)/(p+2), so its position is
+    linear in lam; this inverts that line.
+    """
+    return Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
 
 
 def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
@@ -294,17 +344,18 @@ def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
     reparametrized position equals Lambda is located by monotone root
     finding, and its interpolation quotient is returned.
     """
-    _check_cylinder_exponent(params)
+    check_theta(params.d, params.p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"needs Lambda > 0, got {Lambda}")
-    _require_theta(params, theta)
     p = params.p
     if theta >= 1.0 - 1e-15:
         return _mu_one(p) * Lambda ** ((p + 2.0) / (2.0 * p))
 
     def offset(lam: float) -> float:
-        return theta * lam - (1.0 - theta) * symmetric_t(p, lam) - Lambda
+        return theta_Lambda(theta, lam, symmetric_t(p, lam)) - Lambda
 
+    # not theta_optimal_lam: the two spellings differ in the last bit for
+    # about a third of inputs, and this guess sets the bracket
     slope = (2.0 * p * theta - (p - 2.0)) / (p + 2.0)
     guess = Lambda / slope
     lo, hi = 0.5 * guess, 2.0 * guess
@@ -328,10 +379,9 @@ def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
 
 def lambda_fs_theta(params: CKNParams, theta: float) -> float:
     """Reparametrized position of the symmetry-breaking point."""
-    _check_cylinder_exponent(params)
-    _require_theta(params, theta)
+    check_theta(params.d, params.p, theta)
     lam_fs = lambda_fs_value(params.d, params.p)
-    return theta * lam_fs - (1.0 - theta) * symmetric_t(params.p, lam_fs)
+    return theta_Lambda(theta, lam_fs, symmetric_t(params.p, lam_fs))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +425,7 @@ def check_equivalence(params: CKNParams):
     """
     if params.mode == "subcritical":
         raise DomainError("equivalence check needs a critical-type record")
-    _check_cylinder_exponent(params)
+    check_cylinder_exponent(params.d, params.p)
     th = thresholds(params)
     cond_lambda = 0.0 < params.Lambda <= th.lambda_fs + _TOL
     cond_b = (params.a < params.a_c

@@ -9,16 +9,11 @@ boundaries, where naive powers of cosh overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "ProfileSpec",
-    "eval_profile",
     "phi_star",
     "phi_star_log",
     "v_star",
@@ -97,54 +92,3 @@ def gaussian_profile(r, d: int):
         raise DomainError(f"dimension must be positive, got {d}")
     r = np.asarray(r, dtype=float)
     return (2.0 * np.pi) ** (-d / 4.0) * np.exp(-0.25 * r * r)
-
-
-_KINDS = (
-    "phi_star_cylinder",
-    "v_star_critical",
-    "w_star_critical_n",
-    "w_star_subcritical",
-    "gaussian",
-)
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """A named closed-form profile together with its parameters.
-
-    ``kind`` selects the formula; ``params`` supplies exactly the scalars
-    that formula needs (see :func:`eval_profile`).
-    """
-
-    kind: str
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(
-                f"unknown profile kind {self.kind!r}; expected one of {_KINDS}")
-
-
-def eval_profile(spec: ProfileSpec, point):
-    """Evaluate a profile at a point (or array of points).
-
-    Cylinder profiles take the axial coordinate; all others take the
-    radius.  Raises DomainError when the parameters are inadmissible for
-    the requested kind.
-    """
-    q = dict(spec.params)
-    try:
-        if spec.kind == "phi_star_cylinder":
-            return phi_star(point, q["p"], q["Lambda"])
-        if spec.kind == "v_star_critical":
-            return v_star(point, q["p"], q["a_gap"])
-        if spec.kind == "w_star_critical_n":
-            return w_star_critical(point, q["n"])
-        if spec.kind == "w_star_subcritical":
-            return w_star_subcritical(point, q["p"], q["beta"], q["gamma"])
-        if spec.kind == "gaussian":
-            return gaussian_profile(point, int(q["d"]))
-    except KeyError as missing:
-        raise DomainError(
-            f"profile {spec.kind!r} is missing parameter {missing}") from None
-    raise DomainError(f"unknown profile kind {spec.kind!r}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknlab import (
     AdmissibilityError,
@@ -77,6 +79,51 @@ def test_critical_cylinder_roundtrip():
     back = derive_params(5, {"a": rec.a, "b": rec.b}, "critical")
     assert rel(back.p, 2.8) < 1e-12
     assert rel(back.Lambda, 6.0) < 1e-12
+
+
+def _cylinder_exponent(d, frac):
+    """The exponent a fraction frac of the way through (2, min(2*, 6))."""
+    hi = 6.0 if d == 2 else min(6.0, 2.0 * d / (d - 2.0))
+    return 2.0 + frac * (hi - 2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), frac=st.floats(0.01, 0.99),
+       Lambda=st.floats(0.01, 100.0))
+def test_critical_cylinder_roundtrip_property(d, frac, Lambda):
+    p = _cylinder_exponent(d, frac)
+    rec = derive_params(d, {"p": p, "Lambda": Lambda}, "cylinder")
+    back = derive_params(d, {"a": rec.a, "b": rec.b}, "critical")
+    assert rel(back.p, p) < 1e-13
+    assert rel(back.Lambda, Lambda) < 1e-13
+    again = derive_params(d, {"p": back.p, "Lambda": back.Lambda}, "cylinder")
+    assert again.a == pytest.approx(rec.a, rel=1e-13, abs=1e-13)
+    assert again.b == pytest.approx(rec.b, rel=1e-13, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), frac=st.floats(0.01, 0.99),
+       Lambda=st.floats(0.01, 100.0), scale=st.floats(0.1, 10.0),
+       theta_frac=st.floats(0.0, 1.0))
+def test_symmetric_constant_scaling_law_property(d, frac, Lambda, scale,
+                                                 theta_frac):
+    # t = lam (p-2)/(p+2) on the explicit family, so the theta reading is
+    # linear in lam and mu_star(Lambda, theta) ~ Lambda^(theta - (p-2)/(2p))
+    p = _cylinder_exponent(d, frac)
+    rec = cylinder_record(d=d, p=p)
+    theta = rec.vartheta + theta_frac * (1.0 - rec.vartheta)
+    ratio = mu_star(rec, scale * Lambda, theta) / mu_star(rec, Lambda, theta)
+    assert rel(ratio, scale ** (theta - (p - 2.0) / (2.0 * p))) < 1e-12
+
+
+def test_derive_params_rejects_bad_dimensions():
+    inputs = {"p": 2.8, "Lambda": 1.0}
+    with pytest.raises(AdmissibilityError) as low:
+        derive_params(1, inputs, "cylinder")
+    assert low.value.violated == "d < 2"
+    with pytest.raises(AdmissibilityError) as fractional:
+        derive_params(3.5, inputs, "cylinder")
+    assert fractional.value.violated == "d not an integer"
 
 
 def test_derive_subcritical_mode():

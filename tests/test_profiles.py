@@ -7,8 +7,6 @@ import pytest
 
 from cknlab import (
     DomainError,
-    ProfileSpec,
-    eval_profile,
     gaussian_profile,
     phi_star,
     v_star,
@@ -91,29 +89,3 @@ def test_gaussian_profile_unit_mass(d):
     g = gaussian_profile(r, d)
     mass = sphere_area(d) * float(np.sum(w * r ** (d - 1) * g * g))
     assert mass == pytest.approx(1.0, rel=1e-12)
-
-
-def test_eval_profile_dispatch():
-    s = np.linspace(-2.0, 2.0, 9)
-    spec = ProfileSpec("phi_star_cylinder", {"p": 2.8, "Lambda": 1.5})
-    np.testing.assert_array_equal(eval_profile(spec, s),
-                                  phi_star(s, 2.8, 1.5))
-    spec = ProfileSpec("v_star_critical", {"p": 3.0, "a_gap": 0.5})
-    assert eval_profile(spec, 1.0) == v_star(1.0, 3.0, 0.5)
-    spec = ProfileSpec("w_star_critical_n", {"n": 5.0})
-    assert eval_profile(spec, 1.0) == w_star_critical(1.0, 5.0)
-    spec = ProfileSpec("w_star_subcritical",
-                       {"p": 1.4, "beta": 0.1, "gamma": 0.5})
-    assert eval_profile(spec, 1.0) == w_star_subcritical(1.0, 1.4, 0.1, 0.5)
-    spec = ProfileSpec("gaussian", {"d": 3})
-    assert eval_profile(spec, 0.0) == gaussian_profile(0.0, 3)
-
-
-def test_eval_profile_error_paths():
-    with pytest.raises(DomainError):
-        ProfileSpec("vortex", {})
-    with pytest.raises(DomainError, match="missing parameter"):
-        eval_profile(ProfileSpec("phi_star_cylinder", {"p": 2.8}), 0.0)
-    with pytest.raises(DomainError):
-        eval_profile(ProfileSpec("v_star_critical", {"p": 2.0, "a_gap": 0.5}),
-                     0.0)
