@@ -40,6 +40,7 @@ from .cylinder_solver import (
 from .errors import DomainError, InsufficientSamples, ShootingFailed
 from .grids import half_line_grid, zonal_laplacian, zonal_quadrature
 from .params import (
+    check_cylinder_exponent,
     check_theta,
     derive_params,
     lambda_fs_theta,
@@ -74,6 +75,7 @@ _WITNESS_MARGIN = 1e-5
 
 
 def _params_of(d: int, p: float):
+    check_cylinder_exponent(d, p)
     return derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder")
 
 
@@ -442,18 +444,6 @@ class CriterionReport:
     mu_star_at_fs: float
     breaking_predicted: bool
     lambda_s_bracket: tuple[float, float] | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "vartheta": self.vartheta,
-            "c_gn": self.c_gn,
-            "mu_star_at_fs": self.mu_star_at_fs,
-            "breaking_predicted": self.breaking_predicted,
-            "lambda_s_bracket": (None if self.lambda_s_bracket is None
-                                 else list(self.lambda_s_bracket)),
-        }
 
 
 def grid_theta_reference(branch: Branch, theta: float,

@@ -30,7 +30,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable
@@ -63,7 +64,6 @@ from .grids import (
 )
 
 __all__ = [
-    "RunManifest",
     "load_config",
     "run",
     "main",
@@ -152,26 +152,6 @@ def _write_field_csv(path: Path, fld) -> None:
 # manifests
 
 
-@dataclass
-class RunManifest:
-    """What was run, with what settings, producing which bytes."""
-
-    command: str
-    settings: dict
-    wall_clock_seconds: float
-    artifacts: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "settings": self.settings,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "artifacts": self.artifacts,
-            "summary": self.summary,
-        }
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -182,16 +162,16 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(manifest_path: Path, command: str, settings: dict,
                     artifact_paths, summary: dict, t0: float) -> None:
+    """What was run, with what settings, producing which bytes."""
     base = manifest_path.parent
-    manifest = RunManifest(
-        command=command,
-        settings=_jsonable(settings),
-        wall_clock_seconds=time.perf_counter() - t0,
-        artifacts=[{"path": os.path.relpath(p, base), "sha256": _sha256(p)}
-                   for p in artifact_paths],
-        summary=_jsonable(summary),
-    )
-    _write_json(manifest_path, manifest.to_json_dict())
+    _write_json(manifest_path, {
+        "command": command,
+        "settings": settings,
+        "wall_clock_seconds": time.perf_counter() - t0,
+        "artifacts": [{"path": os.path.relpath(p, base), "sha256": _sha256(p)}
+                      for p in artifact_paths],
+        "summary": summary,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +344,40 @@ _ARTIFACT_NAMES = {
     "probe": "probe.json",
 }
 
-_JSON_COMMANDS = ("params", "counterexample", "criterion", "probe")
-
 
 # ---------------------------------------------------------------------------
 # config loading and resolution
+
+
+def _read_ini(path, what: str) -> configparser.ConfigParser:
+    """Parse an INI file of flat ``key = value`` lines, keys case-kept."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
+                                       inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+    return parser
+
+
+def _cast_section(command: str, items, where: str) -> dict:
+    """Cast and range-check ``(key, raw)`` pairs against a command's schema."""
+    schema = {opt.name: opt for opt in _OPTIONS[command]}
+    values = {}
+    for key, raw in items:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        opt = schema[key]
+        try:
+            values[key] = opt.check_range(opt.cast(raw))
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for {key!r} in {where}: {exc}") from exc
+    return values
 
 
 def load_config(path) -> dict[str, dict]:
@@ -378,36 +387,15 @@ def load_config(path) -> dict[str, dict]:
     must belong to that subcommand's schema; values are cast and
     range-checked immediately so a bad file fails on load, not at use.
     """
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                       inline_comment_prefixes=("#",))
-    parser.optionxform = str
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    parser = _read_ini(path, "config file")
     loaded: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _OPTIONS:
             raise ConfigError(
                 f"unknown section [{section}] in {path}; expected one of "
                 f"{sorted(_OPTIONS)}")
-        schema = {opt.name: opt for opt in _OPTIONS[section]}
-        values = {}
-        for key, raw in parser.items(section):
-            if key not in schema:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}] of {path}")
-            opt = schema[key]
-            try:
-                values[key] = opt.check_range(opt.cast(raw))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {key!r} in section [{section}] "
-                    f"of {path}: {exc}") from exc
-        loaded[section] = values
+        loaded[section] = _cast_section(
+            section, parser.items(section), f"section [{section}] of {path}")
     return loaded
 
 
@@ -451,15 +439,7 @@ def _resolve_options(command: str, args, overrides: dict | None = None) -> dict:
 
 def _continuation_config(opts: dict) -> ContinuationConfig:
     return ContinuationConfig(
-        lambda_max=opts["lambda_max"],
-        m_cells=opts["m_cells"],
-        nz=opts["nz"],
-        length=opts["length"],
-        ds_init=opts["ds_init"],
-        ds_growth=opts["ds_growth"],
-        ds_max=opts["ds_max"],
-        max_points=opts["max_points"],
-    )
+        **{f.name: opts[f.name] for f in fields(ContinuationConfig)})
 
 
 _BRANCH_CACHE: dict = {}
@@ -619,14 +599,8 @@ def _run_curve(opts: dict, out: Path | None, args) -> tuple[list, dict]:
     curve = branch_analysis.reparametrize(branch, opts["theta"])
     _write_csv(out, _CURVE_HEADER, curve.as_rows())
     cls = branch_analysis.classify_bifurcation(curve)
-    summary = dict(_branch_summary(branch))
-    summary.update({
-        "theta": opts["theta"],
-        "direction": cls.direction,
-        "slope_at_onset": cls.slope_at_onset,
-        "turning_points": [asdict(t) for t in cls.turning_points],
-    })
-    return [out], summary
+    return [out], {**_branch_summary(branch), "theta": opts["theta"],
+                   **asdict(cls)}
 
 
 def _run_criterion(opts: dict, out: Path | None, args) -> tuple[list, dict]:
@@ -636,7 +610,7 @@ def _run_criterion(opts: dict, out: Path | None, args) -> tuple[list, dict]:
                                 _continuation_config(opts))
     report = branch_analysis.lemma_criterion(opts["d"], opts["p"],
                                              branch=branch)
-    payload = report.to_json_dict()
+    payload = asdict(report)
     summary = {"breaking_predicted": report.breaking_predicted,
                "c_gn": report.c_gn, "mu_star_at_fs": report.mu_star_at_fs}
     return _emit_json(payload, out), summary
@@ -652,16 +626,7 @@ def _run_probe(opts: dict, out: Path | None, args) -> tuple[list, dict]:
         "p": report.p,
         "vartheta": report.vartheta,
         "flip_theta": report.flip_theta,
-        "rows": [{
-            "theta": row.theta,
-            "direction": row.direction,
-            "slope_at_onset": row.slope_at_onset,
-            "turning_points": [asdict(t) for t in row.turning_points],
-            "witness_exists": row.witness_exists,
-            "witness_Lambda_lo": row.witness_Lambda_lo,
-            "witness_Lambda_hi": row.witness_Lambda_hi,
-            "monotone_increasing": row.monotone_increasing,
-        } for row in report.rows],
+        "rows": [asdict(row) for row in report.rows],
     }
     summary = {"flip_theta": report.flip_theta,
                "n_rows": len(report.rows)}
@@ -683,37 +648,29 @@ _HANDLERS = {
 # verify
 
 
-def _check_closed_forms() -> str:
+def _check_closed_forms():
     pars = params_mod.derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
     ratio = params_mod.mu_star(pars, 4.0) / params_mod.mu_star(pars, 1.0)
-    err = abs(ratio / 4.0 ** ((2.8 + 2.0) / 5.6) - 1.0)
-    if err > 1e-12:
-        raise CknlabError(f"scaling law violated by {err:.3e}")
     lam_fs = params_mod.lambda_fs_value(5, 2.8)
-    err2 = abs(lam_fs - 4.0 * 4.0 / (2.8 ** 2 - 4.0))
-    if err2 > 1e-12:
-        raise CknlabError(f"instability threshold off by {err2:.3e}")
-    return f"scaling {err:.1e}, threshold {err2:.1e}"
+    return [("scaling", abs(ratio / 4.0 ** ((2.8 + 2.0) / 5.6) - 1.0), 1e-12),
+            ("threshold", abs(lam_fs - 4.0 * 4.0 / (2.8 ** 2 - 4.0)), 1e-12)]
 
 
-def _check_equivalence_triple() -> str:
+def _check_equivalence_triple():
     rng = np.random.default_rng(2023)
-    n = 300
-    for _ in range(n):
+    broken = 0
+    for _ in range(300):
         d = int(rng.integers(2, 9))
         hi = 2.0 * d / (d - 2) if d > 2 else 12.0
         p = float(rng.uniform(2.01, min(hi - 0.01, 12.0)))
         lam = float(10.0 ** rng.uniform(-2, 2))
         pars = params_mod.derive_params(d, {"p": p, "Lambda": lam}, "cylinder")
         c1, c2, c3 = params_mod.check_equivalence(pars)
-        if not (c1 == c2 == c3):
-            raise CknlabError(
-                f"equivalence broken at d={d}, p={p}, Lambda={lam}: "
-                f"{(c1, c2, c3)}")
-    return f"{n} samples consistent"
+        broken += not (c1 == c2 == c3)
+    return [("inconsistent samples", broken, 0)]
 
 
-def _check_symmetric_constant() -> str:
+def _check_symmetric_constant():
     p, lam = 2.8, 2.0
     length = 20.0 / math.sqrt(lam)
     vals = [symmetric_quotient(cylinder_grid(5, length, m, 4), p, lam)[0]
@@ -721,65 +678,38 @@ def _check_symmetric_constant() -> str:
     richardson = (4.0 * vals[1] - vals[0]) / 3.0
     target = params_mod.mu_star(
         params_mod.derive_params(5, {"p": p, "Lambda": lam}, "cylinder"), lam)
-    err = abs(richardson / target - 1.0)
-    if err > 1e-7:
-        raise CknlabError(f"grid constant off closed form by {err:.3e}")
-    return f"relative error {err:.1e}"
+    return [("relative error", abs(richardson / target - 1.0), 1e-7)]
 
 
-def _check_translation_mode() -> str:
+def _check_translation_mode():
     lam = 6.0
     grid = cylinder_grid(5, 20.0 / math.sqrt(lam), 800, 8)
     phi = solve_symmetric(5, 2.8, lam, grid)
     eig = float(linearized_spectrum(phi, lam, sector=0, count=2)[1])
-    if abs(eig) > 1e-8:
-        raise CknlabError(f"translation mode not near zero: {eig:.3e}")
-    return f"zero mode at {eig:.1e}"
+    return [("zero mode at", eig, 1e-8)]
 
 
-def _check_heat_monotone() -> str:
+def _check_monotone(kind: str, p: float, t_end: float, rel_slack: float):
+    """Deficit never rises along the flow and mass is conserved."""
     rho = sphere_flows.tilted_density(3, 64, 0.4, 2.0)
-    spec = sphere_flows.FlowSpec(kind="heat", p=3.0, n_cells=64, t_end=0.25)
+    spec = sphere_flows.FlowSpec(kind=kind, p=p, n_cells=64, t_end=t_end)
     traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho), spec)
     rise = float(np.max(np.diff(traj.deficits), initial=0.0))
-    slack = 1e-8 * max(1.0, abs(float(traj.deficits[0])))
-    if rise > slack:
-        raise CknlabError(f"heat deficit rose by {rise:.3e}")
-    drift = traj.mass_drift()
-    if drift > 1e-9:
-        raise CknlabError(f"mass drifted by {drift:.3e}")
-    return f"max rise {rise:.1e}, drift {drift:.1e}"
+    slack = rel_slack * max(1.0, abs(float(traj.deficits[0])))
+    return [("max rise", rise, slack), ("drift", traj.mass_drift(), 1e-9)]
 
 
-def _check_fde_monotone() -> str:
-    rho = sphere_flows.tilted_density(3, 64, 0.4, 2.0)
-    spec = sphere_flows.FlowSpec(kind="fde", p=5.0, n_cells=64, t_end=0.1)
-    traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho), spec)
-    rise = float(np.max(np.diff(traj.deficits), initial=0.0))
-    slack = 1e-7 * max(1.0, abs(float(traj.deficits[0])))
-    if rise > slack:
-        raise CknlabError(f"fde deficit rose by {rise:.3e}")
-    drift = traj.mass_drift()
-    if drift > 1e-9:
-        raise CknlabError(f"mass drifted by {drift:.3e}")
-    return f"max rise {rise:.1e}, drift {drift:.1e}"
-
-
-def _check_curvature_floor() -> str:
+def _check_curvature_floor():
     pars = params_mod.derive_params(
         3, {"beta": 0.1, "gamma": 0.5, "p": 1.2}, "subcritical")
     grid = tensor_grid(3, r_lo=1e-2, r_hi=1e2, n_panels=48, n_nodes=8, nz=16)
     values = 1.0 + 0.7 * grid.r[:, None] ** 2 + 0.0 * grid.z[None, :]
     pf = functionals.PressureField(grid, values, pars.m, pars.n, pars.alpha)
     fld, _ = functionals.k_functional(pf, pars)
-    peak = float(np.max(np.abs(fld)))
-    if peak > 1e-10:
-        raise CknlabError(f"quadratic radial pressure not annihilated: "
-                          f"{peak:.3e}")
-    return f"pointwise floor {peak:.1e}"
+    return [("pointwise floor", float(np.max(np.abs(fld))), 1e-10)]
 
 
-def _check_zonal_eigen() -> str:
+def _check_zonal_eigen():
     sphere_dim = 4
     z, w = zonal_quadrature(sphere_dim, 24)
     lap = zonal_laplacian(sphere_dim, z, w)
@@ -790,29 +720,29 @@ def _check_zonal_eigen() -> str:
         resid = lap @ gk + k * (k + sphere_dim - 1) * gk
         scale = max(1.0, k * (k + sphere_dim - 1)) * float(np.max(np.abs(gk)))
         worst = max(worst, float(np.max(np.abs(resid))) / scale)
-    if worst > 1e-9:
-        raise CknlabError(f"zonal eigenvalue relative residual {worst:.3e}")
-    return f"worst relative residual {worst:.1e}"
+    return [("worst relative residual", worst, 1e-9)]
 
 
-def _check_fv_mass() -> str:
+def _check_fv_mass():
     grid = fv_zonal_grid(4, 80)
     rng = np.random.default_rng(7)
     rho = np.exp(rng.uniform(-1.0, 1.0, size=80))
     flux = grid.apply_laplacian(rho)
-    err = abs(grid.integrate(flux))
-    if err > 1e-12 * grid.integrate(np.abs(rho)):
-        raise CknlabError(f"conservative flux does not sum to zero: {err:.3e}")
-    return f"flux integral {err:.1e}"
+    return [("flux integral", abs(grid.integrate(flux)),
+             1e-12 * grid.integrate(np.abs(rho)))]
 
 
+# Each check returns (label, value, bound) records; a record passes when
+# |value| <= bound.
 verify_checks = (
     ("closed_forms", _check_closed_forms),
     ("equivalence_triple", _check_equivalence_triple),
     ("symmetric_constant", _check_symmetric_constant),
     ("translation_mode", _check_translation_mode),
-    ("heat_deficit_monotone", _check_heat_monotone),
-    ("fde_deficit_monotone", _check_fde_monotone),
+    ("heat_deficit_monotone",
+     partial(_check_monotone, "heat", 3.0, 0.25, 1e-8)),
+    ("fde_deficit_monotone",
+     partial(_check_monotone, "fde", 5.0, 0.1, 1e-7)),
     ("curvature_floor", _check_curvature_floor),
     ("zonal_eigenvalues", _check_zonal_eigen),
     ("conservative_flux", _check_fv_mass),
@@ -823,11 +753,21 @@ def _run_verify(args) -> int:
     failures = 0
     for name, check in verify_checks:
         try:
-            detail = check()
+            records = check()
         except CknlabError as exc:
             failures += 1
             print(f"FAIL  {name}: {exc}")
+            continue
+        # written so that a NaN value fails
+        over = [f"{label} {value:.3e} > {bound:.1e}"
+                for label, value, bound in records
+                if not abs(value) <= bound]
+        if over:
+            failures += 1
+            print(f"FAIL  {name}: {', '.join(over)}")
         else:
+            detail = ", ".join(f"{label} {value:.1e}"
+                               for label, value, _ in records)
             print(f"ok    {name} ({detail})")
     if failures:
         print(f"{failures} of {len(verify_checks)} checks failed")
@@ -850,16 +790,7 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
     list of values; an optional section named after the target command
     holds fixed settings applied to every point.
     """
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                       inline_comment_prefixes=("#",))
-    parser.optionxform = str
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed sweep file {path}: {exc}") from exc
+    parser = _read_ini(path, "sweep file")
     if not parser.has_section("sweep"):
         raise ConfigError(f"sweep file {path} needs a [sweep] section")
     entries = dict(parser.items("sweep"))
@@ -899,16 +830,8 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
         raise ConfigError("sweep grid has no axes; nothing to run")
     overrides = {}
     if parser.has_section(command):
-        for key, raw in parser.items(command):
-            if key not in schema:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{command}] of {path}")
-            opt = schema[key]
-            try:
-                overrides[key] = opt.check_range(opt.cast(raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r} in "
-                                  f"section [{command}]: {exc}") from exc
+        overrides = _cast_section(command, parser.items(command),
+                                  f"section [{command}] of {path}")
     points = list(product(*values))
     return command, axes, points, overrides
 

@@ -23,7 +23,7 @@ computed once and every corrector matrix is assembled in place, already in
 that order, and factored without reordering; the steps are bit-identical
 to ordering each matrix afresh.  Skipping COLAMD altogether (NATURAL on the
 s-major unknowns) was rejected: that LU rounds differently, and corrector
-residuals sitting at the floor just below newton_tol then change the
+residuals sitting at the floor just below _NEWTON_TOL then change the
 Newton iteration counts of the branch.
 """
 
@@ -66,6 +66,23 @@ __all__ = [
 
 _ZERO_FLOOR = 1e-13
 _NEGATIVE_TOL = 1e-8
+# the symmetric polish stops below this sup-residual and fails after
+# this many Newton iterations; see _symmetric_profile for its stall rule
+_POLISH_TOL = 1e-12
+_POLISH_MAX_ITER = 60
+
+# Continuation corrector and recovery limits.  A Keller corrector converges
+# when its sup-residual drops below _NEWTON_TOL within _NEWTON_MAX_ITER
+# iterations.  The branch switch starts at _SWITCH_FRACTION of the weighted
+# norm of the symmetric solution at the bifurcation point and halves that
+# amplitude until Newton first lands on something genuinely non-symmetric,
+# at most _MAX_SWITCH_TRIES times; past the switch, a step that fails is
+# halved, at most _MAX_STEP_FAILURES times in a row.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 12
+_SWITCH_FRACTION = 0.1
+_MAX_SWITCH_TRIES = 20
+_MAX_STEP_FAILURES = 25
 
 
 @dataclass(frozen=True)
@@ -169,34 +186,32 @@ def _apply_s_operator(main, off, v):
     return out
 
 
-def _symmetric_profile(grid: CylinderGrid, p: float, lam: float,
-                       tol: float = 1e-12, stall_tol: float | None = None,
-                       max_iter: int = 60):
+def _symmetric_profile(grid: CylinderGrid, p: float,
+                       lam: float) -> np.ndarray:
     """Sampled explicit profile polished by banded Newton on the s-problem.
 
-    Converges quadratically until it hits the rounding floor of the grid
-    (the second-difference stencil amplifies storage rounding by 1/h^2),
-    so stagnation below stall_tol counts as success; stagnation above it
-    is a genuine failure.  The default stall_tol is that floor with a
-    10x safety margin, never below 1e-10 so the standard-grid residual
-    contract stays meaningful.
+    Converges quadratically to a sup-residual below _POLISH_TOL, or until
+    it hits the rounding floor of the grid (the second-difference stencil
+    amplifies storage rounding by 1/h^2), so stagnation below stall_tol
+    counts as success; stagnation above it is a genuine failure.  stall_tol
+    is that floor with a 10x safety margin, never below 1e-10 so the
+    standard-grid residual contract stays meaningful.
     """
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     phi = phi_star(grid.s, p, lam)
-    if stall_tol is None:
-        peak = (lam * p / 2.0) ** (1.0 / (p - 2.0))
-        stall_tol = max(1e-10, 10.0 * np.finfo(float).eps * peak / grid.h ** 2)
+    peak = (lam * p / 2.0) ** (1.0 / (p - 2.0))
+    stall_tol = max(1e-10, 10.0 * np.finfo(float).eps * peak / grid.h ** 2)
     up = np.append(0.0, off)
     lo = np.append(off, 0.0)
     best = math.inf
-    for it in range(max_iter):
+    for it in range(_POLISH_MAX_ITER):
         f = _apply_s_operator(main, off, phi) + lam * phi - phi ** (p - 1.0)
         res = float(np.max(np.abs(f)))
-        if res < tol:
-            return phi, res, it
+        if res < _POLISH_TOL:
+            return phi
         if res >= 0.5 * best:
             if res <= stall_tol:
-                return phi, res, it
+                return phi
             raise NewtonDiverged(
                 f"symmetric polish stalled at residual {res:.2e} "
                 f"(lam={lam}, p={p})", residual=res, iterations=it)
@@ -204,9 +219,9 @@ def _symmetric_profile(grid: CylinderGrid, p: float, lam: float,
         jac_main = main + lam - (p - 1.0) * phi ** (p - 2.0)
         phi = phi - solve_banded((1, 1), np.vstack([up, jac_main, lo]), f)
     raise NewtonDiverged(
-        f"symmetric polish used all {max_iter} iterations "
+        f"symmetric polish used all {_POLISH_MAX_ITER} iterations "
         f"(residual {best:.2e}, lam={lam}, p={p})", residual=best,
-        iterations=max_iter)
+        iterations=_POLISH_MAX_ITER)
 
 
 def solve_symmetric(d: int, p: float, Lambda: float,
@@ -224,7 +239,7 @@ def solve_symmetric(d: int, p: float, Lambda: float,
         raise DomainError(f"need Lambda > 0, got {Lambda}")
     if grid is None:
         grid = default_grid(d, Lambda)
-    phi, _, _ = _symmetric_profile(grid, p, Lambda)
+    phi = _symmetric_profile(grid, p, Lambda)
     return grid.symmetric_field(phi, p=p, Lambda=Lambda)
 
 
@@ -385,13 +400,7 @@ def angular_amplitude(phi: CylinderField) -> float:
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Knobs for the pseudo-arclength walk along the broken branch.
-
-    switch_fraction sets the first trial amplitude of the branch switch as
-    a fraction of the weighted norm of the symmetric solution at the
-    bifurcation point; the switch then bisects that amplitude downward
-    until Newton first succeeds on something genuinely non-symmetric.
-    """
+    """Grid and step settings of the pseudo-arclength walk."""
 
     lambda_max: float = 12.0
     m_cells: int = 400
@@ -400,11 +409,6 @@ class ContinuationConfig:
     ds_init: float = 0.005
     ds_growth: float = 1.3
     ds_max: float = 0.25
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 12
-    switch_fraction: float = 0.1
-    max_switch_tries: int = 20
-    max_step_failures: int = 25
     max_points: int = 400
 
     def __post_init__(self) -> None:
@@ -414,8 +418,6 @@ class ContinuationConfig:
             raise DomainError("need 0 < ds_init <= ds_max")
         if self.ds_growth < 1.0:
             raise DomainError(f"ds_growth must be >= 1, got {self.ds_growth}")
-        if not (0.0 < self.switch_fraction <= 1.0):
-            raise DomainError("switch_fraction must lie in (0, 1]")
         if self.max_points < 2:
             raise DomainError("max_points must be at least 2")
 
@@ -483,7 +485,7 @@ def _locate_bifurcation(grid: CylinderGrid, p: float, lam_fs: float) -> float:
     """
 
     def lowest(lam: float) -> float:
-        profile, _, _ = _symmetric_profile(grid, p, lam)
+        profile = _symmetric_profile(grid, p, lam)
         return float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
 
     lo, hi = 0.9 * lam_fs, 1.1 * lam_fs
@@ -582,7 +584,7 @@ def symmetric_quotient(grid: CylinderGrid, p: float, lam: float):
     numbers; computing them on the branch's own grid is what cancels the
     O(h^2) quadrature bias out of every symmetry-breaking gap.
     """
-    profile, _, _ = _symmetric_profile(grid, p, lam)
+    profile = _symmetric_profile(grid, p, lam)
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     return _profile_quotient(grid, main, off, p, lam, profile)
 
@@ -628,7 +630,7 @@ def continue_branch(d: int, p: float,
     bordered = _BorderedKeller(_fixed_operator(grid, main, off))
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
-    profile_b, _, _ = _symmetric_profile(grid, p, lam_b)
+    profile_b = _symmetric_profile(grid, p, lam_b)
     diag = main + lam_b + (d - 1.0) - (p - 1.0) * profile_b ** (p - 2.0)
     try:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
@@ -647,13 +649,13 @@ def continue_branch(d: int, p: float,
         """One bordered corrector solve; (x, iters, residual) or None."""
         xk = x_cur + ds * tangent
         row = np.append(w2 * tangent[:-1], tangent[-1])
-        for it in range(cfg.newton_max_iter):
+        for it in range(_NEWTON_MAX_ITER):
             u = xk[:-1].reshape(m, nz)
             lam = xk[-1]
             f = _residual_2d(grid, main, off, p, lam, u).ravel()
             constraint = float(row @ (xk - x_cur)) - ds
             res = max(float(np.max(np.abs(f))), abs(constraint))
-            if res < cfg.newton_tol:
+            if res < _NEWTON_TOL:
                 return xk, it, res
             xk = xk - bordered.solve(p, lam, u, row, np.append(f, constraint))
         return None
@@ -664,7 +666,7 @@ def continue_branch(d: int, p: float,
         u = x[:-1].reshape(m, nz)
         lam = float(x[-1])
         mu, t_phi = _quotient_data(grid, main, off, p, lam, u)
-        profile, _, _ = _symmetric_profile(grid, p, lam)
+        profile = _symmetric_profile(grid, p, lam)
         mu_sym, _ = _profile_quotient(grid, main, off, p, lam, profile)
         eig = float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
         points.append(BranchPoint(
@@ -675,7 +677,7 @@ def continue_branch(d: int, p: float,
     x_cur = np.append(np.tile(profile_b[:, None], (1, nz)).ravel(), lam_b)
     tangent = np.append((u1[:, None] * grid.z[None, :]).ravel(), 0.0)
     tangent = tangent / wnorm(tangent)
-    ds = cfg.switch_fraction * wnorm(
+    ds = _SWITCH_FRACTION * wnorm(
         np.append(np.tile(profile_b[:, None], (1, nz)).ravel(), 0.0))
     switched = False
     switch_tries = 0
@@ -702,14 +704,14 @@ def continue_branch(d: int, p: float,
         elif not switched:
             switch_tries += 1
             ds *= 0.5
-            if switch_tries > cfg.max_switch_tries:
+            if switch_tries > _MAX_SWITCH_TRIES:
                 raise ContinuationStalled(
                     "branch switch never produced a non-symmetric point",
                     lam=lam_b)
         else:
             ds *= 0.5
             step_failures += 1
-            if step_failures > cfg.max_step_failures:
+            if step_failures > _MAX_STEP_FAILURES:
                 raise ContinuationStalled(
                     f"step size underflowed at lam={points[-1].lam:.5f}",
                     lam=points[-1].lam)

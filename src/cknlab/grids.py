@@ -18,10 +18,8 @@ guess a rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -179,25 +177,23 @@ def fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
     return c
 
 
-def derivative_matrix(x: np.ndarray, order: int, npts: int = 5,
-                      zero_rowsum: bool = True) -> np.ndarray:
+def derivative_matrix(x: np.ndarray, order: int) -> np.ndarray:
     """Dense differentiation matrix on arbitrary nodes.
 
-    Each row uses the npts nearest nodes (one-sided at the ends).  With
-    zero_rowsum the diagonal is adjusted so constants are annihilated
-    exactly; without it, rounding in the weights leaves a residue that
-    gets amplified wherever the result is later divided by a small
-    quantity such as r^2.
+    Each row uses the five nearest nodes (one-sided at the ends), or all
+    nodes when there are fewer.  For order >= 1 the diagonal is adjusted
+    so constants are annihilated exactly; otherwise rounding in the
+    weights leaves a residue that gets amplified wherever the result is
+    later divided by a small quantity such as r^2.
     """
     n = len(x)
-    if npts > n:
-        npts = n
+    npts = min(5, n)
     D = np.zeros((n, n))
     for i in range(n):
         j0 = min(max(i - npts // 2, 0), n - npts)
         sel = slice(j0, j0 + npts)
         D[i, sel] = fornberg_weights(x[i], x[sel], order)[order]
-    if zero_rowsum and order >= 1:
+    if order >= 1:
         D[np.arange(n), np.arange(n)] -= D.sum(axis=1)
     return D
 
@@ -266,31 +262,6 @@ class GridFunction1D:
         vals = np.ones_like(z) if fn is None else np.asarray(fn(z), dtype=float)
         return cls(z, vals, Weight("sphere_zonal",
                                    {"sphere_dim": sphere_dim, "rule": rule}), w)
-
-    def to_csv(self, path) -> None:
-        """Write nodes/values as CSV plus a JSON sidecar for the measure."""
-        path = Path(path)
-        with open(path, "w") as fh:
-            fh.write("node,value\n")
-            for x, v in zip(self.nodes, self.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        sidecar = {"weight_kind": self.weight.kind,
-                   "weight_params": self.weight.params,
-                   "quad_weights": [float(w) for w in self.quad_weights]}
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            fh.write(json.dumps(sidecar, indent=2, sort_keys=True))
-            fh.write("\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction1D":
-        path = Path(path)
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-        raw = np.atleast_2d(raw)
-        with open(path.with_suffix(path.suffix + ".json")) as fh:
-            sidecar = json.load(fh)
-        return cls(raw[:, 0], raw[:, 1],
-                   Weight(sidecar["weight_kind"], sidecar["weight_params"]),
-                   np.asarray(sidecar["quad_weights"], dtype=float))
 
 
 # ---------------------------------------------------------------------------

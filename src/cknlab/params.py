@@ -404,14 +404,18 @@ def thresholds(params: CKNParams) -> Thresholds:
             two_sharp=two_sharp,
             p_star=(d - params.gamma) / (d - params.beta - 2.0),
         )
-    lam_fs = lambda_fs_value(d, params.p)
-    theta = params.theta if params.theta is not None else 1.0
+    # the theta reading needs p < 2*; a critical record with b == a sits
+    # at the endpoint p = 2* and gets no lambda_fs_theta
+    theta_fs = None
+    if params.p < params.two_star:
+        theta = params.theta if params.theta is not None else 1.0
+        theta_fs = lambda_fs_theta(params, theta)
     return Thresholds(
-        lambda_fs=lam_fs,
+        lambda_fs=lambda_fs_value(d, params.p),
         b_fs=b_fs_value(d, params.a),
         alpha_fs=math.sqrt((d - 1.0) / (params.n - 1.0)),
         two_sharp=two_sharp,
-        lambda_fs_theta=lambda_fs_theta(params, theta),
+        lambda_fs_theta=theta_fs,
         vartheta=params.vartheta,
     )
 

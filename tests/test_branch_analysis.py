@@ -143,6 +143,22 @@ def test_quotient_scale_invariance():
     assert rel(scaled, base) < 1e-12
 
 
+# p = 3.5 sits above the critical exponent 10/3 in dimension five
+@pytest.mark.parametrize("call", [
+    lambda: gn_ground_state(5, 3.5),
+    lambda: gn_quotient(5, 3.5, np.linspace(0.0, 1.0, 4), np.ones(4),
+                        np.zeros(4)),
+    lambda: gn_constant(5, 3.5),
+    lambda: lemma_criterion(5, 3.5),
+    lambda: mu_star_theta_line(5, 3.5, 1.0, 1.0),
+    lambda: conjecture_probe(5, 3.5, [1.0]),
+], ids=["gn_ground_state", "gn_quotient", "gn_constant", "lemma_criterion",
+        "mu_star_theta_line", "conjecture_probe"])
+def test_out_of_range_exponent_raises_domain_error(call):
+    with pytest.raises(DomainError, match="not subcritical"):
+        call()
+
+
 @pytest.mark.parametrize("d, p, c_gn, upper", [
     (5, 2.8, 7.719374785017245, 2.706965057401005),
     (3, 2.05, 1.09729200391, 0.6711633134221795),

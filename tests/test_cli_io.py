@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cknlab import CknlabError, cli_io
 from cknlab.cli_io import _sweep_groups, run
 
 
@@ -39,6 +40,17 @@ def test_params_prints_payload_to_stdout(capsys):
     assert payload["lambda_fs"] == pytest.approx(4.166666666666668, rel=1e-12)
     assert payload["mu_star"] == pytest.approx(1.8094202090216986, rel=1e-9)
     assert payload["optimal_constant_star"] > 0.0
+
+
+def test_params_critical_mode_at_the_sobolev_endpoint(capsys):
+    # b == a gives p = 2* = 10/3 in dimension five, where the theta range
+    # [vartheta, 1] is empty
+    assert run(["params", "--d", "5", "--mode", "critical",
+                "--a", "0.5", "--b", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == payload["two_star"]
+    assert {"lambda_fs", "b_fs", "vartheta"} <= payload.keys()
+    assert "lambda_fs_theta" not in payload
 
 
 def test_params_artifact_and_manifest(tmp_path, capsys):
@@ -340,14 +352,23 @@ def test_sweep_spec_errors(tmp_path, capsys):
         "[sweep]\ncommand = params\n",               # no axes at all
         "[sweep]\ncommand = params\nd = 3\nq = 1\n",  # unknown axis
         "[sweep]\nd = 3\n",                          # missing command
+        "[sweep]\ncommand = params\nd = 3 1\n",      # axis value below 2
+        "[sweep]\ncommand = params\nd = 3\n[params]\nbogus = 1\n",
+        "[sweep]\ncommand = params\nd = 3\n[params]\np = two\n",
+        "command = params\n",                        # no section header
+        None,                                        # no such file
     )
     for i, text in enumerate(cases):
         spec = tmp_path / f"spec_{i}.ini"
-        spec.write_text(text)
+        if text is not None:
+            spec.write_text(text)
         out_dir = tmp_path / f"grid_{i}"
         assert run(["sweep", "--spec", str(spec), "--out-dir",
                     str(out_dir)]) == 2, text
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if "[params]" in (text or ""):
+            # fixed-section errors name the file, like config-file errors
+            assert f"in section [params] of {spec}" in err
         # a rejected spec must not leave a half-created directory behind
         assert not out_dir.exists()
 
@@ -358,3 +379,24 @@ def test_verify_battery_passes(capsys):
     assert lines[-1] == "all 9 checks passed"
     assert len(lines) == 10
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+def test_verify_fails_over_bound_nan_and_solver_errors(monkeypatch, capsys):
+    def solver_error():
+        raise CknlabError("solver gave up")
+
+    stubs = [lambda: [("error", 0.5, 1.0)]] * 9
+    stubs[1] = lambda: [("error", 0.5, 1.0), ("drift", 2.0, 1.0)]
+    stubs[4] = lambda: [("error", float("nan"), 1.0)]
+    stubs[7] = solver_error
+    monkeypatch.setattr(cli_io, "verify_checks", tuple(
+        (name, stub) for (name, _), stub in zip(cli_io.verify_checks, stubs)))
+    assert run(["verify"]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 3
+    assert failed[0].endswith(": drift 2.000e+00 > 1.0e+00")
+    assert "nan" in failed[1]
+    assert failed[2].endswith(": solver gave up")
+    assert lines[0].endswith(" (error 5.0e-01)")
+    assert lines[-1] == "3 of 9 checks failed"

@@ -155,8 +155,6 @@ def test_continuation_config_validation():
     with pytest.raises(DomainError):
         ContinuationConfig(ds_growth=0.5)
     with pytest.raises(DomainError):
-        ContinuationConfig(switch_fraction=0.0)
-    with pytest.raises(DomainError):
         ContinuationConfig(max_points=1)
 
 

@@ -126,19 +126,6 @@ def test_grid_function_validation():
         Weight("spiral", {})
 
 
-def test_grid_function_csv_roundtrip(tmp_path):
-    gf = GridFunction1D.on_zonal_grid(3, 16, lambda z: np.exp(0.3 * z))
-    path = tmp_path / "density.csv"
-    gf.to_csv(path)
-    assert (tmp_path / "density.csv.json").exists()
-    back = GridFunction1D.from_csv(path)
-    np.testing.assert_array_equal(back.nodes, gf.nodes)
-    np.testing.assert_array_equal(back.values, gf.values)
-    np.testing.assert_array_equal(back.quad_weights, gf.quad_weights)
-    assert back.weight.kind == "sphere_zonal"
-    assert back.mass == pytest.approx(gf.mass, rel=1e-16)
-
-
 def test_fv_zonal_grid_conservation_and_spectrum():
     grid = fv_zonal_grid(3, 80)
     assert abs(np.sum(grid.cell_mass) - 1.0) < 1e-13
