@@ -49,13 +49,13 @@ from .errors import (
     DegenerateInput,
     DomainError,
     EigFailed,
+    GroundStateFailed,
     InsufficientSamples,
     InversionError,
     NegativeSolution,
     NewtonDiverged,
     PositivityLoss,
     SearchFailed,
-    ShootingFailed,
     StepRejected,
 )
 from .functionals import (

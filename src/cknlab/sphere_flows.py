@@ -51,6 +51,8 @@ _MASS_TOL = 1e-10
 # each accepted step lets the next grow by this factor, capped at dt_max,
 # so a run started at a small dt_init reaches the cap geometrically
 _DT_GROWTH = 1.15
+# node-steps a trajectory may take before it is rejected as runaway
+_WORK_CAP = 1_000_000
 # stencil times around t = 0, in units of h: the fourth-order centered
 # difference at h uses the outer four, the one at h/2 the inner four
 _STENCIL = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -73,7 +75,6 @@ class FlowSpec:
     t_end: float = 1.0
     dt_init: float = 1e-4
     dt_max: float = 2e-2
-    work_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -295,7 +296,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
     """Run the flow to t_end, sampling observables at every state.
 
     The step grows by _DT_GROWTH up to dt_max and halves whenever the
-    inner solver rejects; total work is capped at work_cap node-steps.
+    inner solver rejects; total work is capped at _WORK_CAP node-steps.
     Mass conservation is enforced, not merely reported: drifting off
     the initial mass beyond the contract tolerance aborts the run.
     """
@@ -327,9 +328,9 @@ def integrate(state0: FlowState, spec: FlowSpec,
         for fn in obs:
             fn(state)
         work += spec.n_cells
-        if work > spec.work_cap:
+        if work > _WORK_CAP:
             raise StepRejected(
-                f"trajectory work cap {spec.work_cap} node-steps exceeded "
+                f"trajectory work cap {_WORK_CAP} node-steps exceeded "
                 f"at t={state.time:.6g}", dt=dt_eff)
         dt = min(dt * _DT_GROWTH, spec.dt_max)
     return FlowTrajectory(np.asarray(rows, dtype=float), state)

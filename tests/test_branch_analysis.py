@@ -1,4 +1,4 @@
-"""Reparametrized curves, the shooting oracle, and breaking criteria."""
+"""Reparametrized curves, the ground-state oracle, and breaking criteria."""
 
 import math
 
@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from cknlab import (
     AdmissibilityError,
     DomainError,
-    ShootingFailed,
+    GroundStateFailed,
     classify_bifurcation,
     conjecture_probe,
     derive_params,
@@ -22,10 +22,10 @@ from cknlab import (
     reparametrize,
 )
 from cknlab import branch_analysis
+from cknlab.cli_io import run
 from cknlab.branch_analysis import (
     ProbeRow,
     _monotone_increasing,
-    _shoot_once,
     _slope_and_turnings,
     _witness_scan,
     branch_direction,
@@ -126,12 +126,46 @@ def test_ground_state_is_shared_and_read_only():
         assert arr.base is None
 
 
-def test_undecided_shot_raises_with_its_state():
-    # r_max far below the first zero or minimum: neither event can fire
-    with pytest.raises(ShootingFailed) as info:
-        _shoot_once(3, 3.0, 2.0, 0.01)
+# the sweep pairs of the benchmark and the frozen pair above
+@pytest.mark.parametrize("d, p", [(5, 2.8), (3, 2.5), (3, 3.0), (4, 2.5),
+                                  (4, 3.0)])
+def test_two_resolutions_agree(d, p, monkeypatch):
+    accepted = gn_constant(d, p)
+    # two rungs finer than any the default ladder accepts here
+    monkeypatch.setattr(branch_analysis, "_RUNGS", ((160, 6.0), (240, 8.0)))
+    state = gn_ground_state.__wrapped__(d, p)
+    vt = derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder").vartheta
+    fine = branch_analysis._gn_value(d, p, vt, state.grad_sq, state.mass_sq,
+                                     state.p_int)
+    assert rel(fine, accepted) <= 1e-12
+
+
+# Peaked states near the critical exponent, against the constants the
+# shooting oracle gave; the bound sits above its tail pollution, which
+# reached 1.4e-8 at (6, 2.9).
+@pytest.mark.parametrize("d, p, shot", [
+    (3, 5.5, 5.820528493332995),
+    (3, 5.9, 5.6213499383951975),
+    (6, 2.9, 16.2984196541124),
+    (2, 8.0, 2.7518472696331204),
+])
+def test_peaked_states_match_shooting(d, p, shot):
+    assert rel(gn_constant(d, p), shot) <= 1e-7
+
+
+def test_unresolved_ground_state_raises_with_its_state(monkeypatch, capsys):
+    # two rungs too coarse for the core at (5, 2.8): no two agree
+    monkeypatch.setattr(branch_analysis, "_RUNGS", ((20, 4.0), (24, 4.0)))
+    with pytest.raises(GroundStateFailed) as info:
+        gn_ground_state.__wrapped__(5, 2.8)
     exc = info.value
-    assert (exc.d, exc.p, exc.height, exc.r_max) == (3, 3.0, 2.0, 0.01)
+    assert (exc.d, exc.p) == (5, 2.8)
+    assert exc.iterations > 0
+    assert math.isfinite(exc.residual)
+    # a solver failure on the command line
+    gn_ground_state.cache_clear()
+    assert run(["criterion", "--d", "5", "--p", "2.8"]) == 3
+    assert "no two consecutive resolutions" in capsys.readouterr().err
 
 
 def test_quotient_scale_invariance():

@@ -350,9 +350,12 @@ def test_sweep_spec_errors(tmp_path, capsys):
     cases = (
         "[sweep]\ncommand = params\nd =\n",          # empty axis
         "[sweep]\ncommand = params\n",               # no axes at all
-        "[sweep]\ncommand = params\nd = 3\nq = 1\n",  # unknown axis
+        "[sweep]\ncommand = params\nd = 3\nq = 1\n",  # unknown [sweep] key
+        "[sweep]\ncommand = criterion\ntheta = 1\n",  # axis not a setting
         "[sweep]\nd = 3\n",                          # missing command
+        "[sweep]\ncommand = sweep\nd = 3\n",         # not a target
         "[sweep]\ncommand = params\nd = 3 1\n",      # axis value below 2
+        "[other]\nd = 3\n",                          # no [sweep] section
         "[sweep]\ncommand = params\nd = 3\n[params]\nbogus = 1\n",
         "[sweep]\ncommand = params\nd = 3\n[params]\np = two\n",
         "command = params\n",                        # no section header
@@ -366,8 +369,10 @@ def test_sweep_spec_errors(tmp_path, capsys):
         assert run(["sweep", "--spec", str(spec), "--out-dir",
                     str(out_dir)]) == 2, text
         err = capsys.readouterr().err
+        # every message names the file, so a batch of specs says which
+        # one failed
+        assert str(spec) in err, err
         if "[params]" in (text or ""):
-            # fixed-section errors name the file, like config-file errors
             assert f"in section [params] of {spec}" in err
         # a rejected spec must not leave a half-created directory behind
         assert not out_dir.exists()

@@ -1,9 +1,12 @@
 """Entropy, Fisher information, curvature remainders, and quotients."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cknlab import (
     DegenerateInput,
@@ -100,6 +103,31 @@ def test_curvature_remainder_vanishes_on_quadratic_pressure():
     field, integral = k_functional(pf, rec)
     assert np.max(np.abs(field)) < 1e-10
     assert abs(integral) < 1e-10
+
+
+@lru_cache(maxsize=None)
+def curvature_grid(d):
+    return tensor_grid(d, 1e-2, 1e2, n_panels=48, n_nodes=8, nz=16)
+
+
+# the floor the k_functional docstring states, fixed before any draw
+QUADRATIC_FLOOR = 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(3, 5), n_excess=st.floats(0.5, 4.0),
+       alpha_share=st.floats(0.3, 1.0), a=st.floats(0.5, 2.0),
+       b=st.floats(0.5, 2.0))
+def test_curvature_remainder_annihilates_quadratic_pressures(
+        d, n_excess, alpha_share, a, b):
+    n = d + n_excess
+    alpha = math.sqrt((d - 1.0) / (n - 1.0)) * alpha_share
+    rec = CKNParams(mode="subcritical", d=d, p=1.5, alpha=alpha, n=n,
+                    m=1.0 - 1.0 / n)
+    grid = curvature_grid(d)
+    field, integral = k_functional(quadratic_pressure(rec, grid, a, b), rec)
+    assert abs(integral) <= QUADRATIC_FLOOR
+    assert np.max(np.abs(field)) <= QUADRATIC_FLOOR
 
 
 def test_curvature_remainder_pointwise_nonnegative():

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import cknlab
@@ -26,3 +29,14 @@ def test_public_names_resolve():
             continue
         for alias in node.names:
             assert alias.name in declared, f"cknlab.{node.module}.{alias.name}"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # nothing in the package integrates an ODE, so importing it must not
+    # load scipy.integrate (about 0.15 s of import time)
+    env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
+    code = ("import sys, cknlab\n"
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

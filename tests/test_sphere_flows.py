@@ -135,10 +135,11 @@ def test_deficit_derivative_signs():
         deficit_derivative(flat, 3.0, FlowSpec(kind="heat", p=3.0, n_cells=32))
 
 
-def test_work_cap_rejects_runaway_runs():
+def test_work_cap_rejects_runaway_runs(monkeypatch):
+    monkeypatch.setattr(sphere_flows, "_WORK_CAP", 200)
     rho0 = tilted_density(3, 32, 0.3, 2.0)
     spec = FlowSpec(kind="heat", p=3.0, n_cells=32, t_end=10.0,
-                    dt_init=1e-4, dt_max=1e-4, work_cap=200)
+                    dt_init=1e-4, dt_max=1e-4)
     with pytest.raises(StepRejected):
         integrate(FlowState.initial(rho0), spec)
 
