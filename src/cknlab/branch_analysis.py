@@ -28,18 +28,17 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_legendre
 
 from .cylinder_solver import (
     Branch,
     ContinuationConfig,
-    CylinderGrid,
     continue_branch,
+    default_grid,
     symmetric_quotient,
 )
 from .errors import DomainError, GroundStateFailed, InsufficientSamples
-from .grids import half_line_grid, zonal_laplacian, zonal_quadrature
+from .grids import brent_root
 from .params import (
     check_cylinder_exponent,
     check_theta,
@@ -88,9 +87,11 @@ class CurveB:
     """A branch re-read at fixed theta, ordered by the continuation lam.
 
     Lambda is theta lam - (1 - theta) t[phi_lam] sample by sample, and
-    mu_star_theta is the symmetric theta-constant at that Lambda computed
-    by the line-quadrature route, deliberately not by `params.mu_star`,
-    so the two stay independent cross-checks of each other.  The mu
+    mu_star_theta is the symmetric theta-constant at that Lambda from
+    `mu_star_theta_line`, deliberately not from `params.mu_star`: a
+    finite-difference polish and grid quadrature instead of panel
+    quadrature of the explicit profile, so the two stay independent
+    cross-checks of each other.  The mu
     column bounds the optimal theta-constant from above at each Lambda;
     nothing here claims any sample is optimal.
     """
@@ -129,35 +130,29 @@ class Classification:
 
 def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
                        m_cells: int = 1600) -> float:
-    """Symmetric theta-constant by direct minimization over lam.
+    """Symmetric theta-constant of the discrete s-problem on the line.
 
-    Solves the discrete s-only problem on two line grids (m and 2m cells),
-    minimizes the theta-quotient over lam on each, and Richardson-combines
-    the minima.  Stationarity at the optimum makes the inexact minimizer
-    harmless, so the combination really is fourth-order.  Shares no code
-    with the closed-form route in `params`, which is the point.
+    On the grid of length 20/sqrt(lam) with N cells, h^2 lam does not
+    depend on lam, so the discrete profile is lam^(1/(p-2)) times the
+    lam = 1 one, and t(lam) = lam t_1, mu(lam) = lam^((p+2)/(2p)) mu_1.
+    The theta-quotient over lam is then minimized in closed form at
+    lam* = Lambda (p-2) / (t_1 (2 p theta - (p-2))), on two line grids
+    (m and 2m cells) whose minima are Richardson-combined; stationarity
+    at the optimum keeps the combination fourth-order.  What keeps this
+    route independent of `params.mu_star` is (mu_1, t_1): a
+    finite-difference polish and grid quadrature, not panel quadrature
+    of the explicit profile.
     """
     check_theta(d, p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
-    lam_guess = theta_optimal_lam(p, theta, Lambda)
-    # the quotient of an s-only profile never reads the zonal rule, so
-    # one rule serves every lam and both line grids
-    z, wz = zonal_quadrature(d - 1, 4)
-    lap_z = zonal_laplacian(d - 1, z, wz)
 
     def best(cells: int) -> float:
-        def quotient(lam: float) -> float:
-            length = 20.0 / math.sqrt(lam)
-            s, h = half_line_grid(length, cells)
-            grid = CylinderGrid(d, length, s, h, z, wz, lap_z)
-            mu, t = symmetric_quotient(grid, p, lam)
-            return theta_mu(theta, lam, t, Lambda, mu)
-
-        res = minimize_scalar(quotient, bounds=(0.5 * lam_guess, 2.0 * lam_guess),
-                              method="bounded",
-                              options={"xatol": 1e-8 * lam_guess})
-        return float(res.fun)
+        # an s-only quotient never reads the zonal rule, so 4 nodes do
+        mu_1, t_1 = symmetric_quotient(default_grid(d, 1.0, cells, 4), p, 1.0)
+        lam = Lambda * (p - 2.0) / (t_1 * (2.0 * p * theta - (p - 2.0)))
+        return theta_mu(theta, lam, lam * t_1, Lambda,
+                        lam ** ((p + 2.0) / (2.0 * p)) * mu_1)
 
     return (4.0 * best(2 * m_cells) - best(m_cells)) / 3.0
 
@@ -499,8 +494,8 @@ def gn_ground_state(d: int, p: float) -> GroundState:
     level = _SAMPLE_FLOOR * height
     coarse = np.linspace(0.0, _OUTER_R, 81)
     below = int(np.argmax(interp.at(coarse)[0] < level))
-    radius = float(brentq(lambda s: float(interp.at(np.array(s))[0]) - level,
-                          coarse[below - 1], coarse[below]))
+    radius = brent_root(lambda s: float(interp.at(np.array(s))[0]) - level,
+                        coarse[below - 1], coarse[below])
     r = np.arange(0.0, radius, _SAMPLE_DR)
     u, du = interp.at(r)
     for arr in (r, u, du):
@@ -612,9 +607,9 @@ def lemma_criterion(d: int, p: float,
     Strict inequality certifies a symmetry-breaking interval below the
     linear-instability threshold at theta = vartheta(p): the translated
     branch bound never exceeds c_gn, while the symmetric constant grows
-    past it.  The bracket's upper end is where the two cross (bisection
-    on the increasing difference); a supplied branch can tighten it with
-    direct quotient witnesses.
+    past it.  The bracket's upper end is where the two cross (Brent's
+    method on the increasing difference); a supplied branch can tighten
+    it with direct quotient witnesses.
     """
     pars = _params_of(d, p)
     vt = pars.vartheta
@@ -633,7 +628,7 @@ def lemma_criterion(d: int, p: float,
             lo *= 0.5
             if excess(lo) < 0.0:
                 break
-        upper = float(brentq(excess, lo, lam_fs_th, xtol=1e-12))
+        upper = brent_root(excess, lo, lam_fs_th, xtol=1e-12)
         if branch is not None:
             Lambda, _, mask = _witness_scan(branch, vt)
             below = Lambda[mask & (Lambda < lam_fs_th)]

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -45,7 +44,13 @@ from .errors import (
     NegativeSolution,
     NewtonDiverged,
 )
-from .grids import CylinderField, half_line_grid, zonal_laplacian, zonal_quadrature
+from .grids import (
+    CylinderField,
+    brent_root,
+    half_line_grid,
+    zonal_laplacian,
+    zonal_quadrature,
+)
 from .params import check_cylinder_exponent, lambda_fs_value
 from .profiles import phi_star
 
@@ -494,7 +499,7 @@ def _locate_bifurcation(grid: CylinderGrid, p: float, lam_fs: float) -> float:
         raise ContinuationStalled(
             f"no k=1 eigenvalue sign change in [{lo:.4f}, {hi:.4f}] "
             f"(got {f_lo:.2e}, {f_hi:.2e})", lam=lam_fs)
-    return float(brentq(lowest, lo, hi, xtol=1e-12, rtol=1e-14))
+    return brent_root(lowest, lo, hi, xtol=1e-12, rtol=1e-14)
 
 
 class _BorderedKeller:

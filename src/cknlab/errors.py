@@ -42,7 +42,22 @@ class DegenerateInput(CknlabError):
 
 class InversionError(CknlabError):
     """A scalar function could not be inverted on the requested range,
-    typically because it is not monotone there."""
+    typically because it is not monotone there.
+
+    Attributes
+    ----------
+    bracket : tuple of float, or None
+        The interval the root was sought in.
+    values : tuple of float, or None
+        The function at the two ends of the bracket.
+    """
+
+    def __init__(self, message: str,
+                 bracket: tuple[float, float] | None = None,
+                 values: tuple[float, float] | None = None):
+        super().__init__(message)
+        self.bracket = bracket
+        self.values = values
 
 
 class StepRejected(CknlabError):

@@ -13,11 +13,13 @@ tensor product:
   midpoint rule is spectrally accurate for smooth even functions.
 
 Integration weights always travel with the nodes, so functionals never
-guess a rule.
+guess a rule.  The one scalar root finder of the package, Brent's method,
+lives here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
@@ -27,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, roots_jacobi, roots_legendre
 
-from .errors import DegenerateInput, DomainError
+from .errors import DegenerateInput, DomainError, InversionError
 
 __all__ = [
     "Weight",
@@ -45,6 +47,7 @@ __all__ = [
     "tensor_grid",
     "CylinderField",
     "half_line_grid",
+    "brent_root",
 ]
 
 
@@ -482,3 +485,79 @@ class CylinderField:
 
     def lp_norm(self, p: float) -> float:
         return self.integrate(np.abs(self.values) ** p) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float = 2e-12, rtol: float = 4.0 * math.ulp(1.0),
+               maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the C routine behind SciPy's brentq,
+    with its defaults, so both return the same double: inverse quadratic
+    or secant steps while they shrink the bracket fast enough, bisection
+    otherwise, until half the bracket is below (xtol + rtol |x|) / 2.
+    Raises InversionError, carrying the bracket and its end values, when
+    the ends have the same sign, f returns NaN, or maxiter steps do not
+    converge.
+    """
+    xpre, xcur = a, b = float(a), float(b)
+    fpre, fcur = ends = float(f(a)), float(f(b))
+
+    def failure(why: str) -> InversionError:
+        return InversionError(f"{why}; bracket [{a!r}, {b!r}] with f = "
+                              f"{ends[0]:.6e}, {ends[1]:.6e}", (a, b), ends)
+
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise failure("f is NaN at an end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise failure("no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gets an inf or a NaN here, and either one bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise failure(f"f({xcur!r}) is NaN")
+    raise failure(f"no convergence in {maxiter} steps (last x {xcur!r})")

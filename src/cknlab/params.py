@@ -21,11 +21,10 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import AdmissibilityError, DomainError, InversionError
-from .grids import gauss_panels
+from .grids import brent_root, gauss_panels
 from .profiles import phi_star_log
 
 __all__ = [
@@ -371,7 +370,7 @@ def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
         hi *= 2.0
     else:
         raise InversionError(f"no upper bracket for Lambda={Lambda}")
-    lam_star = brentq(offset, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    lam_star = brent_root(offset, lo, hi, xtol=1e-13, rtol=8.9e-16)
     log_l2, log_lpp, t = symmetric_profile_data(p, lam_star)
     log_ratio = log_l2 - (2.0 / p) * log_lpp
     return (t + Lambda) ** theta * math.exp(log_ratio)

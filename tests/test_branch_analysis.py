@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
 from cknlab import (
@@ -32,7 +33,15 @@ from cknlab.branch_analysis import (
     gn_quotient,
     grid_theta_reference,
 )
-from cknlab.cylinder_solver import CylinderGrid, symmetric_quotient
+from cknlab.cylinder_solver import (
+    CylinderGrid,
+    _apply_s_operator,
+    _profile_quotient,
+    _s_operator,
+    _symmetric_profile,
+    default_grid,
+    symmetric_quotient,
+)
 from cknlab.grids import half_line_grid, zonal_laplacian, zonal_quadrature
 
 
@@ -291,7 +300,7 @@ def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
     branch, _ = branch_5_2_8
     lam = branch.column("lam")
     # the curve's symmetric column echoes each Lambda it is asked for; the
-    # line minimizer itself is compared in the next test
+    # line constant itself is compared in the next test
     monkeypatch.setattr(branch_analysis, "mu_star_theta_line",
                         lambda d, p, theta, Lambda: Lambda)
     rows = []
@@ -348,10 +357,50 @@ def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
     assert probe.vartheta == 5 * (2.8 - 2.0) / (2.0 * 2.8)
 
 
-def test_line_constant_is_bit_identical_to_inline_formulas():
+def test_line_constant_matches_direct_minimization():
+    # the closed-form optimum against a bounded minimizer: the minimizer's
+    # value error is O(1e-16), the polish residual of 1e-12 enters t at
+    # about 1e-13, and Richardson multiplies that by 5/3
     for theta, Lambda in ((0.718, 2.5), (0.74, 3.1), (1.0, 4.0)):
-        assert mu_star_theta_line(5, 2.8, theta, Lambda, m_cells=200) \
-            == _inline_line_constant(5, 2.8, theta, Lambda, 200)
+        got = mu_star_theta_line(5, 2.8, theta, Lambda, m_cells=200)
+        assert rel(got, _inline_line_constant(5, 2.8, theta, Lambda, 200)) \
+            <= 1e-12
+
+
+def _polished_and_settled(p, lam):
+    """(profile, mu, t) as polished, and after one more Newton step."""
+    grid = default_grid(5, lam, 1600, 4)
+    main, off = _s_operator(grid.m_cells, grid.h, "even")
+    phi = _symmetric_profile(grid, p, lam)
+    f = _apply_s_operator(main, off, phi) + lam * phi - phi ** (p - 1.0)
+    jac = main + lam - (p - 1.0) * phi ** (p - 2.0)
+    band = np.vstack([np.append(0.0, off), jac, np.append(off, 0.0)])
+    settled = phi - solve_banded((1, 1), band, f)
+    return [(u, *_profile_quotient(grid, main, off, p, lam, u))
+            for u in (phi, settled)]
+
+
+@pytest.mark.parametrize("p", (2.5, 2.8, 4.0))
+def test_line_profile_obeys_the_discrete_scaling_law(p):
+    # h^2 lam is the same on every grid of length 20/sqrt(lam), so the
+    # discrete profile scales as lam^(1/(p-2)), t as lam and mu as
+    # lam^((p+2)/(2p)).  The polish stops at an absolute residual of
+    # 1e-12, which leaves a low profile (p = 2.5, lam = 0.3: peak 0.14)
+    # 1.6e-11 off; each polished value is therefore held to 1e-12 plus
+    # what its next Newton step changes, and the settled ones to 1e-12.
+    unit = _polished_and_settled(p, 1.0)
+    for lam in (0.3, 2.0, 9.0):
+        scales = (lam ** (1.0 / (p - 2.0)),
+                  lam ** ((p + 2.0) / (2.0 * p)), lam)
+        polished, settled = _polished_and_settled(p, lam)
+        for k, scale in enumerate(scales):
+            size = scale * np.max(unit[1][k])
+            law = np.max(np.abs(settled[k] - scale * unit[1][k]))
+            assert law <= 1e-12 * size
+            step = (np.max(np.abs(polished[k] - settled[k]))
+                    + scale * np.max(np.abs(unit[0][k] - unit[1][k])))
+            assert np.max(np.abs(polished[k] - scale * unit[0][k])) \
+                <= 1e-12 * size + step
 
 
 def test_theta_range_has_one_slack_everywhere(branch_5_2_8, monkeypatch):
@@ -363,7 +412,7 @@ def test_theta_range_has_one_slack_everywhere(branch_5_2_8, monkeypatch):
         lambda theta: mu_star(rec, 2.5, theta),
         lambda theta: lambda_fs_theta(rec, theta),
         lambda theta: reparametrize(branch, theta).Lambda,
-        # the test module keeps the real line minimizer
+        # the test module keeps the real line constant
         lambda theta: mu_star_theta_line(5, 2.8, theta, 2.5, m_cells=100),
     )
     for read in readers:

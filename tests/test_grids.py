@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 from scipy.special import eval_gegenbauer, gamma as gamma_fn
 
 from cknlab import (
     CylinderField,
     DegenerateInput,
     DomainError,
+    InversionError,
+    branch_analysis,
+    cylinder_solver,
+    derive_params,
+    lambda_fs_value,
+    lemma_criterion,
+    mu_star,
+    params,
     fv_zonal_grid,
     tensor_grid,
     zonal_gegenbauer_basis,
@@ -23,6 +32,7 @@ from cknlab.grids import (
     GridFunction1D,
     Weight,
     _workspace,
+    brent_root,
     derivative_matrix,
     fornberg_weights,
     half_line_grid,
@@ -235,3 +245,68 @@ def test_cylinder_field_integration():
     assert field.lp_norm(2.8) == pytest.approx(8.0 ** (1.0 / 2.8), rel=1e-13)
     with pytest.raises(DomainError):
         CylinderField(5, s, h, z, wz, np.ones((40, 7)))
+
+
+def _root_family(rng):
+    """One random function with a root and a bracket around it.
+
+    The last member's products underflow to 0, which sends the
+    extrapolation through its division-by-zero branch.
+    """
+    c, k = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+    f = (lambda x: math.tanh(k * (x - c)),
+         lambda x: (x - c) ** 3 + k * (x - c),
+         lambda x: math.expm1(k * (x - c)),
+         lambda x: math.atan(1e4 * (x - c)) + 0.1 * k * (x - c),
+         lambda x: 1e-300 * k * (x - c) ** 3)[int(rng.integers(5))]
+    return f, c - rng.uniform(0.01, 4.0), c + rng.uniform(0.01, 4.0)
+
+
+def test_brent_root_is_bit_identical_to_scipy_brentq():
+    rng = np.random.default_rng(20261018)
+    for tols in ({}, {"xtol": 1e-13, "rtol": 8.9e-16},
+                 {"xtol": 1e-12, "rtol": 1e-14}) * 100:
+        f, a, b = _root_family(rng)
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert brent_root(f, a, b, **tols) == brentq(f, a, b, **tols)
+
+
+def test_call_sites_find_the_roots_scipy_finds(monkeypatch):
+    found = set()
+
+    def both(f, a, b, **tols):
+        got = brent_root(f, a, b, **tols)
+        assert got == brentq(f, a, b, **tols), f.__qualname__
+        found.add(f.__qualname__.partition(".")[0])
+        return got
+
+    for module in (params, cylinder_solver, branch_analysis):
+        monkeypatch.setattr(module, "brent_root", both)
+    lam_fs = lambda_fs_value(5, 2.8)
+    grid = cylinder_solver.cylinder_grid(5, 20.0 / math.sqrt(lam_fs), 200, 8)
+    cylinder_solver._locate_bifurcation(grid, 2.8, lam_fs)
+    mu_star(derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder"), 2.5, 0.8)
+    branch_analysis.gn_ground_state.__wrapped__(5, 2.8)
+    assert lemma_criterion(5, 2.8).breaking_predicted
+    assert found == {"_locate_bifurcation", "mu_star", "gn_ground_state",
+                     "lemma_criterion"}
+
+
+def test_brent_root_raises_with_its_bracket():
+    with pytest.raises(InversionError) as same:
+        brent_root(lambda x: x * x + 1.0, -1.0, 2.0)
+    assert same.value.bracket == (-1.0, 2.0)
+    assert same.value.values == (2.0, 5.0)
+    with pytest.raises(InversionError) as nan_end:
+        brent_root(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0)
+    assert nan_end.value.bracket == (0.0, 2.0)
+    assert math.isnan(nan_end.value.values[1])
+    # the first secant step lands on 1.0
+    with pytest.raises(InversionError) as nan_inside:
+        brent_root(lambda x: math.nan if 0.9 < x < 1.1 else x - 1.0, 0.0, 3.0)
+    assert nan_inside.value.values == (-1.0, 2.0)
+    with pytest.raises(InversionError) as slow:
+        brent_root(lambda x: math.atan(1e4 * (x - 1.3)), 0.0, 4.0, maxiter=3)
+    assert slow.value.bracket == (0.0, 4.0)
+    assert slow.value.values == (math.atan(-1.3e4), math.atan(2.7e4))

@@ -271,6 +271,18 @@ def test_thresholds_cylinder_record():
     assert th.b_fs == pytest.approx(b_fs_value(5, rec.a), rel=1e-15)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(2, 8), frac=st.floats(0.01, 0.99),
+       Lambda=st.floats(0.001, 1000.0))
+def test_equivalence_triple_property(d, frac, Lambda):
+    # scale, weight and change-of-variables exponent are three readings
+    # of one threshold, so they hold or fail together
+    p = _cylinder_exponent(d, frac)
+    rec = derive_params(d, {"p": p, "Lambda": Lambda}, "cylinder")
+    c1, c2, c3 = check_equivalence(rec)
+    assert c1 == c2 == c3
+
+
 def test_equivalence_boundary_and_random_samples():
     lam_fs = lambda_fs_value(5, 2.8)
     at_boundary = derive_params(5, {"p": 2.8, "Lambda": lam_fs}, "cylinder")
