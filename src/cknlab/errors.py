@@ -42,22 +42,7 @@ class DegenerateInput(CknlabError):
 
 class InversionError(CknlabError):
     """A scalar function could not be inverted on the requested range,
-    typically because it is not monotone there.
-
-    Attributes
-    ----------
-    bracket : tuple of float, or None
-        The interval the root was sought in.
-    values : tuple of float, or None
-        The function at the two ends of the bracket.
-    """
-
-    def __init__(self, message: str,
-                 bracket: tuple[float, float] | None = None,
-                 values: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.values = values
+    typically because it is not monotone there."""
 
 
 class StepRejected(CknlabError):

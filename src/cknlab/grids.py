@@ -491,25 +491,28 @@ class CylinderField:
 # root finding
 
 
+# SciPy's default; no root find here needs another
+_BRENT_MAXITER = 100
+
+
 def brent_root(f: Callable[[float], float], a: float, b: float,
-               xtol: float = 2e-12, rtol: float = 4.0 * math.ulp(1.0),
-               maxiter: int = 100) -> float:
+               xtol: float = 2e-12, rtol: float = 4.0 * math.ulp(1.0)) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     A line-for-line port of the C routine behind SciPy's brentq,
     with its defaults, so both return the same double: inverse quadratic
     or secant steps while they shrink the bracket fast enough, bisection
     otherwise, until half the bracket is below (xtol + rtol |x|) / 2.
-    Raises InversionError, carrying the bracket and its end values, when
-    the ends have the same sign, f returns NaN, or maxiter steps do not
-    converge.
+    Raises InversionError, whose message names the bracket and its end
+    values, when the ends have the same sign, f returns NaN, or
+    _BRENT_MAXITER steps do not converge.
     """
     xpre, xcur = a, b = float(a), float(b)
     fpre, fcur = ends = float(f(a)), float(f(b))
 
     def failure(why: str) -> InversionError:
         return InversionError(f"{why}; bracket [{a!r}, {b!r}] with f = "
-                              f"{ends[0]:.6e}, {ends[1]:.6e}", (a, b), ends)
+                              f"{ends[0]:.6e}, {ends[1]:.6e}")
 
     if math.isnan(fpre) or math.isnan(fcur):
         raise failure("f is NaN at an end")
@@ -520,7 +523,7 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
     if (fpre < 0.0) == (fcur < 0.0):
         raise failure("no sign change")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -560,4 +563,5 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
         fcur = float(f(xcur))
         if math.isnan(fcur):
             raise failure(f"f({xcur!r}) is NaN")
-    raise failure(f"no convergence in {maxiter} steps (last x {xcur!r})")
+    raise failure(f"no convergence in {_BRENT_MAXITER} steps "
+                  f"(last x {xcur!r})")
