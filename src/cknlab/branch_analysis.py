@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.special import roots_legendre
+from scipy.linalg.lapack import dtrtrs
 
 from .cylinder_solver import (
     Branch,
@@ -38,7 +38,7 @@ from .cylinder_solver import (
     symmetric_quotient,
 )
 from .errors import DomainError, GroundStateFailed, InsufficientSamples
-from .grids import brent_root
+from .grids import brent_root, gauss_panels
 from .params import (
     check_cylinder_exponent,
     check_theta,
@@ -61,7 +61,6 @@ __all__ = [
     "mu_star_theta_line",
     "GroundState",
     "gn_ground_state",
-    "gn_quotient",
     "gn_constant",
     "grid_theta_reference",
     "CriterionReport",
@@ -245,10 +244,10 @@ def branch_direction(branch: Branch, theta: float) -> str:
 class GroundState:
     """Radial ground state of -u'' - (d-1) u'/r + u = u^(p-1).
 
-    height is u(0).  r, u, du sample the spectral interpolant uniformly
-    from r = 0 to radius, where u falls to 1e-10 of its height; du is the
-    interpolant's own derivative, not a finite difference, so quotients
-    built from the samples carry quadrature error only.  The three
+    height is u(0), and profile.at(r) gives u and du/dr from the
+    spectral interpolant at radii in [0, _OUTER_R], the collocation
+    domain (past it the polynomial grows without bound); du is the
+    interpolant's own derivative, not a finite difference.  The three
     integrals are sphere-area-free radial integrals against r^(d-1) dr
     over the whole collocation domain.
     """
@@ -256,10 +255,7 @@ class GroundState:
     d: int
     p: float
     height: float
-    radius: float
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    profile: _Interpolant
     grad_sq: float
     mass_sq: float
     p_int: float
@@ -278,7 +274,9 @@ _OUTER_R = 40.0
 # states near the critical exponent need the later rungs, and past the
 # last one the solve fails.  The constant is compared, not the height:
 # being stationary in the profile it settles to ~1e-15, while heights
-# and norms of the finest rungs scatter by ~1e-12 from rounding.
+# and norms of the finest rungs scatter by ~1e-12 from rounding.  A
+# rung's matrices are built once per process, and each Newton stage on
+# it is a chord iteration that factors its Jacobian once or twice.
 _RUNGS = ((80, 4.0), (120, 4.0), (160, 6.0), (240, 6.0), (240, 8.0),
           (320, 8.0))
 _AGREE = 1e-12
@@ -287,11 +285,10 @@ _AGREE = 1e-12
 _D_STEPS = 8
 _MAX_HALVINGS = 6
 _NEWTON_MAX_ITER = 30
+# A chord step must shrink below this fraction of the previous one, or
+# the Jacobian is factored afresh.
+_CHORD_RATE = 0.3
 _GAUSS_NODES = 400
-# Where the samples stop, as a fraction of the height: gn_quotient on
-# them then misses ~1e-14 of the constant (at 1e-7 it missed 2e-10).
-_SAMPLE_FLOOR = 1e-10
-_SAMPLE_DR = 1e-3
 
 
 class _Interpolant:
@@ -314,6 +311,8 @@ class _Interpolant:
         self.coef = coef[0::2]
         self.dcoef = chebder(self.coef)
         self.stretch = stretch
+        for arr in (self.coef, self.dcoef):
+            arr.setflags(write=False)
 
     def at_x(self, x: np.ndarray):
         """u and du/dr at map coordinates x, with r and dr/dx."""
@@ -336,71 +335,133 @@ def _mapped(x: np.ndarray, stretch: float):
     return scale * np.sinh(stretch * x), scale * stretch * np.cosh(stretch * x)
 
 
+@lru_cache(maxsize=None)
 def _radial_operators(m: int, stretch: float):
-    """Nodes r > 0 and the radial Laplacian on even profiles, per dimension.
+    """Nodes r > 0 and the first and second r-derivatives on even profiles.
 
-    Returns r and a function of the dimension giving the matrix of
-    u'' + (dim - 1) u'/r.  The 2m + 2 Chebyshev points of degree 2m + 1
-    avoid x = 0.  The ends carry u = 0, and each mirror node's column
-    folds onto its unknown's.
+    The 2m + 2 Chebyshev points of degree 2m + 1 avoid x = 0.  The ends
+    carry u = 0, and each mirror node's column folds onto its unknown's.
+    The operators do not depend on (d, p), so they are cached per rung
+    and read-only.
     """
     n = 2 * m + 1
     j = np.arange(n + 1)
     x = np.cos(np.pi * j / n)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    dx = np.outer(c, 1.0 / c) / (np.subtract.outer(x, x) + np.eye(n + 1))
+    gap = np.subtract.outer(x, x) + np.eye(n + 1)
+    dx = np.outer(c, 1.0 / c) / gap
     dx -= np.diag(dx.sum(axis=1))
-    rows = dx[1:m + 1]
+    # d^2/dx^2 off the diagonal from d/dx alone (Welfert, SIAM J. Numer.
+    # Anal. 34, 1997), on it by the negative row sum: no matrix product
+    dxx = 2.0 * dx * (np.diag(dx)[:, None] - 1.0 / gap)
+    np.fill_diagonal(dxx, 0.0)
+    dxx -= np.diag(dxx.sum(axis=1))
+    rows = slice(1, m + 1)
     own, mirror = np.arange(1, m + 1), np.arange(n - 1, m, -1)
-    d1 = rows[:, own] + rows[:, mirror]
-    dxx = rows @ dx
-    d2 = dxx[:, own] + dxx[:, mirror]
+    d1 = dx[rows, own] + dx[rows, mirror]
+    d2 = dxx[rows, own] + dxx[rows, mirror]
     r, jac = _mapped(x[1:m + 1], stretch)
     # d/dr = d/dx / r' and d^2/dr^2 = (d^2/dx^2 - (r''/r') d/dx) / r'^2,
     # with r'' = stretch^2 r
     first = d1 / jac[:, None]
     second = (d2 - (stretch * stretch * r / jac)[:, None] * d1) \
         / (jac * jac)[:, None]
-
-    def laplacian(dim: float) -> np.ndarray:
-        return second + ((dim - 1.0) / r)[:, None] * first
-
-    return r, laplacian
+    for arr in (r, first, second):
+        arr.setflags(write=False)
+    return r, first, second
 
 
+def _laplacian(r, first, second, dim: float) -> np.ndarray:
+    """The matrix of u'' + (dim - 1) u'/r on one rung."""
+    return second + ((dim - 1.0) / r)[:, None] * first
+
+
+def _lu_factor(a: np.ndarray):
+    """Partial-pivot LU of a, or None at a zero pivot.
+
+    Right-looking by rank-1 updates, which are elementwise: no BLAS is
+    called, so no thread pool is woken and the bits do not depend on the
+    thread count.  Returns the factors packed in one array (L unit
+    lower) and the row permutation.
+    """
+    lu = a.copy()
+    perm = np.arange(len(lu))
+    for k in range(len(lu)):
+        piv = k + int(np.abs(lu[k:, k]).argmax())
+        if lu[piv, k] == 0.0:
+            return None
+        if piv != k:
+            row = lu[k].copy()
+            lu[k] = lu[piv]
+            lu[piv] = row
+            perm[k], perm[piv] = perm[piv], perm[k]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
+    return lu, perm
+
+
+def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve with _lu_factor's factors; LAPACK reads them transposed.
+
+    trtrs with one right-hand side stays on one thread at these sizes.
+    """
+    lu, perm = factors
+    y, _ = dtrtrs(lu.T, b[perm], lower=0, trans=1, unitdiag=1)
+    x, _ = dtrtrs(lu.T, y, lower=1, trans=1)
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(lap: np.ndarray, u: np.ndarray, p: float):
-    """Newton on lap u - u + |u|^(p-2) u = 0 from u.
+    """Chord Newton on lap u - u + |u|^(p-2) u = 0 from u.
 
-    Returns (u, iterations, residual).  u is None unless the iteration
-    converged to a profile of height above 1 (u''(0) < 0 forces u(0) > 1
-    for the ground state) that stays above -1e-6 of its height: a deeper
-    dip marks a sign-changing state or an unresolved core.  Once a step
-    is below 1e-9 of the profile, one more brings it to the rounding
-    floor.
+    Returns (u, iterations, residual).  The Jacobian is factored at the
+    start and again after any step that fails to contract to _CHORD_RATE
+    of the previous one (Kelley, Solving Nonlinear Equations with
+    Newton's Method, SIAM 2003, sec. 5.4).  Once a step is below 1e-9 of
+    the profile the iteration is settled, and it goes on with the same
+    factors until a step fails to contract: that step is rounding noise,
+    so the profile sits at the rounding floor.  u is None unless the
+    iteration settled on a profile of height above 1 (u''(0) < 0 forces
+    u(0) > 1 for the ground state) that stays above -1e-6 of its height:
+    a deeper dip marks a sign-changing state or an unresolved core.  A
+    singular Jacobian gives None, and so does a diverging stage, whose
+    overflow the finiteness check catches without a warning.
     """
     shift = lap - np.eye(len(u))
     diag = np.diag_indices_from(shift)
-    settled = False
+    factors, last, settled = None, math.inf, False
     for it in range(1, _NEWTON_MAX_ITER + 1):
         power = np.abs(u) ** (p - 2.0)
-        jac = shift.copy()
-        jac[diag] += (p - 1.0) * power
-        step = np.linalg.solve(jac, shift @ u + power * u)
-        u = u - step
-        if not np.all(np.isfinite(u)):
+        if factors is None:
+            jac = shift.copy()
+            jac[diag] += (p - 1.0) * power
+            factors = _lu_factor(jac)
+            if factors is None:
+                return None, it, math.inf
+        step = _lu_solve(factors, np.einsum("ij,j->i", shift, u)
+                         + power * u)
+        size = np.max(np.abs(step))
+        if not math.isfinite(size):
             return None, it, math.inf
-        if settled:
-            break
-        settled = np.max(np.abs(step)) <= 1e-9 * np.max(np.abs(u))
-    residual = float(np.max(np.abs(shift @ u + np.abs(u) ** (p - 2.0) * u)))
+        u = u - step
+        if size >= _CHORD_RATE * last:
+            if settled:
+                break
+            factors = None
+        settled = settled or size <= 1e-9 * np.max(np.abs(u))
+        last = size
+    residual = float(np.max(np.abs(np.einsum("ij,j->i", shift, u)
+                                   + np.abs(u) ** (p - 2.0) * u)))
     height = float(np.max(u))
     if not settled or height <= 1.0 or np.min(u) < -1e-6 * height:
         return None, it, residual
     return u, it, residual
 
 
-def _continue_in_d(r, laplacian, d: int, p: float):
+def _continue_in_d(ops, d: int, p: float):
     """The ground state at dimension d, continued from the d = 1 soliton."""
+    r = ops[0]
     # (p/2)^(1/(p-2)) sech(z)^(2/(p-2)) with z = (p-2) r / 2, overflow-free
     e = np.exp(-0.5 * (p - 2.0) * r)
     u = (p / 2.0) ** (1.0 / (p - 2.0)) * (2.0 * e / (1.0 + e * e)) \
@@ -409,7 +470,7 @@ def _continue_in_d(r, laplacian, d: int, p: float):
     iters, residual = 0, math.nan
     while dim < d:
         nxt = min(dim + step, d)
-        got, n, residual = _newton(laplacian(nxt), u, p)
+        got, n, residual = _newton(_laplacian(*ops, nxt), u, p)
         iters += n
         if got is not None:
             u, dim = got, nxt
@@ -421,23 +482,18 @@ def _continue_in_d(r, laplacian, d: int, p: float):
     return u, iters, residual
 
 
-@lru_cache(maxsize=1)
-def _half_gauss_rule():
-    t, w = roots_legendre(_GAUSS_NODES)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def _norms(interp: _Interpolant, d: int, p: float):
     """grad_sq, mass_sq, p_int by Gauss-Legendre in x over (0, 1).
 
     The weight r^(d-1) is smooth in x on (0, 1) but, for odd d - 1, has
     a kink at x = 0, which is why a rule over [-1, 1] is not used.
     """
-    x, w = _half_gauss_rule()
+    x, w = gauss_panels(0.0, 1.0, 1, _GAUSS_NODES)
     u, du, r, jac = interp.at_x(x)
     weight = w * jac * r ** (d - 1.0)
-    return (float(du * du @ weight), float(u * u @ weight),
-            float(np.abs(u) ** p @ weight))
+    return (float(np.einsum("i,i->", du * du, weight)),
+            float(np.einsum("i,i->", u * u, weight)),
+            float(np.einsum("i,i->", np.abs(u) ** p, weight)))
 
 
 def _solve_ground_state(d: int, p: float):
@@ -450,13 +506,14 @@ def _solve_ground_state(d: int, p: float):
     prev = None
     iters, residual = 0, math.nan
     for m, stretch in _RUNGS:
-        r, laplacian = _radial_operators(m, stretch)
+        ops = _radial_operators(m, stretch)
         u = None
         if prev is not None:
-            u, n, residual = _newton(laplacian(d), prev[0].at(r)[0], p)
+            u, n, residual = _newton(_laplacian(*ops, d),
+                                     prev[0].at(ops[0])[0], p)
             iters += n
         if u is None:
-            u, n, residual = _continue_in_d(r, laplacian, d, p)
+            u, n, residual = _continue_in_d(ops, d, p)
             iters += n
         if u is None:
             prev = None
@@ -483,26 +540,15 @@ def gn_ground_state(d: int, p: float) -> GroundState:
     consecutive resolutions give the same Gagliardo-Nirenberg constant to
     1e-12, and GroundStateFailed is raised past the last rung, so no
     unverified constant leaves this function.  The norms come from a
-    400-point Gauss-Legendre rule through the interpolant; the samples
-    are the interpolant on a uniform grid of step 1e-3.
+    400-point Gauss-Legendre rule through the interpolant.
 
     Deterministic, hence cached on its arguments; every caller shares
-    one state, so its sample arrays are read-only.
+    one state, so the interpolant's coefficients are read-only.
     """
     interp, (grad, mass, pint) = _solve_ground_state(d, p)
-    height = float(interp.at(np.array(0.0))[0])
-    level = _SAMPLE_FLOOR * height
-    coarse = np.linspace(0.0, _OUTER_R, 81)
-    below = int(np.argmax(interp.at(coarse)[0] < level))
-    radius = brent_root(lambda s: float(interp.at(np.array(s))[0]) - level,
-                        coarse[below - 1], coarse[below])
-    r = np.arange(0.0, radius, _SAMPLE_DR)
-    u, du = interp.at(r)
-    for arr in (r, u, du):
-        arr.setflags(write=False)
-    return GroundState(d=d, p=p, height=height, radius=radius,
-                       r=r, u=u, du=du,
-                       grad_sq=grad, mass_sq=mass, p_int=pint)
+    return GroundState(d=d, p=p, height=float(interp.at(np.array(0.0))[0]),
+                       profile=interp, grad_sq=grad, mass_sq=mass,
+                       p_int=pint)
 
 
 def _gn_value(d: int, p: float, vartheta: float, grad: float, mass: float,
@@ -511,21 +557,6 @@ def _gn_value(d: int, p: float, vartheta: float, grad: float, mass: float,
     area = sphere_area(d)
     return ((area * grad) ** vartheta * (area * mass) ** (1.0 - vartheta)
             / (area * pint) ** (2.0 / p))
-
-
-def gn_quotient(d: int, p: float, r: np.ndarray, u: np.ndarray,
-                du: np.ndarray) -> float:
-    """The scale-invariant quotient of a sampled radial profile.
-
-    Trapezoidal in r; callers supply the derivative samples so the result
-    is free of finite-difference bias (which is not scale-invariant and
-    would spoil rescaling tests at the 1e-8 level).
-    """
-    vt = _params_of(d, p).vartheta
-    measure = r ** (d - 1.0)
-    return _gn_value(d, p, vt, float(np.trapezoid(du * du * measure, r)),
-                     float(np.trapezoid(u * u * measure, r)),
-                     float(np.trapezoid(np.abs(u) ** p * measure, r)))
 
 
 def gn_constant(d: int, p: float) -> float:

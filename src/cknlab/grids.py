@@ -55,11 +55,20 @@ __all__ = [
 # quadrature rules
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], one shared copy per n."""
+    x, w = roots_legendre(n)
+    for arr in (x, w):
+        arr.setflags(write=False)
+    return x, w
+
+
 def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int = 8):
     """Composite Gauss-Legendre rule on [lo, hi] with equal panels."""
     if hi <= lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    xg, wg = roots_legendre(n_nodes)
+    xg, wg = _legendre_rule(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

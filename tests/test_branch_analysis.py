@@ -1,9 +1,17 @@
 """Reparametrized curves, the ground-state oracle, and breaking criteria."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
@@ -30,7 +38,6 @@ from cknlab.branch_analysis import (
     _slope_and_turnings,
     _witness_scan,
     branch_direction,
-    gn_quotient,
     grid_theta_reference,
 )
 from cknlab.cylinder_solver import (
@@ -42,7 +49,12 @@ from cknlab.cylinder_solver import (
     default_grid,
     symmetric_quotient,
 )
-from cknlab.grids import half_line_grid, zonal_laplacian, zonal_quadrature
+from cknlab.grids import (
+    gauss_panels,
+    half_line_grid,
+    zonal_laplacian,
+    zonal_quadrature,
+)
 
 
 def rel(a, b):
@@ -110,9 +122,11 @@ def test_ground_state_profile_solves_its_equation():
     d, p = 5, 2.8
     state = gn_ground_state(d, p)
     assert rel(state.height, 19.131017416480972) < 1e-9
-    assert state.u[0] == pytest.approx(state.height, rel=1e-6)
-    assert np.all(np.diff(state.u) < 0.0)
-    r, u, du = state.r, state.u, state.du
+    # out to where the profile falls to 1e-10 of its height
+    r = np.arange(0.0, 18.1, 1e-3)
+    u, du = state.profile.at(r)
+    assert u[0] == pytest.approx(state.height, rel=1e-6)
+    assert np.all(np.diff(u) < 0.0)
     h = r[1] - r[0]
     i = np.arange(2, len(r) - 2)
     d2 = (-u[i - 2] + 16 * u[i - 1] - 30 * u[i] + 16 * u[i + 1]
@@ -126,11 +140,11 @@ def test_ground_state_profile_solves_its_equation():
 def test_ground_state_is_shared_and_read_only():
     state = gn_ground_state(5, 2.8)
     assert gn_ground_state(5, 2.8) is state
-    for arr in (state.r, state.u, state.du):
+    for arr in (state.profile.coef, state.profile.dcoef):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # u and du own their memory instead of viewing the whole solver output
-    for arr in (state.u, state.du):
+    # values at chosen radii are the caller's own arrays
+    for arr in state.profile.at(np.linspace(0.0, 10.0, 7)):
         assert arr.flags.c_contiguous
         assert arr.base is None
 
@@ -162,6 +176,102 @@ def test_peaked_states_match_shooting(d, p, shot):
     assert rel(gn_constant(d, p), shot) <= 1e-7
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_lu_solves_like_lapack(n, seed):
+    rng = np.random.default_rng(seed)
+    # singular values within [sqrt(n), 5 sqrt(n)]; the row shuffle makes
+    # the factorization pivot
+    a = (rng.standard_normal((n, n)) + 3.0 * math.sqrt(n) * np.eye(n))[
+        rng.permutation(n)]
+    b = rng.standard_normal(n)
+    x = branch_analysis._lu_solve(branch_analysis._lu_factor(a), b)
+    ref = np.linalg.solve(a, b)
+    scale = np.max(np.abs(a)) * np.max(np.abs(ref))
+    assert np.max(np.abs(a @ x - b)) <= np.max(np.abs(a @ ref - b)) \
+        + 1e-12 * scale
+    np.testing.assert_allclose(x, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_lu_pivots_past_a_zero_leading_entry():
+    a = np.array([[0.0, 2.0, 1.0], [3.0, 1.0, 0.0], [1.0, 0.0, 4.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    x = branch_analysis._lu_solve(branch_analysis._lu_factor(a), b)
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-14)
+
+
+def test_chord_stage_fails_quietly_on_singular_or_diverging_jacobians():
+    n = 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at u = 1, p = 3 the Jacobian is the all-ones matrix
+        got, it, residual = branch_analysis._newton(
+            np.ones((n, n)) - np.eye(n), np.ones(n), 3.0)
+        assert got is None and it == 1 and residual == math.inf
+        # |u|^(p-2) overflows at the first iterate
+        got, _, _ = branch_analysis._newton(np.zeros((n, n)),
+                                            np.full(n, 1e60), 8.0)
+        assert got is None
+
+
+def test_peaked_states_raise_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, p in [(3, 5.5), (3, 5.9), (6, 2.9), (2, 8.0)]:
+            gn_ground_state.__wrapped__(d, p)
+
+
+def test_rung_operators_are_cached_and_read_only():
+    ops = branch_analysis._radial_operators(80, 4.0)
+    assert branch_analysis._radial_operators(80, 4.0) is ops
+    for arr in ops:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_criterion_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """criterion and a 2-worker criterion sweep under 1 and 2 BLAS threads.
+
+    Every artifact must be byte-identical; manifests are compared without
+    their wall-clock field.  On a 1-core host both settings run one
+    thread, so there the test cannot tell them apart.
+    """
+    script = (
+        "import sys\n"
+        "from cknlab.cli_io import run\n"
+        "sys.exit(max(run(argv) for argv in [\n"
+        "    ['criterion', '--d', '3', '--p', '2.05', '--out', 'a.json'],\n"
+        "    ['criterion', '--d', '3', '--p', '5.5', '--out', 'b.json'],\n"
+        "    ['sweep', '--spec', 'sweep.ini', '--out-dir', 'sweep',\n"
+        "     '--workers', '2']]))\n")
+    src = str(Path(branch_analysis.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        (cwd / "sweep.ini").write_text(
+            "[sweep]\ncommand = criterion\nd = 3 4\np = 2.5 3.0\n")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        tree = {}
+        for path in sorted(cwd.rglob("*")):
+            if not path.is_file():
+                continue
+            if path.name.endswith("manifest.json"):
+                record = json.loads(path.read_text())
+                record.pop("wall_clock_seconds")
+                tree[path.relative_to(cwd)] = record
+            else:
+                tree[path.relative_to(cwd)] = path.read_bytes()
+        trees.append(tree)
+    assert len(trees[0]) == 15
+    assert trees[0] == trees[1]
+
+
 def test_unresolved_ground_state_raises_with_its_state(monkeypatch, capsys):
     # two rungs too coarse for the core at (5, 2.8): no two agree
     monkeypatch.setattr(branch_analysis, "_RUNGS", ((20, 4.0), (24, 4.0)))
@@ -178,24 +288,34 @@ def test_unresolved_ground_state_raises_with_its_state(monkeypatch, capsys):
 
 
 def test_quotient_scale_invariance():
-    state = gn_ground_state(5, 2.8)
-    base = gn_quotient(5, 2.8, state.r, state.u, state.du)
-    assert rel(base, gn_constant(5, 2.8)) < 1e-12
+    d, p = 5, 2.8
+    state = gn_ground_state(d, p)
+    vt = derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder").vartheta
+    x, w = gauss_panels(0.0, 1.0, 1, branch_analysis._GAUSS_NODES)
+    u, du, r, jac = state.profile.at_x(x)
+
+    def quotient(r, weight, u, du):
+        measure = weight * r ** (d - 1.0)
+        return branch_analysis._gn_value(
+            d, p, vt, np.sum(du * du * measure), np.sum(u * u * measure),
+            np.sum(np.abs(u) ** p * measure))
+
+    base = quotient(r, w * jac, u, du)
+    assert rel(base, gn_constant(d, p)) < 1e-12
+    # u(c r) on the rule mapped to r / c
     c = 1.7
-    scaled = gn_quotient(5, 2.8, state.r / c, state.u, c * state.du)
+    scaled = quotient(r / c, w * jac / c, u, c * du)
     assert rel(scaled, base) < 1e-12
 
 
 # p = 3.5 sits above the critical exponent 10/3 in dimension five
 @pytest.mark.parametrize("call", [
     lambda: gn_ground_state(5, 3.5),
-    lambda: gn_quotient(5, 3.5, np.linspace(0.0, 1.0, 4), np.ones(4),
-                        np.zeros(4)),
     lambda: gn_constant(5, 3.5),
     lambda: lemma_criterion(5, 3.5),
     lambda: mu_star_theta_line(5, 3.5, 1.0, 1.0),
     lambda: conjecture_probe(5, 3.5, [1.0]),
-], ids=["gn_ground_state", "gn_quotient", "gn_constant", "lemma_criterion",
+], ids=["gn_ground_state", "gn_constant", "lemma_criterion",
         "mu_star_theta_line", "conjecture_probe"])
 def test_out_of_range_exponent_raises_domain_error(call):
     with pytest.raises(DomainError, match="not subcritical"):

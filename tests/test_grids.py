@@ -288,10 +288,8 @@ def test_call_sites_find_the_roots_scipy_finds(monkeypatch):
     grid = cylinder_solver.cylinder_grid(5, 20.0 / math.sqrt(lam_fs), 200, 8)
     cylinder_solver._locate_bifurcation(grid, 2.8, lam_fs)
     mu_star(derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder"), 2.5, 0.8)
-    branch_analysis.gn_ground_state.__wrapped__(5, 2.8)
     assert lemma_criterion(5, 2.8).breaking_predicted
-    assert found == {"_locate_bifurcation", "mu_star", "gn_ground_state",
-                     "lemma_criterion"}
+    assert found == {"_locate_bifurcation", "mu_star", "lemma_criterion"}
 
 
 def test_brent_root_raises_with_its_bracket(monkeypatch):
