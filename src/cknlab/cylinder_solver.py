@@ -24,7 +24,10 @@ that order, and factored without reordering; the steps are bit-identical
 to ordering each matrix afresh.  Skipping COLAMD altogether (NATURAL on the
 s-major unknowns) was rejected: that LU rounds differently, and corrector
 residuals sitting at the floor just below _NEWTON_TOL then change the
-Newton iteration counts of the branch.
+Newton iteration counts of the branch.  scipy.sparse is imported by the
+code that factors (_fixed_operator, _newton_2d, _BorderedKeller), so
+processes that never solve on the cylinder, such as params, criterion and
+the sphere flows, do not load it.
 """
 
 from __future__ import annotations
@@ -33,9 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ContinuationStalled,
@@ -309,13 +310,16 @@ def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     return out + lam * u - np.maximum(u, 0.0) ** (p - 1.0)
 
 
-def _fixed_operator(grid: CylinderGrid, main, off) -> sp.csr_matrix:
+def _fixed_operator(grid: CylinderGrid, main, off):
     """The u- and lam-independent part -d2/ds2 - Lap_omega of the Jacobian.
 
     Unknowns are s-major (index j * nz + k), hence kron(A_s, I) +
     kron(I, -Lap_z).  The full Jacobian adds the diagonal
-    lam - (p-1) u_+^(p-2) to it.
+    lam - (p-1) u_+^(p-2) to it.  Returned as a scipy.sparse CSR matrix.
     """
+    # imported here, not at module level: only the 2-D solves factor a
+    # matrix, and scipy.sparse would add its start-up to every process
+    import scipy.sparse as sp
     m, nz = grid.m_cells, grid.nz
     a_s = sp.diags([off, main, off], [-1, 0, 1], shape=(m, m), format="csr")
     return sp.kron(a_s, sp.identity(nz), format="csr") \
@@ -335,6 +339,8 @@ def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     start routinely overshoot into the concave region of u^(p-1) and
     oscillate.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     fixed = _fixed_operator(grid, main, off)
     u = u0.copy()
     f = _residual_2d(grid, main, off, p, lam, u)
@@ -520,7 +526,9 @@ class _BorderedKeller:
     steps.
     """
 
-    def __init__(self, fixed: sp.csr_matrix):
+    def __init__(self, fixed):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
         n = fixed.shape[0]
         coo = fixed.tocoo()
         offdiag = coo.row != coo.col
@@ -556,6 +564,7 @@ class _BorderedKeller:
     def solve(self, p: float, lam: float, u: np.ndarray, row: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
         """dx with [[J(u, lam), u], [row]] dx = rhs, in natural order."""
+        from scipy.sparse.linalg import splu
         data = self._matrix.data
         data[self._diag] = self._fixed_diag + _diag_term(p, lam, u)
         data[self._ucol] = u.ravel()

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AdmissibilityError, DomainError, InversionError
 from .grids import brent_root, gauss_panels
@@ -230,7 +229,7 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
 
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^(d-1) in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.exp(gammaln(d / 2.0))
+    return 2.0 * math.pi ** (d / 2.0) / math.exp(math.lgamma(d / 2.0))
 
 
 def b_fs_value(d: int, a: float) -> float:
@@ -453,11 +452,11 @@ def optimal_constant_star(params: CKNParams) -> float:
         raise DomainError("needs a != (d-2)/2")
     q = p / (p - 2.0)
     log_area = math.log(2.0) + 0.5 * params.d * math.log(math.pi) \
-        - gammaln(0.5 * params.d)
+        - math.lgamma(0.5 * params.d)
     log_c = (math.log(0.5 * p)
              + (1.0 - 2.0 / p) * log_area
              + (1.0 + 2.0 / p) * math.log(gap)
              + (p - 2.0) / p * (math.log(2.0) + 0.5 * math.log(math.pi)
-                                + gammaln(q) - math.log(p - 2.0)
-                                - gammaln(q + 0.5)))
+                                + math.lgamma(q) - math.log(p - 2.0)
+                                - math.lgamma(q + 0.5)))
     return math.exp(log_c)

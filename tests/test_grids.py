@@ -62,6 +62,24 @@ def test_zonal_quadrature_moments(sphere_dim, rule):
         zonal_quadrature(sphere_dim, 12, rule="chebyshev")
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 400])
+def test_legendre_rule_is_symmetric_exact_and_shared(n):
+    # n = 400 is the GN oracle's rule.  SciPy's roots_legendre(400) misses
+    # this bound from degree 4 on, and degree 798 by 1.6e-11
+    x, w = grids._legendre_rule(n)
+    assert np.array_equal(x, -x[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert np.all(w > 0)
+    assert abs(np.sum(w) - 2.0) < 1e-14
+    for k in range(n):
+        exact = 2.0 / (2 * k + 1)
+        assert abs(np.sum(w * x ** (2 * k)) - exact) <= 1e-13 * exact, k
+    assert grids._legendre_rule(n)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_gegenbauer_basis_orthogonal_and_eigen():
     # columns are raw ultraspherical polynomials, so the gram matrix is
     # diagonal with the classical norms lam/(k+lam) * G_k(1) under the

@@ -31,14 +31,23 @@ def test_public_names_resolve():
             assert alias.name in declared, f"cknlab.{node.module}.{alias.name}"
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # nothing in the package integrates an ODE or calls a SciPy optimizer,
     # so importing it must load neither scipy.integrate (about 0.15 s of
-    # import time) nor scipy.optimize (about 0.29 s and 14 MB)
+    # import time) nor scipy.optimize (about 0.29 s and 14 MB).  Only the
+    # cylinder's 2-D solves factor a sparse matrix and only zonal grids
+    # need scipy.special, so neither the import nor params and criterion
+    # may load those two (together about 7 MB and 0.1 s of import)
     env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
     code = ("import sys, cknlab\n"
             "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+            "lazy = {'scipy.sparse', 'scipy.special'}\n"
+            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+            "from cknlab import cli_io\n"
+            "assert cli_io.run(['criterion', '--d', '3', '--p', '2.5']) == 0\n"
+            "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
+            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
