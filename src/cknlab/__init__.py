@@ -68,6 +68,7 @@ from .functionals import (
     sphere_deficit,
     sphere_entropy,
     sphere_fisher,
+    sphere_observables,
     weighted_fisher,
 )
 from .grids import (

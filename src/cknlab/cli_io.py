@@ -135,14 +135,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_field_csv(path: Path, fld) -> None:
     """Cylinder field snapshot: flattened (s, z, value) plus a sidecar."""
+    grid = fld.grid
     with open(path, "w", newline="") as fh:
         fh.write("s,z,value\n")
-        for i, s in enumerate(fld.s):
-            for j, z in enumerate(fld.z):
+        for i, s in enumerate(grid.s):
+            for j, z in enumerate(grid.z):
                 fh.write("%s,%s,%s\n" % (_FLOAT_FMT % s, _FLOAT_FMT % z,
                                          _FLOAT_FMT % fld.values[i, j]))
     _write_json(path.with_suffix(path.suffix + ".json"), {
-        "d": fld.d, "h": fld.h, "m_cells": len(fld.s), "nz": len(fld.z),
+        "d": grid.d, "h": grid.h, "m_cells": grid.m_cells, "nz": grid.nz,
         "p": fld.p, "Lambda": fld.Lambda,
         "measure": "zonal probability weights, even axial reflection",
     })

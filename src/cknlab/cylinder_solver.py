@@ -5,9 +5,11 @@ on R x S^(d-1) has an explicit s-only solution for every Lambda > 0.  Past
 the Felli-Schneider threshold that solution stops being a local minimizer:
 the lowest eigenvalue of the linearization in the first spherical-harmonic
 sector crosses zero, and a branch of genuinely zonal solutions bifurcates.
-This module discretizes the half cylinder (even reflection in s, Dirichlet
-truncation at s = L), polishes the symmetric profile by a banded Newton
-iteration, exposes the sector-wise linearized spectrum, and follows the
+This module works on the half cylinder of grids.CylinderGrid (even
+reflection in s, Dirichlet truncation at s = L), and every CylinderField it
+returns holds that grid.  It polishes the symmetric profile by a banded
+Newton iteration, which raises NewtonDiverged once its residual is not
+finite, exposes the sector-wise linearized spectrum, and follows the
 bifurcating branch by Keller pseudo-arclength continuation.
 
 Gauge choices, once and for all: translation invariance in s is removed by
@@ -45,13 +47,7 @@ from .errors import (
     NegativeSolution,
     NewtonDiverged,
 )
-from .grids import (
-    CylinderField,
-    brent_root,
-    half_line_grid,
-    zonal_laplacian,
-    zonal_quadrature,
-)
+from .grids import CylinderField, CylinderGrid, brent_root, cylinder_grid
 from .params import check_cylinder_exponent, lambda_fs_value
 from .profiles import phi_star
 
@@ -91,57 +87,6 @@ _MAX_SWITCH_TRIES = 20
 _MAX_STEP_FAILURES = 25
 
 
-@dataclass(frozen=True)
-class CylinderGrid:
-    """Discrete workspace shared by every solve on one cylinder.
-
-    Axial direction: cell-centered nodes s_j = (j + 1/2) h on [0, L], even
-    reflection through 0, Dirichlet wall at L.  Zonal direction: Gauss-Jacobi
-    nodes for the polar-angle reduction of the uniform probability measure on
-    S^(d-1), with the Laplace-Beltrami collocation matrix that is exact on
-    all resolved zonal harmonics.
-    """
-
-    d: int
-    length: float
-    s: np.ndarray
-    h: float
-    z: np.ndarray
-    wz: np.ndarray
-    lap_z: np.ndarray
-
-    @property
-    def m_cells(self) -> int:
-        return len(self.s)
-
-    @property
-    def nz(self) -> int:
-        return len(self.z)
-
-    def field(self, values: np.ndarray, p: float | None = None,
-              Lambda: float | None = None) -> CylinderField:
-        return CylinderField(self.d, self.s, self.h, self.z, self.wz,
-                             values, p=p, Lambda=Lambda)
-
-    def symmetric_field(self, profile: np.ndarray, p: float | None = None,
-                        Lambda: float | None = None) -> CylinderField:
-        vals = np.tile(np.asarray(profile, dtype=float)[:, None],
-                       (1, self.nz))
-        return self.field(vals, p=p, Lambda=Lambda)
-
-
-def cylinder_grid(d: int, length: float, m_cells: int = 400,
-                  nz: int = 20) -> CylinderGrid:
-    if d < 2:
-        raise DomainError(f"cylinder grid needs d >= 2, got d={d}")
-    if nz < 4:
-        raise DomainError(f"need at least 4 zonal nodes, got {nz}")
-    s, h = half_line_grid(length, m_cells)
-    z, wz = zonal_quadrature(d - 1, nz)
-    lap_z = zonal_laplacian(d - 1, z, wz)
-    return CylinderGrid(d, float(length), s, h, z, wz, lap_z)
-
-
 def default_grid(d: int, lam_min: float, m_cells: int = 400,
                  nz: int = 20) -> CylinderGrid:
     """Grid with truncation 20 / sqrt(lam_min).
@@ -154,17 +99,6 @@ def default_grid(d: int, lam_min: float, m_cells: int = 400,
     if lam_min <= 0.0:
         raise DomainError(f"need lam_min > 0, got {lam_min}")
     return cylinder_grid(d, 20.0 / math.sqrt(lam_min), m_cells, nz)
-
-
-def _grid_of(phi: CylinderField) -> CylinderGrid:
-    """Rebuild the discrete workspace around an existing field.
-
-    Uses the field's own nodes and weights, so fields built on custom
-    zonal rules keep a Laplacian consistent with their quadrature.
-    """
-    return CylinderGrid(phi.d, float(phi.s[-1] + 0.5 * phi.h),
-                        phi.s, phi.h, phi.z, phi.wz,
-                        zonal_laplacian(phi.d - 1, phi.z, phi.wz))
 
 
 def _s_operator(m: int, h: float, parity: str):
@@ -211,10 +145,18 @@ def _symmetric_profile(grid: CylinderGrid, p: float,
     lo = np.append(off, 0.0)
     best = math.inf
     for it in range(_POLISH_MAX_ITER):
-        f = _apply_s_operator(main, off, phi) + lam * phi - phi ** (p - 1.0)
+        # a step that leaves the positive cone makes phi^(p-1) NaN; the
+        # residual test below reports that, so NumPy need not warn
+        with np.errstate(invalid="ignore"):
+            f = (_apply_s_operator(main, off, phi) + lam * phi
+                 - phi ** (p - 1.0))
         res = float(np.max(np.abs(f)))
         if res < _POLISH_TOL:
             return phi
+        if not math.isfinite(res):
+            raise NewtonDiverged(
+                f"symmetric polish residual is {res} after {it} iterations "
+                f"(lam={lam}, p={p})", residual=res, iterations=it)
         if res >= 0.5 * best:
             if res <= stall_tol:
                 return phi
@@ -246,7 +188,7 @@ def solve_symmetric(d: int, p: float, Lambda: float,
     if grid is None:
         grid = default_grid(d, Lambda)
     phi = _symmetric_profile(grid, p, Lambda)
-    return grid.symmetric_field(phi, p=p, Lambda=Lambda)
+    return grid.field(np.tile(phi[:, None], (1, grid.nz)), p=p, Lambda=Lambda)
 
 
 def _pt_lowest(grid: CylinderGrid, p: float, lam: float, profile: np.ndarray,
@@ -286,12 +228,12 @@ def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
         raise DomainError(f"sector must be a nonnegative integer, got {sector}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    zonal_spread = float(np.max(np.abs(phi.values - (phi.values @ phi.wz)[:, None])))
+    grid = phi.grid
+    profile = phi.values @ grid.wz
+    zonal_spread = float(np.max(np.abs(phi.values - profile[:, None])))
     if zonal_spread > 1e-8 * max(float(np.max(np.abs(phi.values))), 1.0):
         raise DomainError("linearized_spectrum expects a symmetric field; "
                           f"zonal spread {zonal_spread:.2e} is too large")
-    grid = _grid_of(phi)
-    profile = phi.values @ phi.wz
     evs = np.concatenate([
         _pt_lowest(grid, phi.p, Lambda, profile, int(sector), "even", count),
         _pt_lowest(grid, phi.p, Lambda, profile, int(sector), "odd", count),
@@ -377,10 +319,10 @@ def newton_solve(init: CylinderField, Lambda: float, tol: float = 1e-10,
     """
     if init.p is None:
         raise DomainError("initial field carries no exponent p")
-    check_cylinder_exponent(init.d, init.p)
+    grid = init.grid
+    check_cylinder_exponent(grid.d, init.p)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
-    grid = _grid_of(init)
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     u, iters, res = _newton_2d(grid, main, off, init.p, Lambda,
                                init.values, tol, max_iter)
@@ -402,7 +344,7 @@ def angular_amplitude(phi: CylinderField) -> float:
     Zero exactly on symmetric fields; the continuation uses it to tell a
     genuine branch point from a fallback onto the symmetric family.
     """
-    centered = phi.values - (phi.values @ phi.wz)[:, None]
+    centered = phi.values - (phi.values @ phi.grid.wz)[:, None]
     return math.sqrt(phi.integrate(centered ** 2))
 
 

@@ -1,8 +1,9 @@
 """Entropies, Fisher informations, pressure fields, and quotient forms.
 
-Sphere-side functionals act on zonal grid functions and use whatever
-quadrature the grid carries; the conservative finite-volume grids get
-their Dirichlet form, collocation grids get polynomial differentiation.
+Sphere-side functionals act on densities on the conservative zonal
+finite-volume grid: entropy, Fisher information and deficit are written
+once, in sphere_observables, for a stack of densities, with the cell
+masses as quadrature and the grid's Dirichlet form as gradient energy.
 Weighted-space functionals act on tensor-grid densities through the
 pressure variable.  Derivatives are taken directly in r, after
 subtracting a reference slice in each direction, so that polynomial
@@ -20,11 +21,11 @@ import numpy as np
 
 from . import params as params_mod
 from .errors import DegenerateInput, DomainError
-from .grids import (CylinderField, GridFunction1D, TensorGrid,
-                    _workspace, derivative_matrix, zonal_laplacian)
+from .grids import CylinderField, FVZonalGrid, GridFunction1D, TensorGrid
 from .params import CKNParams, mu_star, sphere_area
 
 __all__ = [
+    "sphere_observables",
     "sphere_entropy",
     "sphere_fisher",
     "sphere_deficit",
@@ -43,14 +44,6 @@ __all__ = [
 # sphere functionals
 
 
-def _sphere_dim(rho: GridFunction1D) -> int:
-    kind = rho.weight.kind
-    if kind not in ("sphere_zonal", "fv_zonal"):
-        raise DomainError(
-            f"sphere functional needs a zonal grid function, got {kind!r}")
-    return int(rho.weight.params["sphere_dim"])
-
-
 def _check_sphere_exponent(d: int, p: float) -> None:
     hi = math.inf if d <= 2 else 2.0 * d / (d - 2)
     if not 1.0 <= p <= hi + 1e-12:
@@ -58,57 +51,52 @@ def _check_sphere_exponent(d: int, p: float) -> None:
             f"exponent p={p} outside [1, {hi}] for the {d}-sphere")
 
 
-def _density_mass(rho: GridFunction1D) -> float:
+def sphere_observables(grid: FVZonalGrid, rhos: np.ndarray,
+                       p: float) -> np.ndarray:
+    """Rows (mass, entropy, fisher, deficit) for a (k, n) stack of densities.
+
+    For p != 2 the entropy is ((integral rho)^(2/p) - integral rho^(2/p))
+    divided by (p-2); at p = 2 it is half the Boltzmann entropy relative
+    to the mass.  The Fisher information is the Dirichlet form of
+    rho^(1/p), and the deficit is Fisher minus d times entropy.  All use
+    the uniform probability measure.  Each row is bit-identical to
+    evaluating that density alone.
+    """
+    mass = grid.integrate(rhos)
+    if p == 2.0:
+        ent = 0.5 * grid.integrate(
+            rhos * np.log(np.maximum(rhos, 1e-300) / mass[:, None]))
+    else:
+        # one Python float power per row: NumPy's vectorized power differs
+        # from it in the last bit for about one argument in twenty
+        mass_pow = np.array([m ** (2.0 / p) for m in mass.tolist()])
+        ent = (mass_pow - grid.integrate(rhos ** (2.0 / p))) / (p - 2.0)
+    fish = grid.dirichlet_form(rhos ** (1.0 / p))
+    return np.stack([mass, ent, fish, fish - grid.sphere_dim * ent], axis=-1)
+
+
+def _checked_observables(rho: GridFunction1D, p: float) -> np.ndarray:
+    _check_sphere_exponent(rho.grid.sphere_dim, p)
     if np.any(rho.values < 0.0):
         raise DegenerateInput("density has negative values")
-    mass = rho.mass
-    if mass <= 0.0:
+    if rho.mass <= 0.0:
         raise DegenerateInput("density has zero mass")
-    return mass
+    return sphere_observables(rho.grid, rho.values[None], p)[0]
 
 
 def sphere_entropy(rho: GridFunction1D, p: float) -> float:
-    """Generalized entropy of a zonal density on S^d.
-
-    For p != 2 this is ((integral rho)^(2/p) - integral rho^(2/p))
-    divided by (p-2); at p = 2 it is half the Boltzmann entropy
-    relative to the mass.  Both use the uniform probability measure.
-    """
-    d = _sphere_dim(rho)
-    _check_sphere_exponent(d, p)
-    mass = _density_mass(rho)
-    if p == 2.0:
-        v = rho.values
-        integrand = np.where(v > 0.0, v * np.log(np.maximum(v, 1e-300) / mass),
-                             0.0)
-        return 0.5 * rho.integrate(integrand)
-    return (mass ** (2.0 / p)
-            - rho.integrate(rho.values ** (2.0 / p))) / (p - 2.0)
+    """Generalized entropy of a zonal density; see sphere_observables."""
+    return float(_checked_observables(rho, p)[1])
 
 
 def sphere_fisher(rho: GridFunction1D, p: float) -> float:
-    """Generalized Fisher information of a zonal density on S^d.
-
-    The zonal gradient squared is (1-z^2) f'(z)^2 applied to
-    f = rho^(1/p); on finite-volume grids the matching Dirichlet form
-    replaces pointwise differentiation.
-    """
-    d = _sphere_dim(rho)
-    _check_sphere_exponent(d, p)
-    _density_mass(rho)
-    f = rho.values ** (1.0 / p)
-    if rho.weight.kind == "fv_zonal":
-        grid = _workspace(d, int(rho.weight.params["n_cells"]))
-        return grid.dirichlet_form(f)
-    D = derivative_matrix(rho.nodes, 1)
-    df = D @ f
-    return rho.integrate((1.0 - rho.nodes ** 2) * df * df)
+    """Generalized Fisher information of a zonal density."""
+    return float(_checked_observables(rho, p)[2])
 
 
 def sphere_deficit(rho: GridFunction1D, p: float) -> float:
     """Fisher information minus d times the entropy; nonnegative."""
-    d = _sphere_dim(rho)
-    return sphere_fisher(rho, p) - d * sphere_entropy(rho, p)
+    return float(_checked_observables(rho, p)[3])
 
 
 # ---------------------------------------------------------------------------
@@ -301,50 +289,28 @@ def h_functional(u: np.ndarray, params: CKNParams, grid: TensorGrid,
 # cylinder quotients
 
 
-def _line_energy(gf: GridFunction1D) -> float:
-    """Discrete gradient energy matching the grid's boundary convention."""
-    v = gf.values
-    kind = gf.weight.kind
-    if kind == "flat_line":
-        h = float(gf.weight.params["h"])
-        if gf.weight.params.get("boundary") == "periodic":
-            return float(np.sum((np.roll(v, -1) - v) ** 2)) / h
-        return float(np.sum(np.diff(v) ** 2)) / h
-    raise DomainError(
-        f"quotients need a line-type grid function, got {kind!r}")
-
-
-def cylinder_quotient(phi, Lambda: float, p: float, theta: float = 1.0):
+def cylinder_quotient(phi: CylinderField, Lambda: float, p: float,
+                      theta: float = 1.0):
     """Interpolation quotient and gradient ratio of a cylinder field.
 
     Returns a dict with ``mu`` = (energy + Lambda l2)^theta *
-    l2^(1-theta) / lp^2 and ``t`` = energy / l2.  Accepts either a
-    symmetric profile on a line grid or a full zonal cylinder field;
-    in both cases the discrete energy uses the same quadratic form as
-    the solver, so the Euler-Lagrange identity holds to solver
-    residual, not merely to truncation order.
+    l2^(1-theta) / lp^2 and ``t`` = energy / l2.  The discrete energy
+    uses the same quadratic form as the solver, so the Euler-Lagrange
+    identity holds to solver residual, not merely to truncation order.
     """
-    if isinstance(phi, CylinderField):
-        U = phi.values
-        if not np.any(U != 0.0):
-            raise DegenerateInput("quotient of the zero field")
-        h = phi.h
-        diff_s = np.diff(U, axis=0)
-        energy = float(np.sum((diff_s * diff_s) @ phi.wz)) / h
-        energy += float(np.sum((U[-1] * U[-1]) * phi.wz)) / h
-        lz = zonal_laplacian(phi.d - 1, phi.z, phi.wz)
-        energy += float(np.sum(((-(U @ lz.T)) * U) @ phi.wz)) * h
-        energy *= 2.0
-        l2 = phi.integrate(U * U)
-        lp = phi.lp_norm(p)
-    elif isinstance(phi, GridFunction1D):
-        if not np.any(phi.values != 0.0):
-            raise DegenerateInput("quotient of the zero field")
-        energy = _line_energy(phi)
-        l2 = phi.integrate(phi.values ** 2)
-        lp = phi.integrate(np.abs(phi.values) ** p) ** (1.0 / p)
-    else:
+    if not isinstance(phi, CylinderField):
         raise DomainError(f"unsupported field type {type(phi).__name__}")
+    U = phi.values
+    if not np.any(U != 0.0):
+        raise DegenerateInput("quotient of the zero field")
+    h, wz = phi.grid.h, phi.grid.wz
+    diff_s = np.diff(U, axis=0)
+    energy = float(np.sum((diff_s * diff_s) @ wz)) / h
+    energy += float(np.sum((U[-1] * U[-1]) * wz)) / h
+    energy += float(np.sum(((-(U @ phi.grid.lap_z.T)) * U) @ wz)) * h
+    energy *= 2.0
+    l2 = phi.integrate(U * U)
+    lp = phi.lp_norm(p)
     mu = (energy + Lambda * l2) ** theta * l2 ** (1.0 - theta) / lp ** 2
     return {"mu": mu, "t": energy / l2}
 

@@ -10,17 +10,19 @@ tensor product:
 * radial grids, log-spaced composite Gauss panels so the weight r^(n-1)
   and the endpoint degeneracy never need special handling;
 * half-line grids for even cylinder profiles, cell-centered so that the
-  midpoint rule is spectrally accurate for smooth even functions.
+  midpoint rule is spectrally accurate for smooth even functions, and
+  the cylinder grid that pairs one with a zonal Gauss-Jacobi rule.
 
-Integration weights always travel with the nodes, so functionals never
-guess a rule.  The one scalar root finder of the package, Brent's method,
-lives here too.
+A sampled function holds the grid it lives on (GridFunction1D its
+finite-volume zonal grid, CylinderField its cylinder grid), so integration
+weights and operators always come from that grid and nothing rebuilds it.
+The one scalar root finder of the package, Brent's method, lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -30,7 +32,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DegenerateInput, DomainError, InversionError
 
 __all__ = [
-    "Weight",
     "GridFunction1D",
     "gauss_panels",
     "zonal_quadrature",
@@ -43,8 +44,10 @@ __all__ = [
     "fv_zonal_grid",
     "TensorGrid",
     "tensor_grid",
-    "CylinderField",
     "half_line_grid",
+    "CylinderGrid",
+    "cylinder_grid",
+    "CylinderField",
     "brent_root",
 ]
 
@@ -234,72 +237,6 @@ def derivative_matrix(x: np.ndarray, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid functions
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Measure descriptor attached to a grid function."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    _KINDS = ("sphere_zonal", "fv_zonal", "flat_line")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise DomainError(
-                f"unknown weight kind {self.kind!r}; expected one of "
-                f"{self._KINDS}")
-
-
-@dataclass
-class GridFunction1D:
-    """Sampled function with its nodes, quadrature weights, and measure.
-
-    ``quad_weights`` are chosen at construction so that
-    ``sum(quad_weights * f(nodes))`` approximates the integral of f
-    against the declared measure; consumers never re-derive the rule.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weight: Weight
-    quad_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.quad_weights = np.asarray(self.quad_weights, dtype=float)
-        if self.nodes.ndim != 1:
-            raise DomainError("nodes must be one-dimensional")
-        if self.nodes.shape != self.values.shape \
-                or self.nodes.shape != self.quad_weights.shape:
-            raise DomainError("nodes, values, quad_weights must align")
-        if len(self.nodes) > 1 and np.any(np.diff(self.nodes) <= 0):
-            raise DomainError("nodes must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise DegenerateInput("grid function carries non-finite values")
-
-    def integrate(self, samples: np.ndarray | None = None) -> float:
-        v = self.values if samples is None else samples
-        return float(np.sum(self.quad_weights * v))
-
-    @property
-    def mass(self) -> float:
-        return self.integrate()
-
-    @classmethod
-    def on_zonal_grid(cls, sphere_dim: int, n: int,
-                      fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                      rule: str = "jacobi") -> "GridFunction1D":
-        z, w = zonal_quadrature(sphere_dim, n, rule)
-        vals = np.ones_like(z) if fn is None else np.asarray(fn(z), dtype=float)
-        return cls(z, vals, Weight("sphere_zonal",
-                                   {"sphere_dim": sphere_dim, "rule": rule}), w)
-
-
-# ---------------------------------------------------------------------------
 # conservative zonal finite volumes
 
 
@@ -364,12 +301,36 @@ class FVZonalGrid:
         vals, vecs = eigh_tridiagonal(self.lap_di.copy(), offd)
         return vals, vecs
 
-    def as_grid_function(self, values: np.ndarray) -> GridFunction1D:
-        return GridFunction1D(self.centroids, values,
-                              Weight("fv_zonal",
-                                     {"sphere_dim": self.sphere_dim,
-                                      "n_cells": self.n}),
-                              self.cell_mass.copy())
+
+@dataclass
+class GridFunction1D:
+    """Cell averages of a zonal density on its finite-volume grid.
+
+    Nodes and quadrature weights are the grid's centroids and cell
+    masses, so integrals are against the uniform probability measure.
+    """
+
+    grid: FVZonalGrid
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.grid.n,):
+            raise DomainError(f"values of shape {self.values.shape} do not "
+                              f"fit a grid of {self.grid.n} cells")
+        if not np.all(np.isfinite(self.values)):
+            raise DegenerateInput("grid function carries non-finite values")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.grid.centroids
+
+    def integrate(self, samples: np.ndarray | None = None) -> float:
+        return self.grid.integrate(self.values if samples is None else samples)
+
+    @property
+    def mass(self) -> float:
+        return self.integrate()
 
 
 def _last_axis_sum(a: np.ndarray):
@@ -396,8 +357,13 @@ def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
     # exact first moments: antiderivative of z (1-z^2)^((d-2)/2)
     F = -(1.0 - e * e) ** (0.5 * d) / d
     zbar = np.diff(F) / np.diff(cum)
-    g = (1.0 - e * e) ** (0.5 * d) / total
     dz = np.diff(zbar)
+    if not np.all(dz > 0.0):
+        # both differences cancel in the thin end cells of fine grids,
+        # down to 0 / 0 on high spheres
+        raise DomainError(f"centroids of the {n_cells}-cell grid on the "
+                          f"{d}-sphere are not increasing; use fewer cells")
+    g = (1.0 - e * e) ** (0.5 * d) / total
     lo = np.zeros(n_cells)
     up = np.zeros(n_cells)
     lo[1:] = g[1:-1] / (W[1:] * dz)
@@ -488,6 +454,50 @@ def half_line_grid(length: float, m_cells: int):
     return (np.arange(m_cells) + 0.5) * h, h
 
 
+@dataclass(frozen=True)
+class CylinderGrid:
+    """Discrete workspace shared by every solve on one cylinder.
+
+    Axial direction: cell-centered nodes s_j = (j + 1/2) h on [0, L], even
+    reflection through 0, Dirichlet wall at L.  Zonal direction: Gauss-Jacobi
+    nodes for the polar-angle reduction of the uniform probability measure on
+    S^(d-1), with the Laplace-Beltrami collocation matrix that is exact on
+    all resolved zonal harmonics.
+    """
+
+    d: int
+    length: float
+    s: np.ndarray
+    h: float
+    z: np.ndarray
+    wz: np.ndarray
+    lap_z: np.ndarray
+
+    @property
+    def m_cells(self) -> int:
+        return len(self.s)
+
+    @property
+    def nz(self) -> int:
+        return len(self.z)
+
+    def field(self, values: np.ndarray, p: float | None = None,
+              Lambda: float | None = None) -> "CylinderField":
+        return CylinderField(self, values, p=p, Lambda=Lambda)
+
+
+def cylinder_grid(d: int, length: float, m_cells: int = 400,
+                  nz: int = 20) -> CylinderGrid:
+    if d < 2:
+        raise DomainError(f"cylinder grid needs d >= 2, got d={d}")
+    if nz < 4:
+        raise DomainError(f"need at least 4 zonal nodes, got {nz}")
+    s, h = half_line_grid(length, m_cells)
+    z, wz = zonal_quadrature(d - 1, nz)
+    lap_z = zonal_laplacian(d - 1, z, wz)
+    return CylinderGrid(d, float(length), s, h, z, wz, lap_z)
+
+
 @dataclass
 class CylinderField:
     """Zonal field on the truncated cylinder, sampled as U[s_index, z_index].
@@ -498,23 +508,19 @@ class CylinderField:
     norms, so it must sit here and not in callers).
     """
 
-    d: int
-    s: np.ndarray
-    h: float
-    z: np.ndarray
-    wz: np.ndarray
+    grid: CylinderGrid
     values: np.ndarray
     p: float | None = None
     Lambda: float | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.s), len(self.z)):
-            raise DomainError("field shape must be (len(s), len(z))")
+        if self.values.shape != (self.grid.m_cells, self.grid.nz):
+            raise DomainError("field shape must be (m_cells, nz)")
 
     def integrate(self, samples: np.ndarray) -> float:
         """Full-cylinder integral of the sampled integrand."""
-        return 2.0 * self.h * float(np.sum(samples @ self.wz))
+        return 2.0 * self.grid.h * float(np.sum(samples @ self.grid.wz))
 
     def lp_norm(self, p: float) -> float:
         return self.integrate(np.abs(self.values) ** p) ** (1.0 / p)

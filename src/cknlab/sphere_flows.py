@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (CknlabError, DomainError, PositivityLoss, SearchFailed,
                      StepRejected)
-from .functionals import _check_sphere_exponent
+from .functionals import _check_sphere_exponent, sphere_observables
 from .grids import FVZonalGrid, GridFunction1D, _workspace
 
 __all__ = [
@@ -199,30 +199,6 @@ def _modes(sphere_dim: int, n_cells: int):
     return lam, vecs, np.sqrt(grid.cell_mass)
 
 
-def _grid_of(density: GridFunction1D) -> FVZonalGrid:
-    if density.weight.kind != "fv_zonal":
-        raise DomainError(
-            f"flows need a finite-volume zonal density, got weight kind "
-            f"{density.weight.kind!r}")
-    return _workspace(int(density.weight.params["sphere_dim"]),
-                      int(density.weight.params["n_cells"]))
-
-
-def _observables(grid: FVZonalGrid, rhos: np.ndarray, p: float) -> np.ndarray:
-    """Rows (mass, entropy, fisher, deficit) for a (k, n) stack of densities."""
-    mass = grid.integrate(rhos)
-    if p == 2.0:
-        ent = 0.5 * grid.integrate(
-            rhos * np.log(np.maximum(rhos, 1e-300) / mass[:, None]))
-    else:
-        # one Python float power per row: NumPy's vectorized power differs
-        # from it in the last bit for about one argument in twenty
-        mass_pow = np.array([m ** (2.0 / p) for m in mass.tolist()])
-        ent = (mass_pow - grid.integrate(rhos ** (2.0 / p))) / (p - 2.0)
-    fish = grid.dirichlet_form(rhos ** (1.0 / p))
-    return np.stack([mass, ent, fish, fish - grid.sphere_dim * ent], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # implicit stepping
 
@@ -277,7 +253,7 @@ def flow_step(state: FlowState, spec: FlowSpec, dt: float) -> FlowState:
     """Advance one implicit step; mass-exact, positivity-checked."""
     if dt <= 0.0:
         raise DomainError(f"step size must be positive, got {dt}")
-    grid = _grid_of(state.density)
+    grid = state.density.grid
     rho = state.density.values
     if spec.kind == "heat":
         new = _heat_step(grid, rho, dt)
@@ -286,7 +262,7 @@ def flow_step(state: FlowState, spec: FlowSpec, dt: float) -> FlowState:
     if new.min() <= 0.0:
         raise PositivityLoss(
             f"density lost positivity at t={state.time + dt:.6g}")
-    gf = grid.as_grid_function(new)
+    gf = GridFunction1D(grid, new)
     return FlowState(gf, state.time + dt, gf.mass)
 
 
@@ -300,13 +276,14 @@ def integrate(state0: FlowState, spec: FlowSpec,
     Mass conservation is enforced, not merely reported: drifting off
     the initial mass beyond the contract tolerance aborts the run.
     """
-    grid = _grid_of(state0.density)
+    grid = state0.density.grid
     _check_sphere_exponent(grid.sphere_dim, spec.p)
     obs = tuple(observers) if observers is not None else ()
     state = state0
     mass0 = state0.mass
     rows = [(state.time,
-             *_observables(grid, state.density.values[None], spec.p)[0])]
+             *sphere_observables(grid, state.density.values[None],
+                                 spec.p)[0])]
     dt = spec.dt_init
     work = 0
     while state.time < spec.t_end * (1.0 - 1e-14):
@@ -323,8 +300,8 @@ def integrate(state0: FlowState, spec: FlowSpec,
                 f"mass drifted by {abs(state.mass - mass0) / abs(mass0):.3e} "
                 f"relative at t={state.time:.6g}")
         rows.append((state.time,
-                     *_observables(grid, state.density.values[None],
-                                   spec.p)[0]))
+                     *sphere_observables(grid, state.density.values[None],
+                                         spec.p)[0]))
         for fn in obs:
             fn(state)
         work += spec.n_cells
@@ -431,8 +408,9 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     if not states:
         return out
     done = sorted(states)
-    deficits = _observables(grid, np.concatenate([states[i] for i in done]),
-                            p)[:, 3].reshape(len(done), len(_STENCIL))
+    deficits = sphere_observables(
+        grid, np.concatenate([states[i] for i in done]),
+        p)[:, 3].reshape(len(done), len(_STENCIL))
     for i, (dm2, dm1, dmh, dph, dp1, dp2) in zip(done, deficits.tolist()):
         h = hs[i]
         d1 = (dm2 - 8.0 * dm1 + 8.0 * dp1 - dp2) / (12.0 * h)
@@ -453,7 +431,7 @@ def deficit_derivative(rho0: GridFunction1D, p: float,
     stencil.  Densities that cannot be propagated backward without
     losing positivity are rejected rather than silently one-sided.
     """
-    grid = _grid_of(rho0)
+    grid = rho0.grid
     _check_sphere_exponent(grid.sphere_dim, p)
     vals = rho0.values
     if vals.min() <= 0.0:
@@ -476,7 +454,7 @@ def tilted_density(d: int, n_cells: int, epsilon: float,
         raise DomainError(f"tilt needs epsilon in (0, 1), got {epsilon}")
     grid = _workspace(d, n_cells)
     rho = (1.0 + epsilon * grid.centroids) ** q
-    return grid.as_grid_function(rho / grid.integrate(rho))
+    return GridFunction1D(grid, rho / grid.integrate(rho))
 
 
 def random_smooth_density(d: int, n_cells: int,
@@ -486,7 +464,7 @@ def random_smooth_density(d: int, n_cells: int,
     coef = rng.uniform(-0.5, 0.5, size=4)
     v = np.polynomial.polynomial.polyval(grid.centroids, coef)
     rho = np.exp(v)
-    return grid.as_grid_function(rho / grid.integrate(rho))
+    return GridFunction1D(grid, rho / grid.integrate(rho))
 
 
 def counterexample_search(d: int, p: float, n_cells: int = 96,

@@ -98,6 +98,15 @@ def test_failed_search_exits_three(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_short_cylinder_exits_three(tmp_path, capsys):
+    # the symmetric polish diverges on a cylinder this short
+    assert run(["branch", "--d", "5", "--p", "2.8", "--length", "0.5",
+                "--out", str(tmp_path / "b.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: symmetric polish")
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_counterexample_artifact(tmp_path):
     out = tmp_path / "counterexample.json"
     assert run(["counterexample", "--d", "3", "--p", "5.5",
@@ -162,6 +171,19 @@ def test_config_file_rejects_unknown_entries(tmp_path, capsys):
     assert run(["flow", "--d", "3", "--p", "3.0", "--config",
                 str(bad_section), "--out", str(tmp_path / "t.csv")]) == 2
     assert "unknown section" in capsys.readouterr().err
+
+
+def test_config_file_booleans(tmp_path, capsys):
+    cfg = tmp_path / "bool.ini"
+    cfg.write_text("[criterion]\nwith_branch = on\n")
+    assert cli_io.load_config(cfg) == {"criterion": {"with_branch": True}}
+    cfg.write_text("[criterion]\nwith_branch = no\n")
+    assert cli_io.load_config(cfg) == {"criterion": {"with_branch": False}}
+    cfg.write_text("[criterion]\nwith_branch = maybe\n")
+    assert run(["criterion", "--d", "3", "--p", "2.5",
+                "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'with_branch'" in err and str(cfg) in err
 
 
 COARSE = ["--m-cells", "120", "--nz", "8"]

@@ -9,8 +9,11 @@ from scipy.sparse.linalg import splu
 
 from cknlab import (
     ContinuationConfig,
+    ContinuationStalled,
     DomainError,
+    NewtonDiverged,
     angular_amplitude,
+    continue_branch,
     cylinder_grid,
     cylinder_quotient,
     lambda_fs_value,
@@ -156,6 +159,21 @@ def test_continuation_config_validation():
         ContinuationConfig(ds_growth=0.5)
     with pytest.raises(DomainError):
         ContinuationConfig(max_points=1)
+
+
+def test_short_cylinders_fail_with_their_state():
+    # at length 0.5 the polish steps out of the positive cone, where
+    # phi^(p-1) is NaN; at length 1.0 the k=1 eigenvalue is negative on
+    # the whole bracket around the threshold
+    with pytest.raises(NewtonDiverged) as info:
+        continue_branch(5, 2.8, ContinuationConfig(length=0.5, m_cells=40,
+                                                   nz=4))
+    assert not math.isfinite(info.value.residual)
+    assert info.value.iterations >= 1
+    with pytest.raises(ContinuationStalled) as info:
+        continue_branch(5, 2.8, ContinuationConfig(length=1.0, m_cells=40,
+                                                   nz=4))
+    assert info.value.lam == lambda_fs_value(5, 2.8)
 
 
 def test_branch_shape_and_diagnostics(branch_5_2_8):

@@ -28,7 +28,7 @@ from cknlab import (
     weighted_fisher,
 )
 from cknlab.functionals import density_from_pressure
-from cknlab.grids import GridFunction1D
+from cknlab.grids import GridFunction1D, fv_zonal_grid
 from cknlab.params import CKNParams
 from cknlab.sphere_flows import random_smooth_density, tilted_density
 
@@ -44,7 +44,7 @@ def quadratic_pressure(rec, grid, a=1.0, b=0.7):
 
 
 def test_uniform_density_has_zero_deficit():
-    rho = GridFunction1D.on_zonal_grid(3, 32)
+    rho = GridFunction1D(fv_zonal_grid(3, 32), np.ones(32))
     for p in (2.0, 2.5, 4.0):
         assert abs(sphere_entropy(rho, p)) < 1e-14
         assert abs(sphere_fisher(rho, p)) < 1e-24
@@ -69,18 +69,11 @@ def test_entropy_nonnegative_and_continuous_through_two():
 
 
 def test_sphere_functionals_reject_bad_densities():
-    nodes = np.linspace(-0.9, 0.9, 16)
-    w = np.full(16, 1.0 / 16.0)
-    from cknlab.grids import Weight
-    negative = GridFunction1D(nodes, np.linspace(-1.0, 1.0, 16),
-                              Weight("sphere_zonal", {"sphere_dim": 3}), w)
+    grid = fv_zonal_grid(3, 16)
+    negative = GridFunction1D(grid, np.linspace(-1.0, 1.0, 16))
     with pytest.raises(DegenerateInput):
         sphere_entropy(negative, 3.0)
-    flat = GridFunction1D(nodes, np.ones(16), Weight("flat_line", {"h": 0.1}),
-                          w)
-    with pytest.raises(DomainError):
-        sphere_entropy(flat, 3.0)
-    rho = GridFunction1D.on_zonal_grid(3, 16)
+    rho = GridFunction1D(grid, np.ones(16))
     with pytest.raises(DomainError):
         sphere_fisher(rho, 7.0)
 

@@ -16,6 +16,7 @@ from cknlab import (
     DomainError,
     InversionError,
     branch_analysis,
+    cylinder_grid,
     cylinder_solver,
     derive_params,
     lambda_fs_value,
@@ -31,7 +32,6 @@ from cknlab import (
 from cknlab import grids
 from cknlab.grids import (
     GridFunction1D,
-    Weight,
     _workspace,
     brent_root,
     derivative_matrix,
@@ -141,18 +141,14 @@ def test_derivative_matrix_exact_on_quartics():
 
 
 def test_grid_function_validation():
-    w = Weight("flat_line", {"h": 0.5})
+    grid = fv_zonal_grid(3, 4)
     with pytest.raises(DomainError):
-        GridFunction1D(np.array([0.0, 1.0]), np.array([1.0]), w,
-                       np.array([0.5, 0.5]))
-    with pytest.raises(DomainError):
-        GridFunction1D(np.array([1.0, 0.0]), np.array([1.0, 2.0]), w,
-                       np.array([0.5, 0.5]))
+        GridFunction1D(grid, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DegenerateInput):
-        GridFunction1D(np.array([0.0, 1.0]), np.array([1.0, np.nan]), w,
-                       np.array([0.5, 0.5]))
+        GridFunction1D(grid, np.array([1.0, np.nan, 1.0, 1.0]))
+    # cancellation in the end cells puts these centroids out of order
     with pytest.raises(DomainError):
-        Weight("spiral", {})
+        fv_zonal_grid(6, 242)
 
 
 def test_fv_zonal_grid_conservation_and_spectrum():
@@ -225,8 +221,7 @@ def test_fv_symmetrized_modes():
     # preceded by the coordinate mode with eigenvalue -sphere_dim
     assert abs(lam[-1]) < 1e-10
     assert lam[-2] == pytest.approx(-4.0, rel=1e-10)
-    gf = grid.as_grid_function(np.ones(grid.n))
-    assert gf.weight.kind == "fv_zonal"
+    gf = GridFunction1D(grid, np.ones(grid.n))
     assert gf.mass == pytest.approx(1.0, rel=1e-13)
 
 
@@ -256,14 +251,13 @@ def test_half_line_grid_cell_centers():
 
 
 def test_cylinder_field_integration():
-    s, h = half_line_grid(4.0, 40)
-    z, wz = zonal_quadrature(4, 8)
-    field = CylinderField(5, s, h, z, wz, np.ones((40, 8)))
+    grid = cylinder_grid(5, 4.0, 40, 8)
+    field = CylinderField(grid, np.ones((40, 8)))
     # both halves of the cylinder count
     assert field.integrate(field.values) == pytest.approx(8.0, rel=1e-13)
     assert field.lp_norm(2.8) == pytest.approx(8.0 ** (1.0 / 2.8), rel=1e-13)
     with pytest.raises(DomainError):
-        CylinderField(5, s, h, z, wz, np.ones((40, 7)))
+        CylinderField(grid, np.ones((40, 7)))
 
 
 def _root_family(rng):

@@ -9,6 +9,7 @@ from cknlab import (
     DomainError,
     FlowSpec,
     FlowState,
+    GridFunction1D,
     PositivityLoss,
     SearchFailed,
     StepRejected,
@@ -60,15 +61,13 @@ def test_initial_state_validation():
     assert state.mass == pytest.approx(1.0, rel=1e-12)
     bad = rho.values.copy()
     bad[0] = -0.1
-    from cknlab.grids import GridFunction1D
     with pytest.raises(PositivityLoss):
-        FlowState.initial(GridFunction1D(rho.nodes, bad, rho.weight,
-                                         rho.quad_weights))
+        FlowState.initial(GridFunction1D(rho.grid, bad))
 
 
 def test_uniform_density_is_a_fixed_point():
     grid = _workspace(3, 48)
-    rho = grid.as_grid_function(np.ones(grid.n))
+    rho = GridFunction1D(grid, np.ones(grid.n))
     spec = FlowSpec(kind="heat", p=3.0, n_cells=48, t_end=0.1)
     traj = integrate(FlowState.initial(rho), spec)
     np.testing.assert_allclose(traj.final_state.density.values, 1.0,
@@ -131,7 +130,7 @@ def test_deficit_derivative_signs():
     assert est.value < 0.0
     with pytest.raises(PositivityLoss):
         grid = _workspace(3, 32)
-        flat = grid.as_grid_function(np.where(grid.centroids > 0.0, 1.0, 0.0))
+        flat = GridFunction1D(grid, np.where(grid.centroids > 0.0, 1.0, 0.0))
         deficit_derivative(flat, 3.0, FlowSpec(kind="heat", p=3.0, n_cells=32))
 
 
