@@ -127,6 +127,17 @@ class Classification:
     turning_points: tuple[TurningPoint, ...]
 
 
+@lru_cache(maxsize=64)
+def _unit_line_quotient(d: int, p: float, cells: int):
+    """(mu_1, t_1) of the discrete symmetric profile at lam = 1.
+
+    They depend on (d, p, cells) alone, so a curve computes them once, not
+    once per Lambda.
+    """
+    # an s-only quotient never reads the zonal rule, so 4 nodes do
+    return symmetric_quotient(default_grid(d, 1.0, cells, 4), p, 1.0)
+
+
 def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
                        m_cells: int = 1600) -> float:
     """Symmetric theta-constant of the discrete s-problem on the line.
@@ -147,8 +158,7 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
         raise DomainError(f"need Lambda > 0, got {Lambda}")
 
     def best(cells: int) -> float:
-        # an s-only quotient never reads the zonal rule, so 4 nodes do
-        mu_1, t_1 = symmetric_quotient(default_grid(d, 1.0, cells, 4), p, 1.0)
+        mu_1, t_1 = _unit_line_quotient(d, p, cells)
         lam = Lambda * (p - 2.0) / (t_1 * (2.0 * p * theta - (p - 2.0)))
         return theta_mu(theta, lam, lam * t_1, Lambda,
                         lam ** ((p + 2.0) / (2.0 * p)) * mu_1)

@@ -863,8 +863,11 @@ def _run_group(command: str, out_dir: Path,
                points: list[tuple[int, dict]]) -> list[tuple]:
     """Run one group's points in index order; a failed point fails alone.
 
-    Returns ``(index, status, message, artifact)`` per point.
+    Returns ``(index, status, message, artifact)`` per point.  No other
+    group shares the (d, p), so a branch the group put into the memo is
+    dropped once its points are done.
     """
+    cached = set(_BRANCH_CACHE)
     outcomes = []
     for index, opts in points:
         try:
@@ -876,6 +879,8 @@ def _run_group(command: str, out_dir: Path,
         else:
             outcomes.append((index, "ok", "",
                              os.path.relpath(artifact, out_dir)))
+    for key in set(_BRANCH_CACHE) - cached:
+        del _BRANCH_CACHE[key]
     return outcomes
 
 

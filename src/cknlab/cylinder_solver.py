@@ -20,16 +20,21 @@ arclength normalization uses the quadrature-weighted inner product so that
 step lengths mean the same thing on every grid.
 
 Cost: sparse LU of the bordered Keller matrix dominates continuation.  The
-matrix keeps one nonzero pattern per grid, so its COLAMD column order is
-computed once and every corrector matrix is assembled in place, already in
-that order, and factored without reordering; the steps are bit-identical
-to ordering each matrix afresh.  Skipping COLAMD altogether (NATURAL on the
-s-major unknowns) was rejected: that LU rounds differently, and corrector
-residuals sitting at the floor just below _NEWTON_TOL then change the
-Newton iteration counts of the branch.  scipy.sparse is imported by the
-code that factors (_fixed_operator, _newton_2d, _BorderedKeller), so
-processes that never solve on the cylinder, such as params, criterion and
-the sphere flows, do not load it.
+matrix keeps one nonzero pattern per grid.  It is assembled once, straight
+from the s-stencil and the zonal Laplacian into CSC arrays (_stencil_csc,
+int32 indices); its COLAMD column order is read off an incomplete LU that
+drops every entry, and the columns are gathered into that order.  Every
+corrector then refills the u-dependent entries in place and factors
+without reordering; the steps are bit-identical to assembling and ordering
+each matrix afresh.  The assembly builds no Kronecker products and its
+ILU keeps no fill, so it stays well below the memory that the corrector
+LUs and the stored branch fields need.  Skipping COLAMD altogether (NATURAL
+on the s-major unknowns) was rejected: that LU rounds differently, and
+corrector residuals sitting at the floor just below _NEWTON_TOL then change
+the Newton iteration counts of the branch.  scipy.sparse is imported by
+the code that factors (_newton_2d, _BorderedKeller), so processes that
+never solve on the cylinder, such as params, criterion and the sphere
+flows, do not load it.
 """
 
 from __future__ import annotations
@@ -252,20 +257,48 @@ def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     return out + lam * u - np.maximum(u, 0.0) ** (p - 1.0)
 
 
-def _fixed_operator(grid: CylinderGrid, main, off):
-    """The u- and lam-independent part -d2/ds2 - Lap_omega of the Jacobian.
+def _stencil_csc(grid: CylinderGrid, main, off, border: bool):
+    """CSC arrays of the fixed operator -d2/ds2 - Lap_omega, natural order.
 
-    Unknowns are s-major (index j * nz + k), hence kron(A_s, I) +
-    kron(I, -Lap_z).  The full Jacobian adds the diagonal
-    lam - (p-1) u_+^(p-2) to it.  Returned as a scipy.sparse CSR matrix.
+    Unknowns are s-major (index j * nz + k).  Column j * nz + k holds, in
+    increasing row order, the s-neighbour below (off[j-1]), the zonal
+    block -Lap_z[:, k] with main[j] - Lap_z[k, k] on the diagonal, and the
+    s-neighbour above (off[j]).  The full Jacobian adds the diagonal
+    lam - (p-1) u_+^(p-2) to it.  With border, every column also ends in
+    row n (the tangent row) and column n (rows 0..n: the u column and the
+    corner) is appended, all zero: the pattern of the bordered Keller
+    matrix.  Returns (data, indices, indptr, diag) with int32 indices and
+    diag the slot of each diagonal entry.
     """
-    # imported here, not at module level: only the 2-D solves factor a
-    # matrix, and scipy.sparse would add its start-up to every process
-    import scipy.sparse as sp
     m, nz = grid.m_cells, grid.nz
-    a_s = sp.diags([off, main, off], [-1, 0, 1], shape=(m, m), format="csr")
-    return sp.kron(a_s, sp.identity(nz), format="csr") \
-        + sp.kron(sp.identity(m), sp.csr_matrix(-grid.lap_z), format="csr")
+    n = m * nz
+    width = nz + 2 + int(border)
+    k = np.arange(nz, dtype=np.int32)
+    rows = np.empty((m, nz, width), dtype=np.int32)
+    vals = np.zeros((m, nz, width))
+    base = (np.arange(m, dtype=np.int32) * nz)[:, None]
+    rows[:, :, 0] = base + k - nz
+    rows[:, :, 1:nz + 1] = (base + k)[:, None, :]
+    rows[:, :, nz + 1] = base + k + nz
+    rows[:, :, nz + 2:] = n
+    vals[:, :, 0] = np.append(0.0, off)[:, None]
+    vals[:, :, 1:nz + 1] = -grid.lap_z.T
+    vals[:, k, k + 1] = main[:, None] - np.diag(grid.lap_z)
+    vals[:, :, nz + 1] = np.append(off, 0.0)[:, None]
+    # the first s-cell has no neighbour below, the last none above
+    keep = np.ones((m, nz, width), dtype=bool)
+    keep[0, :, 0] = False
+    keep[-1, :, nz + 1] = False
+    indices, data = rows[keep], vals[keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2), out=indptr[1:])
+    diag = indptr[:-1] + np.tile(k + 1, m)
+    diag[:nz] -= 1
+    if border:
+        indices = np.concatenate([indices, np.arange(n + 1, dtype=np.int32)])
+        data = np.concatenate([data, np.zeros(n + 1)])
+        indptr = np.append(indptr, np.int32(len(indices)))
+    return data, indices, indptr, diag
 
 
 def _diag_term(p: float, lam: float, u: np.ndarray) -> np.ndarray:
@@ -281,16 +314,20 @@ def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     start routinely overshoot into the concave region of u^(p-1) and
     oscillate.
     """
-    import scipy.sparse as sp
+    # imported here, not at module level: only the 2-D solves factor a
+    # matrix, and scipy.sparse would add its start-up to every process
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
-    fixed = _fixed_operator(grid, main, off)
+    data, indices, indptr, diag = _stencil_csc(grid, main, off, border=False)
+    fixed_diag = data[diag]
     u = u0.copy()
     f = _residual_2d(grid, main, off, p, lam, u)
     nrm = float(np.max(np.abs(f)))
     for it in range(max_iter):
         if nrm < tol:
             return u, it, nrm
-        jac = (fixed + sp.diags(_diag_term(p, lam, u))).tocsc()
+        data[diag] = fixed_diag + _diag_term(p, lam, u)
+        jac = csc_matrix((data, indices, indptr), shape=(u.size, u.size))
         du = splu(jac).solve(f.ravel()).reshape(u.shape)
         step = 1.0
         for _ in range(25):
@@ -457,51 +494,49 @@ class _BorderedKeller:
     diag(lam - (p-1) u_+^(p-2)), the last column dF/dlam = u, and row is
     the weighted tangent.  Its nonzero pattern (the fixed operator, the
     diagonal, the u column and the tangent row with its (n, n) corner) is
-    the same at every corrector iteration of a run, so the matrix is kept
-    in CSC form with its columns already in COLAMD order, and each solve
-    only overwrites the diagonal, the u column and the row in `data`.  The
-    corner stays stored when the tangent's lam entry is exactly 0, as it
-    is at the branch switch, so one pattern serves the whole run.
+    the same at every corrector iteration of a run, so the matrix is
+    assembled once, straight from the stencil (_stencil_csc), with its
+    columns in SuperLU's COLAMD order, and each solve only overwrites the
+    diagonal, the u column and the row in `data`.  The corner stays stored
+    when the tangent's lam entry is exactly 0, as it is at the branch
+    switch, so one pattern serves the whole run.
 
-    Factoring in that order with NATURAL gives the very LU that
-    splu(A) computes with COLAMD on each matrix, hence bit-identical
-    steps.
+    The column order depends on the pattern alone, so it is read off an
+    incomplete LU that drops every entry: SuperLU orders columns the same
+    way for ILU and LU, and the dropping ILU holds no fill.  Factoring the
+    ordered matrix with NATURAL gives the very LU that splu(A) computes
+    with COLAMD on each matrix, hence bit-identical steps.  NATURAL on the
+    s-major unknowns themselves would be cheaper, but it rounds
+    differently (see the module docstring).
     """
 
-    def __init__(self, fixed):
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-        n = fixed.shape[0]
-        coo = fixed.tocoo()
-        offdiag = coo.row != coo.col
-        k = int(np.count_nonzero(offdiag))
-        idx = np.arange(n)
-        # triplets: off-diagonal fixed entries, diagonal, u column, row
-        rows = np.concatenate([coo.row[offdiag], idx, idx, np.full(n + 1, n)])
-        cols = np.concatenate([coo.col[offdiag], idx, np.full(n, n),
-                               np.arange(n + 1)])
-        self._fixed_diag = fixed.diagonal()
+    def __init__(self, grid: CylinderGrid, main, off):
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import spilu
+        n = grid.m_cells * grid.nz
+        data, indices, indptr, diag = _stencil_csc(grid, main, off,
+                                                   border=True)
+        self._fixed_diag = data[diag]
         # Any nonsingular values do, since the column order depends on the
         # pattern alone: J = fixed + I, a zero u column and the row e_n.
-        values = np.zeros(len(rows))
-        values[:k] = coo.data[offdiag]
-        values[k:k + n] = self._fixed_diag + 1.0
-        values[-1] = 1.0
-        template = sp.csc_matrix((values, (rows, cols)), shape=(n + 1, n + 1))
-        perm_c = splu(template).perm_c
-        # perm_c[j] is the position of column j in the ordered matrix
-        new_cols = perm_c[cols]
-        src = np.lexsort((rows, new_cols))
-        slot = np.empty_like(src)
-        slot[src] = np.arange(len(src))
-        self._diag = slot[k:k + n]
-        self._ucol = slot[k + n:k + 2 * n]
-        self._row = slot[k + 2 * n:]
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(new_cols, minlength=n + 1))])
-        self._matrix = sp.csc_matrix((values[src], rows[src], indptr),
-                                     shape=(n + 1, n + 1))
+        data[diag] += 1.0
+        data[-1] = 1.0
+        template = csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+        perm_c = spilu(template, drop_tol=1e300, fill_factor=1).perm_c
+        # perm_c[j] is the position of column j in the ordered matrix;
+        # gather whole columns, whose rows stay sorted, into that order
         self._order = np.argsort(perm_c)
+        size = np.diff(indptr)[self._order]
+        start = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(size, out=start[1:])
+        src = np.repeat(indptr[self._order] - start[:-1], size)
+        src += np.arange(len(data), dtype=np.int32)
+        first = start[perm_c]
+        self._diag = first[:n] + (diag - indptr[:n])
+        self._ucol = first[n] + np.arange(n)
+        self._row = start[perm_c + 1] - 1
+        self._matrix = csc_matrix((data[src], indices[src], start),
+                                  shape=(n + 1, n + 1))
 
     def solve(self, p: float, lam: float, u: np.ndarray, row: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
@@ -583,7 +618,7 @@ def continue_branch(d: int, p: float,
     grid = cylinder_grid(d, length, cfg.m_cells, cfg.nz)
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     m, nz = grid.m_cells, grid.nz
-    bordered = _BorderedKeller(_fixed_operator(grid, main, off))
+    bordered = _BorderedKeller(grid, main, off)
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
     profile_b = _symmetric_profile(grid, p, lam_b)

@@ -36,6 +36,7 @@ from cknlab.branch_analysis import (
     ProbeRow,
     _monotone_increasing,
     _slope_and_turnings,
+    _unit_line_quotient,
     _witness_scan,
     branch_direction,
     grid_theta_reference,
@@ -485,6 +486,28 @@ def test_line_constant_matches_direct_minimization():
         got = mu_star_theta_line(5, 2.8, theta, Lambda, m_cells=200)
         assert rel(got, _inline_line_constant(5, 2.8, theta, Lambda, 200)) \
             <= 1e-12
+
+
+def test_curve_computes_its_line_quotients_once(branch_5_2_8, monkeypatch):
+    # (mu_1, t_1) depend on (d, p, cells) alone, so a curve needs two
+    # line quotients, not two per branch point
+    branch, _ = branch_5_2_8
+    calls = []
+    real = branch_analysis.symmetric_quotient
+
+    def counted(grid, p, lam):
+        calls.append((grid.m_cells, p, lam))
+        return real(grid, p, lam)
+
+    monkeypatch.setattr(branch_analysis, "symmetric_quotient", counted)
+    _unit_line_quotient.cache_clear()
+    curve = reparametrize(branch, 0.718)
+    assert sorted(calls) == [(1600, 2.8, 1.0), (3200, 2.8, 1.0)]
+    fresh = []
+    for Lambda in curve.Lambda:
+        _unit_line_quotient.cache_clear()
+        fresh.append(mu_star_theta_line(5, 2.8, 0.718, Lambda))
+    assert np.array_equal(curve.mu_star_theta, fresh)
 
 
 def _polished_and_settled(p, lam):

@@ -359,6 +359,33 @@ def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
     assert [r[4] for r in rows[1:]].count("failed") == (1 if code else 0)
 
 
+def test_curve_sweep_releases_each_groups_branch(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(cli_io, "_BRANCH_CACHE", {})
+    spec = tmp_path / "sweep.ini"
+    spec.write_text("[sweep]\ncommand = curve\nd = 5\np = 2.8 3.0\n"
+                    "theta = 0.9\n[curve]\nm_cells = 120\nnz = 8\n"
+                    "lambda_max = 5.0\n")
+    out_dir = tmp_path / "sweep"
+    assert run(["sweep", "--spec", str(spec), "--out-dir", str(out_dir),
+                "--workers", "1"]) == 0
+    assert cli_io._BRANCH_CACHE == {}
+    rows = read_csv(out_dir / "aggregate.csv")
+    assert [(r[3], r[5], r[7]) for r in rows[1:]] == [
+        ("2.7999999999999998", "ok", "point_0000/curve.csv"),
+        ("3", "ok", "point_0001/curve.csv"),
+    ]
+    # each point holds what the command alone writes
+    for index, p in enumerate(("2.8", "3.0")):
+        alone = tmp_path / f"curve_{p}.csv"
+        assert run(["curve", "--d", "5", "--p", p, "--theta", "0.9",
+                    *COARSE, "--lambda-max", "5.0", "--out",
+                    str(alone)]) == 0
+        point = out_dir / f"point_{index:04d}" / "curve.csv"
+        assert point.read_bytes() == alone.read_bytes()
+    capsys.readouterr()
+
+
 def test_sweep_groups_by_d_and_p_in_first_index_order():
     keys = [(4, 2.5), (3, 2.5), (4, 2.5), (3, 3.0), (3, 2.5), (4, 2.5)]
     resolved = [{"d": d, "p": p} for d, p in keys]
