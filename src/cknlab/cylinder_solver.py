@@ -319,6 +319,7 @@ def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
     data, indices, indptr, diag = _stencil_csc(grid, main, off, border=False)
+    jac = csc_matrix((data, indices, indptr), shape=(u0.size, u0.size))
     fixed_diag = data[diag]
     u = u0.copy()
     f = _residual_2d(grid, main, off, p, lam, u)
@@ -326,8 +327,7 @@ def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     for it in range(max_iter):
         if nrm < tol:
             return u, it, nrm
-        data[diag] = fixed_diag + _diag_term(p, lam, u)
-        jac = csc_matrix((data, indices, indptr), shape=(u.size, u.size))
+        jac.data[diag] = fixed_diag + _diag_term(p, lam, u)
         du = splu(jac).solve(f.ravel()).reshape(u.shape)
         step = 1.0
         for _ in range(25):
