@@ -37,17 +37,35 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # import time) nor scipy.optimize (about 0.29 s and 14 MB).  Only the
     # cylinder's 2-D solves factor a sparse matrix and only zonal grids
     # need scipy.special, so neither the import nor params and criterion
-    # may load those two (together about 7 MB and 0.1 s of import)
+    # may load those two (together about 7 MB and 0.1 s of import).  Only
+    # a sweep with more than one worker starts a process pool, so nothing
+    # else may load multiprocessing (14 modules, about 1.7 MB).
+    # The first run freezes the import graph once; later runs must leave
+    # the frozen set alone, and garbage made after it is still collected.
     env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
-    code = ("import sys, cknlab\n"
+    (tmp_path / "grid.ini").write_text(
+        "[sweep]\ncommand = criterion\nd = 3\np = 2.5\n")
+    code = ("import gc, sys, cknlab\n"
+            "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
             "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
-            "lazy = {'scipy.sparse', 'scipy.special'}\n"
+            "lazy = {'scipy.sparse', 'scipy.special', 'multiprocessing'}\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "from cknlab import cli_io\n"
+            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "assert cli_io.run(['criterion', '--d', '3', '--p', '2.5']) == 0\n"
+            "frozen = gc.get_freeze_count()\n"
+            "assert frozen > 0, frozen\n"
             "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
-            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n")
+            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+            "assert cli_io.run(['sweep', '--spec', 'grid.ini', '--out-dir',\n"
+            "                   'swept', '--workers', '1']) == 0\n"
+            "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+            "assert gc.get_freeze_count() == frozen, gc.get_freeze_count()\n"
+            "cycle = []\n"
+            "cycle.append(cycle)\n"
+            "del cycle\n"
+            "assert gc.collect() >= 1\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
