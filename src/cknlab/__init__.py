@@ -56,6 +56,7 @@ from .errors import (
     NewtonDiverged,
     PositivityLoss,
     SearchFailed,
+    SingularSystem,
     StepRejected,
 )
 from .functionals import (
@@ -96,13 +97,7 @@ from .params import (
     thresholds,
     two_sharp_value,
 )
-from .profiles import (
-    gaussian_profile,
-    phi_star,
-    v_star,
-    w_star_critical,
-    w_star_subcritical,
-)
+from .profiles import phi_star
 from .sphere_flows import (
     CounterexampleReport,
     FlowSpec,

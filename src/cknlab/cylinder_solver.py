@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ContinuationStalled,
@@ -52,7 +52,8 @@ from .errors import (
     NegativeSolution,
     NewtonDiverged,
 )
-from .grids import CylinderField, CylinderGrid, brent_root, cylinder_grid
+from .grids import (CylinderField, CylinderGrid, _tridiagonal_solve,
+                    brent_root, cylinder_grid)
 from .params import check_cylinder_exponent, lambda_fs_value
 from .profiles import phi_star
 
@@ -146,8 +147,6 @@ def _symmetric_profile(grid: CylinderGrid, p: float,
     phi = phi_star(grid.s, p, lam)
     peak = (lam * p / 2.0) ** (1.0 / (p - 2.0))
     stall_tol = max(1e-10, 10.0 * np.finfo(float).eps * peak / grid.h ** 2)
-    up = np.append(0.0, off)
-    lo = np.append(off, 0.0)
     best = math.inf
     for it in range(_POLISH_MAX_ITER):
         # a step that leaves the positive cone makes phi^(p-1) NaN; the
@@ -170,7 +169,7 @@ def _symmetric_profile(grid: CylinderGrid, p: float,
                 f"(lam={lam}, p={p})", residual=res, iterations=it)
         best = res
         jac_main = main + lam - (p - 1.0) * phi ** (p - 2.0)
-        phi = phi - solve_banded((1, 1), np.vstack([up, jac_main, lo]), f)
+        phi = phi - _tridiagonal_solve(off, jac_main, off, f)
     raise NewtonDiverged(
         f"symmetric polish used all {_POLISH_MAX_ITER} iterations "
         f"(residual {best:.2e}, lam={lam}, p={p})", residual=best,

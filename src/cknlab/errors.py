@@ -53,6 +53,21 @@ class StepRejected(CknlabError):
         self.dt = dt
 
 
+class SingularSystem(CknlabError):
+    """A linear solve met an exactly singular matrix or a bad argument.
+
+    Attributes
+    ----------
+    info : int
+        The LAPACK status: the 1-based index of the zero pivot when
+        positive, minus the index of the illegal argument when negative.
+    """
+
+    def __init__(self, message: str, info: int):
+        super().__init__(message)
+        self.info = info
+
+
 class PositivityLoss(CknlabError):
     """A flow iterate left the positive cone and could not be rescued."""
 

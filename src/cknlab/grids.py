@@ -16,7 +16,8 @@ tensor product:
 A sampled function holds the grid it lives on (GridFunction1D its
 finite-volume zonal grid, CylinderField its cylinder grid), so integration
 weights and operators always come from that grid and nothing rebuilds it.
-The one scalar root finder of the package, Brent's method, lives here too.
+The one scalar root finder of the package, Brent's method, and the one
+tridiagonal solver, LAPACK's dgtsv, live here too.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DegenerateInput, DomainError, InversionError
+from .errors import (DegenerateInput, DomainError, InversionError,
+                     SingularSystem)
 
 __all__ = [
     "GridFunction1D",
@@ -264,9 +267,10 @@ class FVZonalGrid:
     def n(self) -> int:
         return len(self.centroids)
 
-    def apply_laplacian(self, v: np.ndarray) -> np.ndarray:
-        """The flux-form Laplacian along the last axis of v."""
-        out = self.lap_di * v
+    def apply_laplacian(self, v: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """The flux-form Laplacian along the last axis of v, into out."""
+        out = np.multiply(self.lap_di, v, out=out)
         out[..., :-1] += self.lap_up[:-1] * v[..., 1:]
         out[..., 1:] += self.lap_lo[1:] * v[..., :-1]
         return out
@@ -524,6 +528,27 @@ class CylinderField:
 
     def lp_norm(self, p: float) -> float:
         return self.integrate(np.abs(self.values) ** p) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal solves
+
+
+def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
+                       upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with T x = rhs, T given by its three diagonals (LAPACK dgtsv).
+
+    dgtsv is the routine solve_banded dispatches (1, 1) bands to, so the
+    bytes are the same; calling it directly skips the band packing and
+    the finiteness scan, which callers that can meet NaN do themselves.
+    The inputs are left untouched.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info:
+        why = "zero pivot at row" if info > 0 else "illegal argument"
+        raise SingularSystem(f"tridiagonal solve failed: {why} {abs(info)}",
+                             info=info)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Densities live on the conservative zonal finite-volume grid, so mass
 conservation is a telescoping identity rather than an accuracy
-statement.  Both flows step implicitly: the heat flow by one banded
+statement.  Both flows step implicitly: the heat flow by one tridiagonal
 solve, the nonlinear flow by a damped Newton iteration whose line
-search never leaves the positive cone.  In both cases the accepted
+search never leaves the positive cone and whose start must be positive
+when the diffusion is fast (m < 1).  In both cases the accepted
 state is recomputed from the explicit flux form of the solution, which
 pins the mass to the rounding floor regardless of solver tolerances.
 
@@ -13,7 +14,9 @@ statements are about, so it gets dedicated machinery: exact spectral
 propagation for the heat flow (which also permits the tiny backward
 steps a centered stencil needs) and Runge-Kutta substepping for the
 nonlinear flow, both wrapped in Richardson extrapolation with a
-reported error estimate.
+reported error estimate.  Each stencil state is propagated at most once:
+when h halves, four of the six new stencil times are old ones to the
+bit, so a retry carries those states and propagates two.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
-
 from .errors import (CknlabError, DomainError, PositivityLoss, SearchFailed,
                      StepRejected)
 from .functionals import _check_sphere_exponent, sphere_observables
-from .grids import FVZonalGrid, GridFunction1D, _workspace
+from .grids import (FVZonalGrid, GridFunction1D, _tridiagonal_solve,
+                    _workspace)
 
 __all__ = [
     "FlowSpec",
@@ -54,7 +56,8 @@ _DT_GROWTH = 1.15
 # node-steps a trajectory may take before it is rejected as runaway
 _WORK_CAP = 1_000_000
 # stencil times around t = 0, in units of h: the fourth-order centered
-# difference at h uses the outer four, the one at h/2 the inner four
+# difference at h uses the outer four, the one at h/2 the inner four;
+# after h halves, only the middle two are new times
 _STENCIL = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 _H_FLOOR = 1e-9
 
@@ -204,25 +207,27 @@ def _modes(sphere_dim: int, n_cells: int):
 
 
 def _banded(grid: FVZonalGrid, scale: float,
-            newton_diag: np.ndarray | None = None) -> np.ndarray:
-    """The (1,1)-banded matrix I - scale * L * diag(newton_diag)."""
-    n = grid.n
-    fp = np.ones(n) if newton_diag is None else newton_diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -scale * grid.lap_up[:-1] * fp[1:]
-    ab[1, :] = 1.0 - scale * grid.lap_di * fp
-    ab[2, :-1] = -scale * grid.lap_lo[1:] * fp[:-1]
-    return ab
+            newton_diag: np.ndarray | None = None):
+    """Lower, main and upper diagonals of I - scale * L * diag(newton_diag)."""
+    fp = np.ones(grid.n) if newton_diag is None else newton_diag
+    return (-scale * grid.lap_lo[1:] * fp[:-1],
+            1.0 - scale * grid.lap_di * fp,
+            -scale * grid.lap_up[:-1] * fp[1:])
 
 
 def _heat_step(grid: FVZonalGrid, rho: np.ndarray, dt: float) -> np.ndarray:
-    sol = solve_banded((1, 1), _banded(grid, dt), rho)
+    sol = _tridiagonal_solve(*_banded(grid, dt), rho)
     # explicit flux form of the accepted state: mass telescopes exactly
     return rho + dt * grid.apply_laplacian(sol)
 
 
 def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
               tol: float = 1e-13, max_iter: int = 30) -> np.ndarray:
+    # for m < 1 the diffusivity m x^(m-1) is infinite at a zero cell; the
+    # line search keeps every later iterate positive, so only rho is tested
+    if m < 1.0 and not rho.min() > 0.0:
+        raise PositivityLoss(f"fast diffusion (m={m:.6g}) needs a positive "
+                             f"density")
     x = rho.copy()
     for _ in range(max_iter):
         res = x - dt * grid.apply_laplacian(x ** m) - rho
@@ -232,7 +237,7 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
         # the diffusivity m x^(m-1) degenerates at small x, so the floor
         # lives in the Jacobian only, never in the residual
         fp = np.maximum(m * x ** (m - 1.0), 1e-14)
-        dx = solve_banded((1, 1), _banded(grid, dt, fp), res)
+        dx = _tridiagonal_solve(*_banded(grid, dt, fp), res)
         step = 1.0
         for _ in range(25):
             xn = x - step * dx
@@ -259,7 +264,8 @@ def flow_step(state: FlowState, spec: FlowSpec, dt: float) -> FlowState:
         new = _heat_step(grid, rho, dt)
     else:
         new = _fde_step(grid, rho, dt, spec.diffusion_exponent())
-    if new.min() <= 0.0:
+    # NaN-safe: a NaN state fails the test instead of passing it
+    if not new.min() > 0.0:
         raise PositivityLoss(
             f"density lost positivity at t={state.time + dt:.6g}")
     gf = GridFunction1D(grid, new)
@@ -317,6 +323,18 @@ def integrate(state0: FlowState, spec: FlowSpec,
 # deficit derivative at time zero
 
 
+def _spectral_propagate(modes, coeffs: Sequence[np.ndarray],
+                        times: Sequence[float]) -> np.ndarray:
+    """Heat-flow states at the given times, exact in the eigenbasis.
+
+    State j advances the eigen-coefficients coeffs[j] to times[j] and maps
+    them back to cell values, one matrix-vector product per state.
+    """
+    lam, vecs, sqw = modes
+    return np.array([(vecs @ (np.exp(lam * t) * y)) / sqw
+                     for y, t in zip(coeffs, times)])
+
+
 def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
                    times: Sequence[float], sub_dt: Sequence[float],
                    m: float) -> np.ndarray:
@@ -325,26 +343,49 @@ def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
     Row j starts from starts[j] and takes ceil(|t_j| / sub_dt_j) classical
     Runge-Kutta substeps of its own size.  Rows are sorted by decreasing
     substep count, so the rows still running always form a leading slice.
+    That slice is stepped in place, in six buffers allocated once per
+    call; each row meets the same operations in the same order as when
+    stepped alone, so its result does not depend on the rows around it.
     """
     nsub = [max(1, math.ceil(abs(t) / dt)) for t, dt in zip(times, sub_dt)]
     order = sorted(range(len(nsub)), key=lambda j: -nsub[j])
     v = starts[order]
     hs = np.array([times[j] / nsub[j] for j in order])[:, None]
+    halves, sixths = 0.5 * hs, hs / 6.0
     counts = [nsub[j] for j in order]
+    bufs = np.empty((6, *v.shape))
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return grid.apply_laplacian(np.abs(x) ** m * np.sign(x))
+    def rhs(x, out, power):
+        # L(|x|^m sign x); power is scratch and may not alias x
+        np.abs(x, out=power)
+        power **= m
+        np.copysign(power, x, out=power)
+        grid.apply_laplacian(power, out=out)
 
     na = len(order)
     for i in range(counts[0]):
         while counts[na - 1] <= i:
             na -= 1
-        x, h = v[:na], hs[:na]
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        v[:na] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = v[:na]
+        k1, k2, k3, k4, stage, power = bufs[:, :na]
+        rhs(x, k1, power)
+        np.multiply(halves[:na], k1, out=stage)
+        stage += x
+        rhs(stage, k2, power)
+        np.multiply(halves[:na], k2, out=stage)
+        stage += x
+        rhs(stage, k3, power)
+        np.multiply(hs[:na], k3, out=stage)
+        stage += x
+        rhs(stage, k4, power)
+        # x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        k2 *= 2.0
+        k3 *= 2.0
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= sixths[:na]
+        x += k1
     out = np.empty_like(v)
     out[order] = v
     return out
@@ -359,10 +400,18 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     states stay positive; a row still losing positivity below h = 1e-9
     gives None.  The heat flow propagates exactly in its eigenbasis, one
     matrix-vector product per state; the nonlinear flow substeps all
-    (row, time) pairs of a halving round together.  Every row's value
-    is bit-identical to evaluating that row alone.
+    (row, time) pairs of a halving round together.
+
+    Each (row, time) state is propagated at most once.  A state depends
+    only on its row and its time, and when h halves to h' the new times
+    -2h', -h', h', 2h' are the old -h, -h/2, h/2, h to the bit: scaling
+    by a power of two is exact, so c * (h / 2) and (c / 2) * h are the
+    same double (h stays far above the subnormals).  A retry therefore
+    carries those four states and propagates only the two at +-h'/2.
+    Every row's value is bit-identical to evaluating that row alone.
     """
-    lam, vecs, sqw = _modes(grid.sphere_dim, grid.n)
+    modes = _modes(grid.sphere_dim, grid.n)
+    lam, vecs, sqw = modes
     lmax = float(np.max(np.abs(lam)))
     if spec.kind == "heat":
         # one product per vector: a matrix-matrix product is not
@@ -371,8 +420,8 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
         rate_num = np.array([(vecs @ (lam * y)) / sqw for y in coeffs])
 
         def propagate(rows, times):
-            return np.array([(vecs @ (np.exp(lam * t) * coeffs[i])) / sqw
-                             for i, t in zip(rows, times)])
+            return _spectral_propagate(modes, [coeffs[i] for i in rows],
+                                       times)
     else:
         m = spec.diffusion_exponent()
         diff_max = np.max(m * rhos ** (m - 1.0), axis=-1).tolist()
@@ -388,21 +437,26 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     hs = [min(4e-4, 1.0 / lmax, 0.1 / max(rate, 1.0)) for rate in rates]
     states: dict[int, np.ndarray] = {}
     pending = [i for i, h in enumerate(hs) if h >= _H_FLOOR]
+    carried = None
     while pending:
-        rows = [i for i in pending for _ in _STENCIL]
-        times = [c * hs[i] for i in pending for c in _STENCIL]
-        stack = propagate(rows, times).reshape(len(pending), len(_STENCIL),
-                                               grid.n)
+        coefs = _STENCIL if carried is None else _STENCIL[2:4]
+        fresh = propagate([i for i in pending for _ in coefs],
+                          [c * hs[i] for i in pending for c in coefs]
+                          ).reshape(len(pending), len(coefs), grid.n)
+        stack = fresh if carried is None else np.concatenate(
+            (carried[:, :2], fresh, carried[:, 2:]), axis=1)
         positive = (stack.min(axis=-1) > 0.0).all(axis=-1).tolist()
         retry = []
-        for i, block, ok in zip(pending, stack, positive):
+        for k, (i, ok) in enumerate(zip(pending, positive)):
             if ok:
-                states[i] = block
+                states[i] = stack[k]
             else:
                 hs[i] *= 0.5
                 if hs[i] >= _H_FLOOR:
-                    retry.append(i)
-        pending = retry
+                    retry.append(k)
+        # the outer four states at h / 2 are the inner four at h
+        carried = stack[retry, 1:5]
+        pending = [pending[k] for k in retry]
 
     out: list[DerivativeEstimate | None] = [None] * len(rhos)
     if not states:

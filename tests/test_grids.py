@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import eval_gegenbauer, gamma as gamma_fn
 
@@ -15,6 +16,7 @@ from cknlab import (
     DegenerateInput,
     DomainError,
     InversionError,
+    SingularSystem,
     branch_analysis,
     cylinder_grid,
     cylinder_solver,
@@ -32,6 +34,7 @@ from cknlab import (
 from cknlab import grids
 from cknlab.grids import (
     GridFunction1D,
+    _tridiagonal_solve,
     _workspace,
     brent_root,
     derivative_matrix,
@@ -283,6 +286,21 @@ def test_brent_root_is_bit_identical_to_scipy_brentq():
         if rng.random() < 0.5:
             a, b = b, a
         assert brent_root(f, a, b, **tols) == brentq(f, a, b, **tols)
+
+
+def test_tridiagonal_solve_matches_solve_banded_and_fails_typed():
+    rng = np.random.default_rng(20261019)
+    n = 384
+    lower, upper = rng.uniform(-1.0, 0.0, (2, n - 1))
+    diag = 2.5 + rng.uniform(0.0, 1.0, n)
+    rhs = rng.uniform(-1.0, 1.0, n)
+    band = np.zeros((3, n))
+    band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
+    got = _tridiagonal_solve(lower, diag, upper, rhs)
+    assert got.tobytes() == solve_banded((1, 1), band, rhs).tobytes()
+    with pytest.raises(SingularSystem) as info:
+        _tridiagonal_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    assert info.value.info == 1
 
 
 def test_call_sites_find_the_roots_scipy_finds(monkeypatch):

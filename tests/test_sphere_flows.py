@@ -1,6 +1,7 @@
 """Flow stepping, conservation, deficit monotonicity, and the tilt search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cknlab.sphere_flows import (
     _deficit_derivatives,
     _modes,
     _workspace,
+    flow_step,
     random_smooth_density,
     tilted_density,
 )
@@ -63,6 +65,35 @@ def test_initial_state_validation():
     bad[0] = -0.1
     with pytest.raises(PositivityLoss):
         FlowState.initial(GridFunction1D(rho.grid, bad))
+
+
+def test_fast_diffusion_from_a_zero_cell_fails_typed_and_quietly():
+    # the initial state accepts a zero cell and the heat flow runs from
+    # it; fast diffusion must refuse it before its first Newton step,
+    # where x^(m-1) would be infinite
+    rho = tilted_density(3, 32, 0.3, 2.0)
+    vals = rho.values.copy()
+    vals[0] = 0.0
+    state = FlowState.initial(GridFunction1D(rho.grid, vals))
+    heat = FlowSpec(kind="heat", p=3.0, n_cells=32, t_end=0.01)
+    assert integrate(state, heat).final_state.density.values.min() > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityLoss):
+            integrate(state, FlowSpec(kind="fde", p=3.0, n_cells=32,
+                                      t_end=0.01))
+        # slow diffusion (m > 1) has a finite diffusivity there and runs
+        slow = FlowSpec(kind="fde", p=3.0, m=1.5, n_cells=32, t_end=0.01)
+        assert integrate(state, slow).final_state.density.values.min() > 0.0
+
+
+def test_flow_step_rejects_a_nan_state(monkeypatch):
+    rho = tilted_density(3, 32, 0.3, 2.0)
+    monkeypatch.setattr(sphere_flows, "_heat_step",
+                        lambda grid, rho, dt: np.full_like(rho, np.nan))
+    with pytest.raises(PositivityLoss):
+        flow_step(FlowState.initial(rho), FlowSpec(kind="heat", p=3.0,
+                                                   n_cells=32), 1e-3)
 
 
 def test_uniform_density_is_a_fixed_point():
@@ -232,7 +263,7 @@ def _reference_derivative(grid, rho0, p, spec):
 
 
 @pytest.mark.parametrize("kind", ["heat", "fde"])
-def test_batched_deficit_derivatives_are_bit_identical(kind):
+def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
     # plain rows, rows that need h halvings ((0.65, 22) for heat,
     # (0.41, -22) for fde) and rows that lose positivity at every h
     tilts = [(0.6, -5.0), (0.65, 22.0), (0.41, -22.0), (0.95, 22.0),
@@ -241,6 +272,15 @@ def test_batched_deficit_derivatives_are_bit_identical(kind):
     grid = _workspace(3, 96)
     spec = FlowSpec(kind=kind, p=p, n_cells=96)
     rhos = np.array([tilted_density(3, 96, e, q).values for e, q in tilts])
+    name = "_spectral_propagate" if kind == "heat" else "_rk4_propagate"
+    inner = getattr(sphere_flows, name)
+    handed = []
+
+    def counted(*args):
+        handed.append(list(args[2] if kind == "fde" else args[-1]))
+        return inner(*args)
+
+    monkeypatch.setattr(sphere_flows, name, counted)
     got = _deficit_derivatives(grid, rhos, p, spec)
     refs = [_reference_derivative(grid, rho, p, spec) for rho in rhos]
     assert [est is None for est in got] == [ref is None for ref, _ in refs]
@@ -250,6 +290,23 @@ def test_batched_deficit_derivatives_are_bit_identical(kind):
     # the batch covers both ways the h-halving loop can end
     assert any(ref is not None and n > 0 for ref, n in refs)
     assert any(ref is None for ref, _ in refs)
+    # each state is propagated once: six per row in its first round, then
+    # two new times (+-h/4 of the failed h) per row and halving round; a
+    # row whose first h is already below the floor is never propagated
+    rounds = [n + (ref is not None) for ref, n in refs]
+    assert [len(times) for times in handed] == [
+        (6 if k == 0 else 2) * sum(r > k for r in rounds)
+        for k in range(max(rounds))]
+    for times in handed[1:]:
+        assert times[0::2] == [-t for t in times[1::2]]
+
+
+def test_fde_search_certificate_is_pinned():
+    # p = 5.5 < 2* = 6 keeps the fde deficit monotone; the scan's best
+    # value is the certificate, and the propagation must keep its bits
+    with pytest.raises(SearchFailed) as info:
+        counterexample_search(3, 5.5, flow_kind="fde")
+    assert info.value.best_value == -1.382233879733955e-10
 
 
 def test_search_with_every_candidate_skipped_fails_typed(monkeypatch):
