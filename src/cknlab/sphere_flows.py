@@ -439,10 +439,10 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     pending = [i for i, h in enumerate(hs) if h >= _H_FLOOR]
     carried = None
     while pending:
-        coefs = _STENCIL if carried is None else _STENCIL[2:4]
-        fresh = propagate([i for i in pending for _ in coefs],
-                          [c * hs[i] for i in pending for c in coefs]
-                          ).reshape(len(pending), len(coefs), grid.n)
+        stencil = _STENCIL if carried is None else _STENCIL[2:4]
+        fresh = propagate([i for i in pending for _ in stencil],
+                          [c * hs[i] for i in pending for c in stencil]
+                          ).reshape(len(pending), len(stencil), grid.n)
         stack = fresh if carried is None else np.concatenate(
             (carried[:, :2], fresh, carried[:, 2:]), axis=1)
         positive = (stack.min(axis=-1) > 0.0).all(axis=-1).tolist()

@@ -277,6 +277,8 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
     handed = []
 
     def counted(*args):
+        # the times: _rk4_propagate(grid, starts, times, sub_dt, m),
+        # _spectral_propagate(modes, coeffs, times)
         handed.append(list(args[2] if kind == "fde" else args[-1]))
         return inner(*args)
 
