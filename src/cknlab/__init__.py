@@ -37,7 +37,6 @@ from .cylinder_solver import (
     cylinder_grid,
     default_grid,
     linearized_spectrum,
-    newton_solve,
     solve_symmetric,
     symmetric_quotient,
 )
@@ -52,7 +51,6 @@ from .errors import (
     GroundStateFailed,
     InsufficientSamples,
     InversionError,
-    NegativeSolution,
     NewtonDiverged,
     PositivityLoss,
     SearchFailed,
@@ -63,14 +61,8 @@ from .functionals import (
     PressureField,
     cylinder_quotient,
     gaussian_h,
-    h_functional,
     k_functional,
-    pressure_from_density,
-    sphere_deficit,
-    sphere_entropy,
-    sphere_fisher,
     sphere_observables,
-    weighted_fisher,
 )
 from .grids import (
     CylinderField,
@@ -104,7 +96,6 @@ from .sphere_flows import (
     FlowState,
     FlowTrajectory,
     counterexample_search,
-    deficit_derivative,
     integrate,
     random_smooth_density,
     tilted_density,

@@ -14,7 +14,8 @@ command-line flags.  Unknown config keys are rejected and every numeric
 setting is range-checked no matter which layer supplied it.
 
 Exit codes: 0 on success, 1 on usage errors (the message names the
-offending flag), 2 on admissibility or configuration errors, 3 on
+offending flag), 2 on admissibility or configuration errors and on files
+that cannot be read or written (the message names the path), 3 on
 solver failures.
 """
 
@@ -519,8 +520,8 @@ def _run_flow(opts: dict, out: Path | None, args) -> tuple[list, dict]:
     if out is None:
         raise UsageError("--out is required for 'flow'")
     spec = sphere_flows.FlowSpec(
-        kind=opts["kind"], p=opts["p"], m=opts["m"], n_cells=opts["n_cells"],
-        t_end=opts["t_end"], dt_init=opts["dt_init"], dt_max=opts["dt_max"])
+        kind=opts["kind"], p=opts["p"], m=opts["m"], t_end=opts["t_end"],
+        dt_init=opts["dt_init"], dt_max=opts["dt_max"])
     rho0 = _initial_density(opts)
     traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho0), spec)
     _write_csv(out, ("time", "mass", "E_p", "I_p", "deficit"),
@@ -693,7 +694,7 @@ def _check_translation_mode():
 def _check_monotone(kind: str, p: float, t_end: float, rel_slack: float):
     """Deficit never rises along the flow and mass is conserved."""
     rho = sphere_flows.tilted_density(3, 64, 0.4, 2.0)
-    spec = sphere_flows.FlowSpec(kind=kind, p=p, n_cells=64, t_end=t_end)
+    spec = sphere_flows.FlowSpec(kind=kind, p=p, t_end=t_end)
     traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho), spec)
     rise = float(np.max(np.diff(traj.deficits), initial=0.0))
     slack = rel_slack * max(1.0, abs(float(traj.deficits[0])))
@@ -1034,6 +1035,11 @@ def run(argv=None) -> int:
     except CknlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
+    except OSError as exc:
+        # an unwritable --out or --out-dir, met when the artifact is written
+        print(f"error: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return _EXIT_ADMISSIBLE
 
 
 def main() -> None:

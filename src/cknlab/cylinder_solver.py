@@ -31,10 +31,9 @@ ILU keeps no fill, so it stays well below the memory that the corrector
 LUs and the stored branch fields need.  Skipping COLAMD altogether (NATURAL
 on the s-major unknowns) was rejected: that LU rounds differently, and
 corrector residuals sitting at the floor just below _NEWTON_TOL then change
-the Newton iteration counts of the branch.  scipy.sparse is imported by
-the code that factors (_newton_2d, _BorderedKeller), so processes that
-never solve on the cylinder, such as params, criterion and the sphere
-flows, do not load it.
+the Newton iteration counts of the branch.  scipy.sparse is imported
+only inside _BorderedKeller, so processes that never continue a branch,
+such as params, criterion and the sphere flows, do not load it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .errors import (
     ContinuationStalled,
     DomainError,
     EigFailed,
-    NegativeSolution,
     NewtonDiverged,
 )
 from .grids import (CylinderField, CylinderGrid, _tridiagonal_solve,
@@ -64,7 +62,6 @@ __all__ = [
     "solve_symmetric",
     "symmetric_quotient",
     "linearized_spectrum",
-    "newton_solve",
     "angular_amplitude",
     "ContinuationConfig",
     "BranchPoint",
@@ -72,8 +69,6 @@ __all__ = [
     "continue_branch",
 ]
 
-_ZERO_FLOOR = 1e-13
-_NEGATIVE_TOL = 1e-8
 # the symmetric polish stops below this sup-residual and fails after
 # this many Newton iterations; see _symmetric_profile for its stall rule
 _POLISH_TOL = 1e-12
@@ -247,7 +242,7 @@ def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
 
 
 # ---------------------------------------------------------------------------
-# zonal Newton solver
+# the zonal equation and its Jacobian pattern
 
 def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
                  u: np.ndarray) -> np.ndarray:
@@ -256,22 +251,22 @@ def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
     return out + lam * u - np.maximum(u, 0.0) ** (p - 1.0)
 
 
-def _stencil_csc(grid: CylinderGrid, main, off, border: bool):
-    """CSC arrays of the fixed operator -d2/ds2 - Lap_omega, natural order.
+def _stencil_csc(grid: CylinderGrid, main, off):
+    """CSC pattern of the bordered Keller matrix, natural order.
 
     Unknowns are s-major (index j * nz + k).  Column j * nz + k holds, in
     increasing row order, the s-neighbour below (off[j-1]), the zonal
     block -Lap_z[:, k] with main[j] - Lap_z[k, k] on the diagonal, and the
     s-neighbour above (off[j]).  The full Jacobian adds the diagonal
-    lam - (p-1) u_+^(p-2) to it.  With border, every column also ends in
-    row n (the tangent row) and column n (rows 0..n: the u column and the
-    corner) is appended, all zero: the pattern of the bordered Keller
-    matrix.  Returns (data, indices, indptr, diag) with int32 indices and
-    diag the slot of each diagonal entry.
+    lam - (p-1) u_+^(p-2) to it.  Every column also ends in row n (the
+    tangent row), and column n (rows 0..n: the u column and the corner)
+    is appended; the border entries are zero.  Returns (data, indices,
+    indptr, diag) with int32 indices and diag the slot of each diagonal
+    entry.
     """
     m, nz = grid.m_cells, grid.nz
     n = m * nz
-    width = nz + 2 + int(border)
+    width = nz + 3
     k = np.arange(nz, dtype=np.int32)
     rows = np.empty((m, nz, width), dtype=np.int32)
     vals = np.zeros((m, nz, width))
@@ -279,7 +274,7 @@ def _stencil_csc(grid: CylinderGrid, main, off, border: bool):
     rows[:, :, 0] = base + k - nz
     rows[:, :, 1:nz + 1] = (base + k)[:, None, :]
     rows[:, :, nz + 1] = base + k + nz
-    rows[:, :, nz + 2:] = n
+    rows[:, :, nz + 2] = n
     vals[:, :, 0] = np.append(0.0, off)[:, None]
     vals[:, :, 1:nz + 1] = -grid.lap_z.T
     vals[:, k, k + 1] = main[:, None] - np.diag(grid.lap_z)
@@ -293,85 +288,14 @@ def _stencil_csc(grid: CylinderGrid, main, off, border: bool):
     np.cumsum(keep.sum(axis=2), out=indptr[1:])
     diag = indptr[:-1] + np.tile(k + 1, m)
     diag[:nz] -= 1
-    if border:
-        indices = np.concatenate([indices, np.arange(n + 1, dtype=np.int32)])
-        data = np.concatenate([data, np.zeros(n + 1)])
-        indptr = np.append(indptr, np.int32(len(indices)))
+    indices = np.concatenate([indices, np.arange(n + 1, dtype=np.int32)])
+    data = np.concatenate([data, np.zeros(n + 1)])
+    indptr = np.append(indptr, np.int32(len(indices)))
     return data, indices, indptr, diag
 
 
 def _diag_term(p: float, lam: float, u: np.ndarray) -> np.ndarray:
     return (lam - (p - 1.0) * np.maximum(u, 0.0) ** (p - 2.0)).ravel()
-
-
-def _newton_2d(grid: CylinderGrid, main, off, p: float, lam: float,
-               u0: np.ndarray, tol: float, max_iter: int):
-    """Damped Newton for the zonal problem; None on failure.
-
-    The line search accepts any step that beats a modest Armijo-flavored
-    decrease of the sup-residual.  Without it, full steps from a perturbed
-    start routinely overshoot into the concave region of u^(p-1) and
-    oscillate.
-    """
-    # imported here, not at module level: only the 2-D solves factor a
-    # matrix, and scipy.sparse would add its start-up to every process
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-    data, indices, indptr, diag = _stencil_csc(grid, main, off, border=False)
-    jac = csc_matrix((data, indices, indptr), shape=(u0.size, u0.size))
-    fixed_diag = data[diag]
-    u = u0.copy()
-    f = _residual_2d(grid, main, off, p, lam, u)
-    nrm = float(np.max(np.abs(f)))
-    for it in range(max_iter):
-        if nrm < tol:
-            return u, it, nrm
-        jac.data[diag] = fixed_diag + _diag_term(p, lam, u)
-        du = splu(jac).solve(f.ravel()).reshape(u.shape)
-        step = 1.0
-        for _ in range(25):
-            u_new = u - step * du
-            f_new = _residual_2d(grid, main, off, p, lam, u_new)
-            nrm_new = float(np.max(np.abs(f_new)))
-            if nrm_new < nrm * (1.0 - 0.1 * step) or nrm_new < tol:
-                break
-            step *= 0.5
-        else:
-            return None, it, nrm
-        u, f, nrm = u_new, f_new, nrm_new
-    return None, max_iter, nrm
-
-
-def newton_solve(init: CylinderField, Lambda: float, tol: float = 1e-10,
-                 max_iter: int = 60) -> CylinderField:
-    """Solve the zonal cylinder equation from a caller-supplied start.
-
-    The nonlinearity uses the positive part, so sign-indefinite iterates
-    cannot feed complex powers; a converged solution with a genuinely
-    negative trough is rejected as NegativeSolution, while roundoff-level
-    undershoots are clamped.  The identically-zero fixed point is a valid
-    output here (it is a solution); callers building branch points must
-    test for it.
-    """
-    if init.p is None:
-        raise DomainError("initial field carries no exponent p")
-    grid = init.grid
-    check_cylinder_exponent(grid.d, init.p)
-    if Lambda <= 0.0:
-        raise DomainError(f"need Lambda > 0, got {Lambda}")
-    main, off = _s_operator(grid.m_cells, grid.h, "even")
-    u, iters, res = _newton_2d(grid, main, off, init.p, Lambda,
-                               init.values, tol, max_iter)
-    if u is None:
-        raise NewtonDiverged(
-            f"zonal Newton failed at Lambda={Lambda} (residual {res:.2e})",
-            residual=res, iterations=iters)
-    peak = float(np.max(np.abs(u)))
-    if peak > _ZERO_FLOOR and float(np.min(u)) < -_NEGATIVE_TOL * peak:
-        raise NegativeSolution(
-            f"converged profile dips to {float(np.min(u)):.2e} "
-            f"against peak {peak:.2e}")
-    return grid.field(np.maximum(u, 0.0), p=init.p, Lambda=Lambda)
 
 
 def angular_amplitude(phi: CylinderField) -> float:
@@ -513,8 +437,7 @@ class _BorderedKeller:
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import spilu
         n = grid.m_cells * grid.nz
-        data, indices, indptr, diag = _stencil_csc(grid, main, off,
-                                                   border=True)
+        data, indices, indptr, diag = _stencil_csc(grid, main, off)
         self._fixed_diag = data[diag]
         # Any nonsingular values do, since the column order depends on the
         # pattern alone: J = fixed + I, a zero u column and the row e_n.

@@ -72,11 +72,6 @@ class PositivityLoss(CknlabError):
     """A flow iterate left the positive cone and could not be rescued."""
 
 
-class NegativeSolution(CknlabError):
-    """A nonlinear solve converged to a sign-indefinite profile where a
-    positive one was required."""
-
-
 class NewtonDiverged(CknlabError):
     """Newton iteration exceeded its iteration budget or its residual grew."""
 

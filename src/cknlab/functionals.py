@@ -1,11 +1,11 @@
-"""Entropies, Fisher informations, pressure fields, and quotient forms.
+"""Sphere entropies, the curvature remainder, and quotient forms.
 
 Sphere-side functionals act on densities on the conservative zonal
 finite-volume grid: entropy, Fisher information and deficit are written
 once, in sphere_observables, for a stack of densities, with the cell
 masses as quadrature and the grid's Dirichlet form as gradient energy.
-Weighted-space functionals act on tensor-grid densities through the
-pressure variable.  Derivatives are taken directly in r, after
+The curvature remainder acts on a pressure field on the tensor grid of
+the weighted space.  Derivatives are taken directly in r, after
 subtracting a reference slice in each direction, so that polynomial
 radial pressures differentiate exactly and the constant part of the
 field never reaches the 1/r^2-amplified stencil weights near the inner
@@ -21,20 +21,14 @@ import numpy as np
 
 from . import params as params_mod
 from .errors import DegenerateInput, DomainError
-from .grids import CylinderField, FVZonalGrid, GridFunction1D, TensorGrid
+from .grids import CylinderField, FVZonalGrid, TensorGrid
 from .params import CKNParams, mu_star, sphere_area
 
 __all__ = [
     "sphere_observables",
-    "sphere_entropy",
-    "sphere_fisher",
-    "sphere_deficit",
     "PressureField",
-    "pressure_from_density",
     "density_from_pressure",
-    "weighted_fisher",
     "k_functional",
-    "h_functional",
     "cylinder_quotient",
     "gaussian_h",
 ]
@@ -75,30 +69,6 @@ def sphere_observables(grid: FVZonalGrid, rhos: np.ndarray,
     return np.stack([mass, ent, fish, fish - grid.sphere_dim * ent], axis=-1)
 
 
-def _checked_observables(rho: GridFunction1D, p: float) -> np.ndarray:
-    _check_sphere_exponent(rho.grid.sphere_dim, p)
-    if np.any(rho.values < 0.0):
-        raise DegenerateInput("density has negative values")
-    if rho.mass <= 0.0:
-        raise DegenerateInput("density has zero mass")
-    return sphere_observables(rho.grid, rho.values[None], p)[0]
-
-
-def sphere_entropy(rho: GridFunction1D, p: float) -> float:
-    """Generalized entropy of a zonal density; see sphere_observables."""
-    return float(_checked_observables(rho, p)[1])
-
-
-def sphere_fisher(rho: GridFunction1D, p: float) -> float:
-    """Generalized Fisher information of a zonal density."""
-    return float(_checked_observables(rho, p)[2])
-
-
-def sphere_deficit(rho: GridFunction1D, p: float) -> float:
-    """Fisher information minus d times the entropy; nonnegative."""
-    return float(_checked_observables(rho, p)[3])
-
-
 # ---------------------------------------------------------------------------
 # pressure fields on the weighted space
 
@@ -130,18 +100,8 @@ def _flow_exponents(params: CKNParams):
     return params.m, params.n, params.alpha
 
 
-def pressure_from_density(u: np.ndarray, params: CKNParams,
-                          grid: TensorGrid) -> PressureField:
-    """Pressure p = (m/(1-m)) u^(m-1) of a positive density."""
-    m, n, alpha = _flow_exponents(params)
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise DegenerateInput("density must be strictly positive")
-    return PressureField(grid, (m / (1.0 - m)) * u ** (m - 1.0), m, n, alpha)
-
-
 def density_from_pressure(pf: PressureField) -> np.ndarray:
-    """Invert the pressure map; defined wherever the pressure is positive."""
+    """Density u of the pressure p = (m/(1-m)) u^(m-1); needs p > 0."""
     if np.any(pf.values <= 0.0):
         raise DegenerateInput("pressure must be positive to invert")
     m = pf.m
@@ -172,23 +132,6 @@ def _field_derivatives(grid: TensorGrid, P: np.ndarray):
     pz = bz @ grid.Dz.T
     pzz = bz @ grid.Dzz.T
     return pr, prr, pz, pzz
-
-
-def weighted_fisher(u: np.ndarray, params: CKNParams,
-                    grid: TensorGrid) -> float:
-    """Fisher information of u relative to the weighted measure.
-
-    Integrates u (alpha^2 p_r^2 + (1-z^2) p_z^2 / r^2) with p the
-    pressure of u.
-    """
-    m, n, alpha = _flow_exponents(params)
-    pf = pressure_from_density(u, params, grid)
-    pr, _, pz, _ = _field_derivatives(grid, pf.values)
-    r2 = (grid.r ** 2)[:, None]
-    dens = np.asarray(u, dtype=float)
-    integrand = dens * (alpha ** 2 * pr * pr
-                        + (1.0 - grid.z ** 2)[None, :] * pz * pz / r2)
-    return float(np.sum(_measure_weights(grid, n) * integrand))
 
 
 def k_functional(pf: PressureField, params: CKNParams,
@@ -227,62 +170,6 @@ def k_functional(pf: PressureField, params: CKNParams,
     um = density_from_pressure(pf) ** m
     integral = float(np.sum(_measure_weights(grid, n) * field * um))
     return field, integral
-
-
-def _adjoint_second_order(pf: PressureField):
-    """The operator alpha^2 (p'' + (n-1)p'/r) + Delta_omega p / r^2.
-
-    This is the negative of the formal adjoint square of the weighted
-    derivative, the sign being fixed by the integration-by-parts
-    identity against u.
-    """
-    grid = pf.grid
-    z = grid.z
-    pr, prr, pz, pzz = _field_derivatives(grid, pf.values)
-    lap_omega = (1.0 - z * z)[None, :] * pzz - (grid.d - 1.0) * z[None, :] * pz
-    n, alpha = pf.n, pf.alpha
-    rr = grid.r[:, None]
-    return alpha ** 2 * (prr + (n - 1.0) * pr / rr) + lap_omega / (rr * rr)
-
-
-def h_functional(u: np.ndarray, params: CKNParams, grid: TensorGrid,
-                 zeta_star: float = 1.0, variant: str = "weighted") -> float:
-    """Second entropy derivative surrogate along the nonlinear flow.
-
-    H = (m - m1) * variance term + integral of (K + (m - m1) (Lp)^2)
-    against u^m dmu, with m1 = 1 - 1/n.  The published centering of the
-    variance term weighs the Fisher integrand inconsistently; "weighted"
-    centers L p by its u^m-average (the convention under which quadratic
-    pressures give H = 0 exactly) and "as_written" reproduces the other
-    reading.  Both are exposed deliberately.
-    """
-    m, n, alpha = _flow_exponents(params)
-    m1 = 1.0 - 1.0 / n
-    if m < m1 - 1e-12:
-        raise DomainError(f"needs m >= 1 - 1/n = {m1}, got m={m}")
-    pf = pressure_from_density(u, params, grid)
-    lp = _adjoint_second_order(pf)
-    wmat = _measure_weights(grid, n)
-    um = np.asarray(u, dtype=float) ** m
-    mass_m = float(np.sum(wmat * um))
-    k_field, k_int = k_functional(pf, params, zeta_star)
-    if variant == "weighted":
-        fisher = weighted_fisher(u, params, grid)
-        center = fisher / mass_m
-        variance = float(np.sum(wmat * um * (lp - center) ** 2))
-    elif variant == "as_written":
-        pr, _, pz, _ = _field_derivatives(grid, pf.values)
-        fisher_um = float(np.sum(
-            wmat * um * np.asarray(u, dtype=float)
-            * ((alpha * pr) ** 2
-               + (1.0 - grid.z ** 2)[None, :]
-               * pz ** 2 / (grid.r ** 2)[:, None])))
-        center = fisher_um / mass_m
-        variance = float(np.sum(wmat * (lp - center) ** 2))
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    correction = float(np.sum(wmat * um * lp * lp))
-    return (m - m1) * variance + k_int + (m - m1) * correction
 
 
 # ---------------------------------------------------------------------------

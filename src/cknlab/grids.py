@@ -404,7 +404,6 @@ class TensorGrid:
 
     d: int
     r: np.ndarray
-    t: np.ndarray
     wt: np.ndarray
     z: np.ndarray
     wz: np.ndarray
@@ -437,7 +436,7 @@ def tensor_grid(d: int, r_lo: float = 1e-4, r_hi: float = 1e4,
     Drr = derivative_matrix(r, 2)
     Dz = derivative_matrix(z, 1)
     Dzz = derivative_matrix(z, 2)
-    return TensorGrid(d, r, t, wt, z, wz, Dr, Drr, Dz, Dzz)
+    return TensorGrid(d, r, wt, z, wz, Dr, Drr, Dz, Dzz)
 
 
 # ---------------------------------------------------------------------------

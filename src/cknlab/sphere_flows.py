@@ -41,7 +41,6 @@ __all__ = [
     "CounterexampleReport",
     "flow_step",
     "integrate",
-    "deficit_derivative",
     "counterexample_search",
     "tilted_density",
     "random_smooth_density",
@@ -74,7 +73,6 @@ class FlowSpec:
     kind: str
     p: float
     m: float | None = None
-    n_cells: int = 96
     t_end: float = 1.0
     dt_init: float = 1e-4
     dt_max: float = 2e-2
@@ -98,8 +96,6 @@ class FlowSpec:
         if not 0.0 < self.dt_init <= self.dt_max:
             raise DomainError(f"need 0 < dt_init <= dt_max, got "
                               f"({self.dt_init}, {self.dt_max})")
-        if self.n_cells < 8:
-            raise DomainError(f"need at least 8 cells, got {self.n_cells}")
 
     def diffusion_exponent(self) -> float:
         """The m actually used by an fde step."""
@@ -278,7 +274,8 @@ def integrate(state0: FlowState, spec: FlowSpec,
     """Run the flow to t_end, sampling observables at every state.
 
     The step grows by _DT_GROWTH up to dt_max and halves whenever the
-    inner solver rejects; total work is capped at _WORK_CAP node-steps.
+    inner solver rejects; total work, the density's cells times the
+    accepted steps, is capped at _WORK_CAP node-steps.
     Mass conservation is enforced, not merely reported: drifting off
     the initial mass beyond the contract tolerance aborts the run.
     """
@@ -310,7 +307,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
                                          spec.p)[0]))
         for fn in obs:
             fn(state)
-        work += spec.n_cells
+        work += grid.n
         if work > _WORK_CAP:
             raise StepRejected(
                 f"trajectory work cap {_WORK_CAP} node-steps exceeded "
@@ -475,28 +472,6 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     return out
 
 
-def deficit_derivative(rho0: GridFunction1D, p: float,
-                       spec: FlowSpec) -> DerivativeEstimate:
-    """Initial rate of change of the deficit along the chosen flow.
-
-    Centered fourth-order differencing in time around t = 0 plus one
-    Richardson round; the reported error combines the extrapolation
-    residual with an amplification model for the backward half of the
-    stencil.  Densities that cannot be propagated backward without
-    losing positivity are rejected rather than silently one-sided.
-    """
-    grid = rho0.grid
-    _check_sphere_exponent(grid.sphere_dim, p)
-    vals = rho0.values
-    if vals.min() <= 0.0:
-        raise PositivityLoss("deficit derivative needs a positive density")
-    est = _deficit_derivatives(grid, vals[None], p, spec)[0]
-    if est is None:
-        raise PositivityLoss(
-            "backward propagation cannot stay positive at any usable step")
-    return est
-
-
 # ---------------------------------------------------------------------------
 # densities and the counterexample search
 
@@ -536,7 +511,7 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
     """
     grid = _workspace(d, n_cells)
     _check_sphere_exponent(d, p)
-    spec = FlowSpec(kind=flow_kind, p=p, n_cells=n_cells)
+    spec = FlowSpec(kind=flow_kind, p=p)
 
     qs = np.concatenate([np.linspace(-4.0 * p, -1.0, 20),
                          np.linspace(1.0, 4.0 * p, 20)])

@@ -78,7 +78,7 @@ def heat_flows():
     rng = np.random.default_rng(20230505)
     records = []
     for p in (3.0, 4.5):
-        spec = FlowSpec(kind="heat", p=p, n_cells=64, t_end=0.3)
+        spec = FlowSpec(kind="heat", p=p, t_end=0.3)
         for _ in range(20):
             rho0 = random_smooth_density(3, 64, rng)
             records.append(_audit_flow("heat", p, rho0, spec))
@@ -91,7 +91,7 @@ def fde_flows():
     rng = np.random.default_rng(20230606)
     records = []
     for p in FDE_EXPONENTS:
-        spec = FlowSpec(kind="fde", p=p, n_cells=64, t_end=0.1)
+        spec = FlowSpec(kind="fde", p=p, t_end=0.1)
         inits = [tilted_density(3, 64, 0.4, 2.0)]
         inits += [random_smooth_density(3, 64, rng) for _ in range(3)]
         records += [_audit_flow("fde", p, rho0, spec) for rho0 in inits]
@@ -203,7 +203,7 @@ def test_05_heat_deficit_monotone_and_counterexample(heat_flows):
 
 def test_06_fast_diffusion_deficit_monotone(fde_flows):
     for p in FDE_EXPONENTS:
-        spec = FlowSpec(kind="fde", p=p, n_cells=64, t_end=0.1)
+        spec = FlowSpec(kind="fde", p=p, t_end=0.1)
         # the default diffusion exponent is 1 - 1/n at n = 2p/(p-2)
         n = 2.0 * p / (p - 2.0)
         assert abs(spec.diffusion_exponent() - (1.0 - 1.0 / n)) < 1e-15

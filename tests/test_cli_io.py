@@ -78,6 +78,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["flow", "--d", "3", "--p", "3.0"],          # --out is required
         ["flow", "--d", "3", "--p", "3.0", "--epsilon", "1.5",
          "--out", str(tmp_path / "t.csv")],          # out of range
+        ["flow", "--d", "3", "--p", "3.0", "--n-cells", "4",
+         "--out", str(tmp_path / "t.csv")],          # too few cells
         ["params", "--d", "5"],                      # cylinder mode needs p
     )
     for argv in cases:
@@ -89,6 +91,28 @@ def test_admissibility_errors_exit_two(capsys):
     # p = 3.5 sits above the critical exponent 10/3 in dimension five
     assert run(["params", "--d", "5", "--p", "3.5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_two(tmp_path, capsys):
+    # one error line that names the path, also where the flow has run
+    # before its artifact is written
+    missing = tmp_path / "missing"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    spec = tmp_path / "grid.ini"
+    spec.write_text("[sweep]\ncommand = criterion\nd = 3\np = 2.5\n")
+    cases = (
+        (["params", "--d", "5", "--p", "2.8", "--out",
+          str(missing / "x.json")], missing / "x.json"),
+        (["flow", "--d", "3", "--p", "3.0", "--n-cells", "16", "--t-end",
+          "0.01", "--out", str(missing / "t.csv")], missing / "t.csv"),
+        (["sweep", "--spec", str(spec), "--out-dir", str(a_file)], a_file),
+    )
+    for argv, path in cases:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: cannot write {path}: "), err
 
 
 def test_failed_search_exits_three(capsys):

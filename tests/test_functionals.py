@@ -1,4 +1,4 @@
-"""Entropy, Fisher information, curvature remainders, and quotients."""
+"""Sphere entropies, curvature remainders, and quotients."""
 
 import math
 from functools import lru_cache
@@ -16,16 +16,11 @@ from cknlab import (
     cylinder_grid,
     derive_params,
     gaussian_h,
-    h_functional,
     k_functional,
-    pressure_from_density,
     solve_symmetric,
-    sphere_deficit,
-    sphere_entropy,
-    sphere_fisher,
+    sphere_observables,
     symmetric_quotient,
     tensor_grid,
-    weighted_fisher,
 )
 from cknlab.functionals import density_from_pressure
 from cknlab.grids import GridFunction1D, fv_zonal_grid
@@ -43,12 +38,18 @@ def quadratic_pressure(rec, grid, a=1.0, b=0.7):
     return PressureField(grid, values, rec.m, rec.n, rec.alpha)
 
 
+def observables(rho, p):
+    """(mass, entropy, fisher, deficit) of one density."""
+    return sphere_observables(rho.grid, rho.values[None], p)[0]
+
+
 def test_uniform_density_has_zero_deficit():
     rho = GridFunction1D(fv_zonal_grid(3, 32), np.ones(32))
     for p in (2.0, 2.5, 4.0):
-        assert abs(sphere_entropy(rho, p)) < 1e-14
-        assert abs(sphere_fisher(rho, p)) < 1e-24
-        assert abs(sphere_deficit(rho, p)) < 1e-13
+        _, entropy, fisher, deficit = observables(rho, p)
+        assert abs(entropy) < 1e-14
+        assert abs(fisher) < 1e-24
+        assert abs(deficit) < 1e-13
 
 
 def test_deficit_nonnegative_on_random_densities():
@@ -56,37 +57,29 @@ def test_deficit_nonnegative_on_random_densities():
     for _ in range(20):
         rho = random_smooth_density(3, 64, rng)
         for p in (2.5, 4.0):
-            assert sphere_deficit(rho, p) > -1e-10
+            assert observables(rho, p)[3] > -1e-10
 
 
 def test_entropy_nonnegative_and_continuous_through_two():
     rho = tilted_density(2, 48, 0.4, 2.0)
-    assert sphere_entropy(rho, 3.0) >= 0.0
-    e2 = sphere_entropy(rho, 2.0)
+    assert observables(rho, 3.0)[1] >= 0.0
+    e2 = observables(rho, 2.0)[1]
     assert e2 > 0.0
     for dp in (1e-6, -1e-6):
-        assert abs(sphere_entropy(rho, 2.0 + dp) - e2) < 1e-6
-
-
-def test_sphere_functionals_reject_bad_densities():
-    grid = fv_zonal_grid(3, 16)
-    negative = GridFunction1D(grid, np.linspace(-1.0, 1.0, 16))
-    with pytest.raises(DegenerateInput):
-        sphere_entropy(negative, 3.0)
-    rho = GridFunction1D(grid, np.ones(16))
-    with pytest.raises(DomainError):
-        sphere_fisher(rho, 7.0)
+        assert abs(observables(rho, 2.0 + dp)[1] - e2) < 1e-6
 
 
 def test_pressure_density_roundtrip():
     rec = subcritical_record()
     grid = tensor_grid(3, 1e-2, 1e2, n_panels=24, n_nodes=6, nz=12)
     u = grid.sample(lambda r, z: np.exp(-0.3 * r) * (1.2 + 0.1 * z))
-    pf = pressure_from_density(u, rec, grid)
-    back = density_from_pressure(pf)
-    np.testing.assert_allclose(back, u, rtol=1e-12)
+    # the pressure of u in closed form
+    pressure = rec.m / (1.0 - rec.m) * u ** (rec.m - 1.0)
+    pf = PressureField(grid, pressure, rec.m, rec.n, rec.alpha)
+    np.testing.assert_allclose(density_from_pressure(pf), u, rtol=1e-12)
     with pytest.raises(DegenerateInput):
-        pressure_from_density(0.0 * u, rec, grid)
+        density_from_pressure(
+            PressureField(grid, 0.0 * pressure, rec.m, rec.n, rec.alpha))
 
 
 def test_curvature_remainder_vanishes_on_quadratic_pressure():
@@ -151,21 +144,10 @@ def test_curvature_remainder_rejections():
                         m=0.4)
     with pytest.raises(DomainError):
         k_functional(quadratic_pressure(shallow, grid), shallow)
+    # a record without flow exponents
     bare = CKNParams(mode="critical", d=3, p=2.5, a=0.1, b=0.3)
     with pytest.raises(DomainError):
-        pressure_from_density(np.ones((len(grid.r), len(grid.z))), bare, grid)
-
-
-def test_entropy_curvature_surrogate_zero_on_quadratic_pressure():
-    rec = subcritical_record()
-    grid = tensor_grid(3, 1e-2, 1e2, n_panels=48, n_nodes=8, nz=16)
-    pf = quadratic_pressure(rec, grid)
-    u = density_from_pressure(pf)
-    assert abs(h_functional(u, rec, grid)) < 1e-12
-    assert abs(h_functional(u, rec, grid, variant="as_written")) < 1e-12
-    with pytest.raises(DomainError):
-        h_functional(u, rec, grid, variant="folk")
-    assert weighted_fisher(u, rec, grid) > 0.0
+        k_functional(pf, bare)
 
 
 def test_cylinder_quotient_matches_line_solver():

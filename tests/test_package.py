@@ -1,4 +1,4 @@
-"""The package surface: exported names exist and are declared."""
+"""The package surface: exported names exist, are declared, and are used."""
 
 import ast
 import importlib
@@ -29,6 +29,42 @@ def test_public_names_resolve():
             continue
         for alias in node.names:
             assert alias.name in declared, f"cknlab.{node.module}.{alias.name}"
+
+
+# Module-level definitions that nothing in the package calls, kept for the
+# check each one serves.  Any other such definition is dead code.
+KEPT_WITHOUT_CALLER = {
+    # the quotient computed independently of the solver, which the tests
+    # check the solver's own quotients against
+    "cylinder_quotient",
+    # acceptance criterion 09: the Gaussian quotient dips below one
+    "gaussian_h",
+    # acceptance criterion 04: the closed-form constant against quadrature
+    "log_radial_quadrature",
+}
+
+
+def test_every_library_definition_has_a_caller():
+    src = Path(cknlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {node.name: f"{stem}.{node.name}"
+                for stem, tree in trees.items()
+                if stem not in ("__init__", "__main__")
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and node.name not in referenced}
+    # equality: an allowance whose name is gone or has gained a caller
+    # must go as well
+    assert set(uncalled) == KEPT_WITHOUT_CALLER, sorted(uncalled.values())
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):

@@ -15,7 +15,6 @@ from cknlab import (
     SearchFailed,
     StepRejected,
     counterexample_search,
-    deficit_derivative,
     integrate,
     sphere_flows,
 )
@@ -44,8 +43,6 @@ def test_flow_spec_validation():
         FlowSpec(kind="heat", p=3.0, t_end=0.0)
     with pytest.raises(DomainError):
         FlowSpec(kind="heat", p=3.0, dt_init=1e-2, dt_max=1e-3)
-    with pytest.raises(DomainError):
-        FlowSpec(kind="heat", p=3.0, n_cells=4)
 
 
 def test_default_diffusion_exponent():
@@ -65,6 +62,9 @@ def test_initial_state_validation():
     bad[0] = -0.1
     with pytest.raises(PositivityLoss):
         FlowState.initial(GridFunction1D(rho.grid, bad))
+    # p = 7 lies past the critical exponent 6 of the 3-sphere
+    with pytest.raises(DomainError):
+        integrate(state, FlowSpec(kind="heat", p=7.0))
 
 
 def test_fast_diffusion_from_a_zero_cell_fails_typed_and_quietly():
@@ -75,15 +75,15 @@ def test_fast_diffusion_from_a_zero_cell_fails_typed_and_quietly():
     vals = rho.values.copy()
     vals[0] = 0.0
     state = FlowState.initial(GridFunction1D(rho.grid, vals))
-    heat = FlowSpec(kind="heat", p=3.0, n_cells=32, t_end=0.01)
+    heat = FlowSpec(kind="heat", p=3.0, t_end=0.01)
     assert integrate(state, heat).final_state.density.values.min() > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PositivityLoss):
-            integrate(state, FlowSpec(kind="fde", p=3.0, n_cells=32,
+            integrate(state, FlowSpec(kind="fde", p=3.0,
                                       t_end=0.01))
         # slow diffusion (m > 1) has a finite diffusivity there and runs
-        slow = FlowSpec(kind="fde", p=3.0, m=1.5, n_cells=32, t_end=0.01)
+        slow = FlowSpec(kind="fde", p=3.0, m=1.5, t_end=0.01)
         assert integrate(state, slow).final_state.density.values.min() > 0.0
 
 
@@ -92,14 +92,13 @@ def test_flow_step_rejects_a_nan_state(monkeypatch):
     monkeypatch.setattr(sphere_flows, "_heat_step",
                         lambda grid, rho, dt: np.full_like(rho, np.nan))
     with pytest.raises(PositivityLoss):
-        flow_step(FlowState.initial(rho), FlowSpec(kind="heat", p=3.0,
-                                                   n_cells=32), 1e-3)
+        flow_step(FlowState.initial(rho), FlowSpec(kind="heat", p=3.0), 1e-3)
 
 
 def test_uniform_density_is_a_fixed_point():
     grid = _workspace(3, 48)
     rho = GridFunction1D(grid, np.ones(grid.n))
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=48, t_end=0.1)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.1)
     traj = integrate(FlowState.initial(rho), spec)
     np.testing.assert_allclose(traj.final_state.density.values, 1.0,
                                rtol=1e-12)
@@ -110,7 +109,7 @@ def test_heat_flow_entropy_production_identity():
     # along the heat flow the entropy dissipates at exactly twice the
     # Fisher information, for every diagnostic exponent
     rho0 = tilted_density(3, 64, 0.3, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=64, t_end=0.02,
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.02,
                     dt_init=2e-4, dt_max=2e-4)
     traj = integrate(FlowState.initial(rho0), spec)
     t, E, I = traj.times, traj.entropies, traj.fishers
@@ -123,7 +122,7 @@ def test_heat_flow_mode_decay_rate():
     # first nonzero Laplacian eigenvalue, here 1 * (1 + 3 - 1) = 3
     grid = _workspace(3, 96)
     rho0 = tilted_density(3, 96, 0.01, 1.0)
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=96, t_end=0.1,
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.1,
                     dt_init=2e-4, dt_max=2e-4)
     traj = integrate(FlowState.initial(rho0), spec)
     a0 = grid.integrate(rho0.values * grid.centroids)
@@ -133,7 +132,7 @@ def test_heat_flow_mode_decay_rate():
 
 def test_deficit_monotone_and_mass_exact_along_heat_flow():
     rho0 = tilted_density(3, 64, 0.4, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=64, t_end=0.25)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.25)
     minima = []
     traj = integrate(FlowState.initial(rho0), spec,
                      observers=[lambda s: minima.append(s.density.values.min())])
@@ -145,31 +144,41 @@ def test_deficit_monotone_and_mass_exact_along_heat_flow():
 
 def test_deficit_monotone_along_nonlinear_flow():
     rho0 = tilted_density(3, 64, 0.6, -3.0)
-    spec = FlowSpec(kind="fde", p=5.0, n_cells=64, t_end=0.1)
+    spec = FlowSpec(kind="fde", p=5.0, t_end=0.1)
     traj = integrate(FlowState.initial(rho0), spec)
     assert np.max(np.diff(traj.deficits)) <= 1e-7
     assert traj.mass_drift() <= 1e-12
 
 
 def test_deficit_derivative_signs():
-    spec = FlowSpec(kind="heat", p=5.5, n_cells=96)
-    est = deficit_derivative(tilted_density(3, 96, 0.6, -5.0), 5.5, spec)
+    def estimate(rho, p):
+        (est,) = _deficit_derivatives(rho.grid, rho.values[None], p,
+                                      FlowSpec(kind="heat", p=p))
+        return est
+
+    est = estimate(tilted_density(3, 96, 0.6, -5.0), 5.5)
     assert est.value > 10.0 * est.error
     assert est.value == pytest.approx(0.0827, rel=0.05)
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=96)
-    est = deficit_derivative(tilted_density(3, 96, 0.4, 2.0), 3.0, spec)
-    assert est.value < 0.0
-    with pytest.raises(PositivityLoss):
-        grid = _workspace(3, 32)
-        flat = GridFunction1D(grid, np.where(grid.centroids > 0.0, 1.0, 0.0))
-        deficit_derivative(flat, 3.0, FlowSpec(kind="heat", p=3.0, n_cells=32))
+    assert estimate(tilted_density(3, 96, 0.4, 2.0), 3.0).value < 0.0
+    # a density that is zero on half the sphere cannot be propagated back
+    grid = _workspace(3, 32)
+    flat = GridFunction1D(grid, np.where(grid.centroids > 0.0, 1.0, 0.0))
+    assert estimate(flat, 3.0) is None
 
 
 def test_work_cap_rejects_runaway_runs(monkeypatch):
     monkeypatch.setattr(sphere_flows, "_WORK_CAP", 200)
     rho0 = tilted_density(3, 32, 0.3, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, n_cells=32, t_end=10.0,
+    spec = FlowSpec(kind="heat", p=3.0, t_end=10.0,
                     dt_init=1e-4, dt_max=1e-4)
+    with pytest.raises(StepRejected):
+        integrate(FlowState.initial(rho0), spec)
+    # the cap counts the cells the flow steps: five steps on 384 cells are
+    # 1,920 node-steps, past a cap of 3 * 384
+    monkeypatch.setattr(sphere_flows, "_WORK_CAP", 3 * 384)
+    rho0 = tilted_density(3, 384, 0.3, 2.0)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=5e-4, dt_init=1e-4,
+                    dt_max=1e-4)
     with pytest.raises(StepRejected):
         integrate(FlowState.initial(rho0), spec)
 
@@ -270,7 +279,7 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
              (0.89, -22.0), (0.2, 3.0)]
     p = 5.5
     grid = _workspace(3, 96)
-    spec = FlowSpec(kind=kind, p=p, n_cells=96)
+    spec = FlowSpec(kind=kind, p=p)
     rhos = np.array([tilted_density(3, 96, e, q).values for e, q in tilts])
     name = "_spectral_propagate" if kind == "heat" else "_rk4_propagate"
     inner = getattr(sphere_flows, name)
