@@ -24,11 +24,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import gc
 import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -992,12 +994,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built by the first run() call in a process
+_PARSER: _Parser | None = None
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise the error a write to out would meet for want of its directory.
+
+    run() calls it before the handler, so a missing directory fails at
+    once rather than after the computation.
+    """
+    try:
+        is_dir = stat.S_ISDIR(os.stat(out.parent).st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
+    if not is_dir:
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+
+
 def run(argv=None) -> int:
     """Parse and execute one invocation; returns the exit status.
 
-    The first call in a process freezes everything the garbage collector
-    tracks at that point, which is mostly the import graph of the package,
-    NumPy and SciPy (about 40,000 objects).  That graph lives until exit
+    The first call in a process builds the parser, which later calls
+    reuse, and then freezes everything the garbage collector tracks at
+    that point, which is mostly the import graph of the package, NumPy
+    and SciPy (about 40,000 objects).  That graph lives until exit
     anyway, and frozen objects leave every later collection: the full
     collections of interpreter shutdown (15-30 ms each on a 2-core Xeon,
     finding nothing to free), and the collections in the sweep's forked
@@ -1005,11 +1026,12 @@ def run(argv=None) -> int:
     parent.  Later calls leave the frozen set alone, so cyclic garbage
     that an earlier call left stays collectable.
     """
-    if not gc.get_freeze_count():
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
         gc.freeze()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required; see --help")
         if args.command == "verify":
@@ -1019,6 +1041,8 @@ def run(argv=None) -> int:
         t0 = time.perf_counter()
         opts = _resolve_options(args.command, args)
         out = Path(args.out) if args.out else None
+        if out is not None:
+            _check_out_dir(out)
         artifacts, summary = _HANDLERS[args.command](opts, out, args)
         if artifacts:
             manifest_path = out.with_suffix(out.suffix + ".manifest.json")
@@ -1036,7 +1060,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except OSError as exc:
-        # an unwritable --out or --out-dir, met when the artifact is written
+        # an unwritable --out or --out-dir
         print(f"error: cannot write {exc.filename or 'output'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return _EXIT_ADMISSIBLE

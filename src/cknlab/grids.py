@@ -267,10 +267,9 @@ class FVZonalGrid:
     def n(self) -> int:
         return len(self.centroids)
 
-    def apply_laplacian(self, v: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """The flux-form Laplacian along the last axis of v, into out."""
-        out = np.multiply(self.lap_di, v, out=out)
+    def apply_laplacian(self, v: np.ndarray) -> np.ndarray:
+        """The flux-form Laplacian along the last axis of v."""
+        out = self.lap_di * v
         out[..., :-1] += self.lap_up[:-1] * v[..., 1:]
         out[..., 1:] += self.lap_lo[1:] * v[..., :-1]
         return out

@@ -59,6 +59,9 @@ _WORK_CAP = 1_000_000
 # after h halves, only the middle two are new times
 _STENCIL = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 _H_FLOOR = 1e-9
+# trajectory states per sphere_observables call: few enough that the
+# stack stays small, enough to share the per-call overhead
+_OBS_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -224,12 +227,15 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
     if m < 1.0 and not rho.min() > 0.0:
         raise PositivityLoss(f"fast diffusion (m={m:.6g}) needs a positive "
                              f"density")
-    x = rho.copy()
+    # the flux dt L(x^m), the residual and its norm of the iterate x; an
+    # accepted line-search point carries its own into the next iteration
+    x = rho
+    flux = dt * grid.apply_laplacian(x ** m)
+    res = x - flux - rho
+    nrm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
-        res = x - dt * grid.apply_laplacian(x ** m) - rho
-        nrm = float(np.max(np.abs(res)))
         if nrm <= tol * max(1.0, float(np.max(np.abs(x)))):
-            return rho + dt * grid.apply_laplacian(x ** m)
+            return rho + flux
         # the diffusivity m x^(m-1) degenerates at small x, so the floor
         # lives in the Jacobian only, never in the residual
         fp = np.maximum(m * x ** (m - 1.0), 1e-14)
@@ -238,9 +244,11 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
         for _ in range(25):
             xn = x - step * dx
             if xn.min() > 0.0:
-                rn = xn - dt * grid.apply_laplacian(xn ** m) - rho
-                if np.max(np.abs(rn)) < nrm:
-                    x = xn
+                fn = dt * grid.apply_laplacian(xn ** m)
+                rn = xn - fn - rho
+                nn = float(np.max(np.abs(rn)))
+                if nn < nrm:
+                    x, flux, res, nrm = xn, fn, rn, nn
                     break
             step *= 0.5
         else:
@@ -278,15 +286,19 @@ def integrate(state0: FlowState, spec: FlowSpec,
     accepted steps, is capped at _WORK_CAP node-steps.
     Mass conservation is enforced, not merely reported: drifting off
     the initial mass beyond the contract tolerance aborts the run.
+    The observables are evaluated on stacks of _OBS_BLOCK states; each
+    row of a stack is bit-identical to evaluating that state alone.
     """
     grid = state0.density.grid
     _check_sphere_exponent(grid.sphere_dim, spec.p)
     obs = tuple(observers) if observers is not None else ()
     state = state0
     mass0 = state0.mass
-    rows = [(state.time,
-             *sphere_observables(grid, state.density.values[None],
-                                 spec.p)[0])]
+    times = [state.time]
+    block = np.empty((_OBS_BLOCK, grid.n))
+    block[0] = state.density.values
+    filled = 1
+    rows = []
     dt = spec.dt_init
     work = 0
     while state.time < spec.t_end * (1.0 - 1e-14):
@@ -302,9 +314,12 @@ def integrate(state0: FlowState, spec: FlowSpec,
             raise CknlabError(
                 f"mass drifted by {abs(state.mass - mass0) / abs(mass0):.3e} "
                 f"relative at t={state.time:.6g}")
-        rows.append((state.time,
-                     *sphere_observables(grid, state.density.values[None],
-                                         spec.p)[0]))
+        if filled == _OBS_BLOCK:
+            rows.append(sphere_observables(grid, block, spec.p))
+            filled = 0
+        block[filled] = state.density.values
+        filled += 1
+        times.append(state.time)
         for fn in obs:
             fn(state)
         work += grid.n
@@ -313,7 +328,9 @@ def integrate(state0: FlowState, spec: FlowSpec,
                 f"trajectory work cap {_WORK_CAP} node-steps exceeded "
                 f"at t={state.time:.6g}", dt=dt_eff)
         dt = min(dt * _DT_GROWTH, spec.dt_max)
-    return FlowTrajectory(np.asarray(rows, dtype=float), state)
+    rows.append(sphere_observables(grid, block[:filled], spec.p))
+    return FlowTrajectory(np.column_stack((times, np.concatenate(rows))),
+                          state)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +357,14 @@ def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
     Row j starts from starts[j] and takes ceil(|t_j| / sub_dt_j) classical
     Runge-Kutta substeps of its own size.  Rows are sorted by decreasing
     substep count, so the rows still running always form a leading slice.
-    That slice is stepped in place, in six buffers allocated once per
-    call; each row meets the same operations in the same order as when
-    stepped alone, so its result does not depend on the rows around it.
+    That slice is stepped in place, in one block of buffers allocated once
+    per call, and the Laplacian treats it as one flat array with the three
+    diagonals tiled once per row.  Each row still meets the same
+    operations in the same order as when stepped alone: the products that
+    would couple the last cell of a row to the first of the next are
+    overwritten with -0.0, which adds exactly nothing (sign bits
+    included) and keeps a non-finite row from leaking into its
+    neighbours.  So a row's result does not depend on the rows around it.
     """
     nsub = [max(1, math.ceil(abs(t) / dt)) for t, dt in zip(times, sub_dt)]
     order = sorted(range(len(nsub)), key=lambda j: -nsub[j])
@@ -350,21 +372,36 @@ def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
     hs = np.array([times[j] / nsub[j] for j in order])[:, None]
     halves, sixths = 0.5 * hs, hs / 6.0
     counts = [nsub[j] for j in order]
-    bufs = np.empty((6, *v.shape))
+    n = grid.n
+    # planes 0-5 hold the stages, 6-8 the diagonals tiled once per row and
+    # 9 the coupling products; the first na rows of a plane are one
+    # contiguous run of na * n values, which the Laplacian reads flat
+    bufs = np.empty((10, *v.shape))
+    bufs[6], bufs[7], bufs[8] = grid.lap_lo, grid.lap_di, grid.lap_up
+    lap_lo, lap_di, lap_up, coupling = bufs[6:].reshape(4, -1)
 
     def rhs(x, out, power):
         # L(|x|^m sign x); power is scratch and may not alias x
         np.abs(x, out=power)
         power **= m
         np.copysign(power, x, out=power)
-        grid.apply_laplacian(power, out=out)
+        pf, of = power.reshape(-1), out.reshape(-1)
+        size = pf.size
+        cf = coupling[:size]
+        np.multiply(lap_di[:size], pf, out=of)
+        np.multiply(lap_up[:size - 1], pf[1:], out=cf[:-1])
+        cf[n - 1::n] = -0.0
+        of[:-1] += cf[:-1]
+        np.multiply(lap_lo[1:size], pf[:-1], out=cf[1:])
+        cf[n::n] = -0.0
+        of[1:] += cf[1:]
 
     na = len(order)
     for i in range(counts[0]):
         while counts[na - 1] <= i:
             na -= 1
         x = v[:na]
-        k1, k2, k3, k4, stage, power = bufs[:, :na]
+        k1, k2, k3, k4, stage, power = bufs[:6, :na]
         rhs(x, k1, power)
         np.multiply(halves[:na], k1, out=stage)
         stage += x

@@ -115,6 +115,81 @@ def test_unwritable_outputs_exit_two(tmp_path, capsys):
         assert err[0].startswith(f"error: cannot write {path}: "), err
 
 
+def test_missing_out_directory_fails_before_the_computation(
+        tmp_path, capsys, monkeypatch):
+    # the same error line the write would print, without running first
+    def unreachable(*args):
+        pytest.fail("the handler ran although --out cannot be written")
+
+    for command in ("params", "flow", "branch"):
+        monkeypatch.setitem(cli_io._HANDLERS, command, unreachable)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cases = (
+        (["flow", "--d", "3", "--p", "3.0", "--kind", "fde"],
+         tmp_path / "missing" / "x.csv", "No such file or directory"),
+        (["branch", "--d", "5", "--p", "2.8"],
+         a_file / "b.csv", "Not a directory"),
+        (["params", "--d", "5", "--p", "2.8"],
+         a_file / "sub" / "x.json", "Not a directory"),
+    )
+    for argv, path, reason in cases:
+        assert run(argv + ["--out", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+        assert captured.out == ""
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli_io._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_io, "_PARSER", None, raising=False)
+    monkeypatch.setattr(cli_io, "_build_parser", counted)
+    assert run(["params", "--d", "5", "--p", "2.8"]) == 0
+    first = capsys.readouterr().out
+    assert run(["params", "--d", "5", "--p", "2.8", "--bogus"]) == 1
+    assert run(["params", "--d", "5", "--p", "2.8"]) == 0
+    assert capsys.readouterr().out == first
+    assert len(built) == 1
+
+
+def test_repeated_sphere_runs_in_one_process_match(tmp_path, capsys,
+                                                   monkeypatch):
+    # the sphere workload's seed-0 fde flow and (3, 5.5) searches, twice
+    # in one process: nothing cached in a run may leak into the next
+    runs = (
+        (["flow", "--d", "3", "--p", "3.0", "--n-cells", "384", "--kind",
+          "fde", "--out", "flow.csv"], 0, "flow.csv"),
+        (["counterexample", "--d", "3", "--p", "5.5",
+          "--out", "heat.json"], 0, "heat.json"),
+        (["counterexample", "--d", "3", "--p", "5.5", "--kind", "fde",
+          "--out", "fde.json"], 3, None),
+    )
+    seen = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        record = []
+        for argv, code, artifact in runs:
+            assert run(argv) == code, argv
+            captured = capsys.readouterr()
+            record.append((captured.out, captured.err))
+            if artifact is not None:
+                manifest = manifest_of(artifact)
+                del manifest["wall_clock_seconds"]
+                record.append((Path(artifact).read_bytes(), manifest))
+            else:
+                assert not Path("fde.json").exists()
+        seen.append(record)
+    assert seen[0] == seen[1]
+    assert "best derivative -1.382234e-10" in seen[0][-1][1]
+
+
 def test_failed_search_exits_three(capsys):
     # at p = 3 the deficit derivative is negative everywhere on the scan
     assert run(["counterexample", "--d", "3", "--p", "3.0",

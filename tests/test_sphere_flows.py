@@ -19,8 +19,12 @@ from cknlab import (
     sphere_flows,
 )
 from cknlab.sphere_flows import (
+    _banded,
     _deficit_derivatives,
+    _fde_step,
     _modes,
+    _rk4_propagate,
+    _tridiagonal_solve,
     _workspace,
     flow_step,
     random_smooth_density,
@@ -128,6 +132,92 @@ def test_heat_flow_mode_decay_rate():
     a0 = grid.integrate(rho0.values * grid.centroids)
     aT = grid.integrate(traj.final_state.density.values * grid.centroids)
     assert aT / a0 == pytest.approx(math.exp(-0.3), rel=1e-3)
+
+
+# The implicit fde step as it was before it carried the line search's
+# flux and residual: every Newton iteration recomputes the residual of
+# its iterate, and the return evaluates the flux once more.  Kept as the
+# reference, with a count of the line search's halvings.
+
+
+def _reference_fde_step(grid, rho, dt, m, tol=1e-13, max_iter=30):
+    x = rho.copy()
+    halvings = 0
+    for _ in range(max_iter):
+        res = x - dt * grid.apply_laplacian(x ** m) - rho
+        nrm = float(np.max(np.abs(res)))
+        if nrm <= tol * max(1.0, float(np.max(np.abs(x)))):
+            return rho + dt * grid.apply_laplacian(x ** m), halvings
+        fp = np.maximum(m * x ** (m - 1.0), 1e-14)
+        dx = _tridiagonal_solve(*_banded(grid, dt, fp), res)
+        step = 1.0
+        for _ in range(25):
+            xn = x - step * dx
+            if xn.min() > 0.0:
+                rn = xn - dt * grid.apply_laplacian(xn ** m) - rho
+                if np.max(np.abs(rn)) < nrm:
+                    x = xn
+                    break
+            step *= 0.5
+            halvings += 1
+        else:
+            raise StepRejected("line search exhausted in the implicit "
+                               "diffusion solve", dt=dt)
+    raise StepRejected(f"no convergence in {max_iter} Newton iterations",
+                       dt=dt)
+
+
+def test_fde_step_is_bit_identical_to_the_recompute_form():
+    rng = np.random.default_rng(7)
+    cases = [(random_smooth_density(3, n, rng).values, dt, m)
+             for n in (32, 96) for dt in (1e-3, 2e-2) for m in (0.6, 1.5)]
+    # steep tilts and long steps: the line search halves, and the last
+    # three are rejected, two with an exhausted line search (one of them
+    # at a rounding-floor stall) and one with no convergence
+    cases += [(tilted_density(3, 32, 0.9, -10.0).values, 0.3, 0.8),
+              (tilted_density(3, 32, 0.8, 12.0).values, 0.3, 1.5),
+              (tilted_density(3, 32, 0.95, -20.0).values, 0.3, 2.0),
+              (random_smooth_density(3, 64, rng).values, 1.0, 0.8),
+              (tilted_density(3, 32, 0.99, -30.0).values, 0.3, 2.0)]
+    halved = rejected = 0
+    for rho, dt, m in cases:
+        grid = _workspace(3, len(rho))
+        try:
+            want, halvings = _reference_fde_step(grid, rho, dt, m)
+        except StepRejected as ref:
+            with pytest.raises(StepRejected) as info:
+                _fde_step(grid, rho, dt, m)
+            assert (str(info.value), info.value.dt) == (str(ref), ref.dt)
+            rejected += 1
+            continue
+        got = _fde_step(grid, rho, dt, m)
+        assert got.tobytes() == want.tobytes(), (len(rho), dt, m)
+        halved += halvings > 0
+    assert halved >= 2
+    assert rejected == 3
+
+
+def test_rk4_rows_stay_independent_of_non_finite_neighbours():
+    # the flat Laplacian must not couple the last cell of one row to the
+    # first of the next: 0 * nan and 0 * inf are nan
+    grid = _workspace(3, 32)
+    rows = [tilted_density(3, 32, e, q).values
+            for e, q in ((0.3, 2.0), (0.6, -5.0), (0.5, 3.0), (0.2, -2.0))]
+    bad_nan = np.full(grid.n, np.nan)
+    bad_inf = rows[0].copy()
+    bad_inf[[0, -1]] = np.inf
+    starts = np.array([rows[0], bad_nan, rows[1], bad_inf, rows[2], rows[3]])
+    times = [2e-3, 2e-3, -2e-3, 2e-3, 1e-3, 2e-3]
+    sub_dt = [1e-4] * len(times)
+    m = 0.7
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _rk4_propagate(grid, starts, times, sub_dt, m)
+    assert not np.isfinite(out[1]).any() and not np.isfinite(out[3]).all()
+    for j in (0, 2, 4, 5):
+        alone = _rk4_propagate(grid, starts[j:j + 1], times[j:j + 1],
+                               sub_dt[j:j + 1], m)[0]
+        assert np.isfinite(out[j]).all()
+        assert out[j].tobytes() == alone.tobytes(), j
 
 
 def test_deficit_monotone_and_mass_exact_along_heat_flow():
