@@ -152,7 +152,7 @@ def k_functional(pf: PressureField, params: CKNParams,
         raise DomainError(f"needs n >= 2, got n={n}")
     grid = pf.grid
     d = grid.d
-    alpha_fs = math.sqrt((d - 1.0) / (n - 1.0))
+    alpha_fs = params_mod.alpha_fs_value(d, n)
     z = grid.z
     one_z2 = (1.0 - z * z)[None, :]
     pr, prr, pz, pzz = _field_derivatives(grid, pf.values)

@@ -187,33 +187,35 @@ def log_radial_quadrature(r_lo: float, r_hi: float, n_panels: int = 128,
 # finite differences
 
 
-def fornberg_weights(x0: float, x: np.ndarray, m: int) -> np.ndarray:
+def fornberg_weights(x0: float | np.ndarray, x: np.ndarray,
+                     m: int) -> np.ndarray:
     """Weights of derivatives 0..m at x0 from samples at nodes x.
 
     Classic recursive construction; returns an (m+1, len(x)) array whose
-    row k gives the k-th derivative weights.
+    row k gives the k-th derivative weights.  A stack of N stencils, x0
+    (N,) and x (N, n), gives (m+1, N, n), each rounded as if built alone.
     """
-    n = len(x)
-    c = np.zeros((m + 1, n))
+    n = x.shape[-1]
+    c = np.zeros((m + 1, *x.shape))
     c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - x0
+    c[0, ..., 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1]
-                                    - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+                    c[k, ..., i] = c1 * (k * c[k - 1, ..., i - 1]
+                                         - c5 * c[k, ..., i - 1]) / c2
+                c[0, ..., i] = -c1 * c5 * c[0, ..., i - 1] / c2
             for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
+                c[k, ..., j] = (c4 * c[k, ..., j] - k * c[k - 1, ..., j]) / c3
+            c[0, ..., j] = c4 * c[0, ..., j] / c3
         c1 = c2
     return c
 
@@ -229,13 +231,12 @@ def derivative_matrix(x: np.ndarray, order: int) -> np.ndarray:
     """
     n = len(x)
     npts = min(5, n)
+    rows = np.arange(n)
+    cols = np.clip(rows - npts // 2, 0, n - npts)[:, None] + np.arange(npts)
     D = np.zeros((n, n))
-    for i in range(n):
-        j0 = min(max(i - npts // 2, 0), n - npts)
-        sel = slice(j0, j0 + npts)
-        D[i, sel] = fornberg_weights(x[i], x[sel], order)[order]
+    D[rows[:, None], cols] = fornberg_weights(x, x[cols], order)[order]
     if order >= 1:
-        D[np.arange(n), np.arange(n)] -= D.sum(axis=1)
+        D[rows, rows] -= D.sum(axis=1)
     return D
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "mu_star",
     "lambda_fs_theta",
     "lambda_fs_value",
+    "alpha_fs_value",
     "two_sharp_value",
     "b_fs_value",
     "symmetric_profile_data",
@@ -252,6 +253,10 @@ def lambda_fs_value(d: int, p: float) -> float:
     return 4.0 * (d - 1.0) / (p * p - 4.0)
 
 
+def alpha_fs_value(d: int, n: float) -> float:
+    return math.sqrt((d - 1.0) / (n - 1.0))
+
+
 # ---------------------------------------------------------------------------
 # quadrature over the explicit symmetric cylinder family
 
@@ -398,7 +403,7 @@ def thresholds(params: CKNParams) -> Thresholds:
                 f"{(params.gamma - d) ** 2} < 4(d-1) = {4 * (d - 1)}")
         return Thresholds(
             beta_fs=d - 2.0 - math.sqrt(disc),
-            alpha_fs=math.sqrt((d - 1.0) / (params.n - 1.0)),
+            alpha_fs=alpha_fs_value(d, params.n),
             two_sharp=two_sharp,
             p_star=(d - params.gamma) / (d - params.beta - 2.0),
         )
@@ -411,7 +416,7 @@ def thresholds(params: CKNParams) -> Thresholds:
     return Thresholds(
         lambda_fs=lambda_fs_value(d, params.p),
         b_fs=b_fs_value(d, params.a),
-        alpha_fs=math.sqrt((d - 1.0) / (params.n - 1.0)),
+        alpha_fs=alpha_fs_value(d, params.n),
         two_sharp=two_sharp,
         lambda_fs_theta=theta_fs,
         vartheta=params.vartheta,
@@ -427,12 +432,12 @@ def check_equivalence(params: CKNParams):
     """
     if params.mode == "subcritical":
         raise DomainError("equivalence check needs a critical-type record")
-    check_cylinder_exponent(params.d, params.p)
-    th = thresholds(params)
-    cond_lambda = 0.0 < params.Lambda <= th.lambda_fs + _TOL
+    d = params.d
+    check_cylinder_exponent(d, params.p)
+    cond_lambda = 0.0 < params.Lambda <= lambda_fs_value(d, params.p) + _TOL
     cond_b = (params.a < params.a_c
-              and params.b >= b_fs_value(params.d, params.a) - _TOL)
-    cond_alpha = 0.0 < params.alpha <= th.alpha_fs + _TOL
+              and params.b >= b_fs_value(d, params.a) - _TOL)
+    cond_alpha = 0.0 < params.alpha <= alpha_fs_value(d, params.n) + _TOL
     return cond_lambda, cond_b, cond_alpha
 
 

@@ -337,16 +337,17 @@ def integrate(state0: FlowState, spec: FlowSpec,
 # deficit derivative at time zero
 
 
-def _spectral_propagate(modes, coeffs: Sequence[np.ndarray],
+def _spectral_propagate(modes, coeffs: np.ndarray,
                         times: Sequence[float]) -> np.ndarray:
     """Heat-flow states at the given times, exact in the eigenbasis.
 
     State j advances the eigen-coefficients coeffs[j] to times[j] and maps
-    them back to cell values, one matrix-vector product per state.
+    them back to cell values.  matmul runs a stack of column vectors as one
+    matrix-vector product each, so every state rounds as it would alone.
     """
     lam, vecs, sqw = modes
-    return np.array([(vecs @ (np.exp(lam * t) * y)) / sqw
-                     for y, t in zip(coeffs, times)])
+    scaled = np.exp(lam * np.asarray(times)[:, None]) * coeffs
+    return (vecs @ scaled[:, :, None])[..., 0] / sqw
 
 
 def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
@@ -448,14 +449,13 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     lam, vecs, sqw = modes
     lmax = float(np.max(np.abs(lam)))
     if spec.kind == "heat":
-        # one product per vector: a matrix-matrix product is not
-        # guaranteed to round like the matrix-vector products it replaces
-        coeffs = [vecs.T @ (sqw * rho) for rho in rhos]
-        rate_num = np.array([(vecs @ (lam * y)) / sqw for y in coeffs])
+        # stacks of column vectors, never one matrix-matrix product: that
+        # is not guaranteed to round like the matrix-vector products
+        coeffs = (vecs.T @ (sqw * rhos)[:, :, None])[..., 0]
+        rate_num = (vecs @ (lam * coeffs)[:, :, None])[..., 0] / sqw
 
         def propagate(rows, times):
-            return _spectral_propagate(modes, [coeffs[i] for i in rows],
-                                       times)
+            return _spectral_propagate(modes, coeffs[rows], times)
     else:
         m = spec.diffusion_exponent()
         diff_max = np.max(m * rhos ** (m - 1.0), axis=-1).tolist()
@@ -555,11 +555,13 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
     trace = []
     skipped = 0
     best = (-math.inf, None, None, None)
-    # one epsilon row per batch: the whole scan in one batch is faster
-    # still but holds every stencil state of it at once
+    # one epsilon row per batch: two rows cut the fde search from 0.28 to
+    # 0.21 s but raised the workload's peak RSS from 68.8 to 70.8 MB
     for eps in np.linspace(0.05, 0.95, 16):
-        rhos = np.array([tilted_density(d, n_cells, eps, q).values
-                         for q in qs])
+        # tilted_density per q: a broadcast power rounds apart at q = -1
+        base = 1.0 + eps * grid.centroids
+        raw = np.array([base ** q for q in qs])
+        rhos = raw / grid.integrate(raw)[:, None]
         for q, est in zip(qs, _deficit_derivatives(grid, rhos, p, spec)):
             if est is None:
                 skipped += 1

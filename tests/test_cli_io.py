@@ -6,7 +6,9 @@ exit codes and captured output without spawning subprocesses.
 
 import csv
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +190,42 @@ def test_repeated_sphere_runs_in_one_process_match(tmp_path, capsys,
         seen.append(record)
     assert seen[0] == seen[1]
     assert "best derivative -1.382234e-10" in seen[0][-1][1]
+
+
+def test_json_arrays_keep_their_values_and_null_non_finite_ones():
+    payload = {"finite": np.array([[0.1, -2.5e-300], [3.0, 1e308]]),
+               "ints": np.arange(3, dtype=np.int32),
+               "flags": np.array([True, False]),
+               "holes": np.array([[1.0, np.nan], [-np.inf, np.inf]])}
+    text = cli_io._dump_json(payload)
+    assert json.loads(text) == {"finite": [[0.1, -2.5e-300], [3.0, 1e308]],
+                                "ints": [0, 1, 2], "flags": [True, False],
+                                "holes": [[1.0, None], [None, None]]}
+    assert '"flags": [\n    true,' in text
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_sphere_workload_matches_the_benchmark_reference(tmp_path, capsys,
+                                                         monkeypatch):
+    # the benchmark's seed-0 sphere operations must write its reference
+    # artifacts byte for byte; perfbench/ is read, never written
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    for op in workloads.ops("sphere", 0):
+        assert run(list(op.argv)) == op.expect_rc, op.name
+    capsys.readouterr()
+    reference = sorted((PERFBENCH / "reference" / "sphere").iterdir())
+    assert len(reference) == 5
+    for path in reference:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), \
+            path.name
 
 
 def test_failed_search_exits_three(capsys):

@@ -132,6 +132,66 @@ def test_fornberg_weights_differentiate_polynomials():
         assert w[2] @ vals == pytest.approx(d2, abs=1e-8)
 
 
+def _scalar_fornberg(x0, x, m):
+    # the recurrence one stencil at a time, as the package had it before
+    # it ran all stencils of a matrix as one stack
+    n = len(x)
+    c = np.zeros((m + 1, n))
+    c1 = 1.0
+    c4 = x[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[k, i] = c1 * (k * c[k - 1, i - 1]
+                                    - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
+        c1 = c2
+    return c
+
+
+def _per_row_derivative_matrix(x, order):
+    n = len(x)
+    npts = min(5, n)
+    D = np.zeros((n, n))
+    for i in range(n):
+        j0 = min(max(i - npts // 2, 0), n - npts)
+        sel = slice(j0, j0 + npts)
+        D[i, sel] = _scalar_fornberg(x[i], x[sel], order)[order]
+    if order >= 1:
+        D[np.arange(n), np.arange(n)] -= D.sum(axis=1)
+    return D
+
+
+def test_stacked_fornberg_stencils_are_bit_identical():
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 9, 40):
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+        for order in range(3):
+            got = derivative_matrix(x, order)
+            ref = _per_row_derivative_matrix(x, order)
+            assert got.tobytes() == ref.tobytes(), (n, order)
+    grid = tensor_grid(3)
+    for name, x, order in (("Dr", grid.r, 1), ("Drr", grid.r, 2),
+                           ("Dz", grid.z, 1), ("Dzz", grid.z, 2)):
+        ref = _per_row_derivative_matrix(x, order)
+        assert getattr(grid, name).tobytes() == ref.tobytes(), name
+    # the one-stencil call is the same recurrence
+    x = np.array([-1.3, -0.4, 0.0, 0.7, 1.1, 2.0, 2.4])
+    assert (fornberg_weights(0.45, x, 2).tobytes()
+            == _scalar_fornberg(0.45, x, 2).tobytes())
+
+
 def test_derivative_matrix_exact_on_quartics():
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 2.0, 40))

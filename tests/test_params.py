@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cknlab import cli_io, params as params_mod
 from cknlab import (
     AdmissibilityError,
     DomainError,
@@ -295,3 +296,35 @@ def test_equivalence_boundary_and_random_samples():
                         "subcritical")
     with pytest.raises(DomainError):
         check_equivalence(sub)
+
+
+def test_check_equivalence_runs_no_quadrature(monkeypatch):
+    # the three conditions read lambda_fs, b_fs and alpha_fs only, so no
+    # record may reach the symmetric family's quadrature.  Records:
+    # verify's 300-sample draw and the two boundary cases above.
+    rng = np.random.default_rng(2023)
+    records = []
+    for _ in range(300):
+        d = int(rng.integers(2, 9))
+        hi = 2.0 * d / (d - 2) if d > 2 else 12.0
+        p = float(rng.uniform(2.01, min(hi - 0.01, 12.0)))
+        lam = float(10.0 ** rng.uniform(-2, 2))
+        records.append(derive_params(d, {"p": p, "Lambda": lam}, "cylinder"))
+    lam_fs = lambda_fs_value(5, 2.8)
+    records += [cylinder_record(Lambda=lam_fs),
+                cylinder_record(Lambda=lam_fs * 1.001)]
+    truths = []
+    for rec in records:
+        th = thresholds(rec)
+        truths.append((0.0 < rec.Lambda <= th.lambda_fs + 1e-12,
+                       rec.a < rec.a_c and rec.b >= th.b_fs - 1e-12,
+                       0.0 < rec.alpha <= th.alpha_fs + 1e-12))
+    assert {t[0] for t in truths} == {True, False}
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("check_equivalence ran the profile quadrature")
+
+    monkeypatch.setattr(params_mod, "symmetric_profile_data", no_quadrature)
+    assert [check_equivalence(rec) for rec in records] == truths
+    assert cli_io._check_equivalence_triple() == [
+        ("inconsistent samples", 0, 0)]

@@ -402,6 +402,29 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
         assert times[0::2] == [-t for t in times[1::2]]
 
 
+@pytest.mark.parametrize("d, p", [(3, 5.5), (4, 3.9)])
+def test_scan_rows_equal_tilted_densities(d, p, monkeypatch):
+    # the scan builds each epsilon row at once; every (epsilon, q) of it,
+    # q = -1 included, must carry tilted_density's bits
+    rows = []
+
+    def record(grid, rhos, p, spec):
+        rows.append(rhos.copy())
+        return [None] * len(rhos)
+
+    monkeypatch.setattr(sphere_flows, "_deficit_derivatives", record)
+    with pytest.raises(SearchFailed):
+        counterexample_search(d, p)
+    qs = np.concatenate([np.linspace(-4.0 * p, -1.0, 20),
+                         np.linspace(1.0, 4.0 * p, 20)])
+    assert -1.0 in qs.tolist()
+    epsilons = np.linspace(0.05, 0.95, 16)
+    assert len(rows) == len(epsilons)
+    for eps, got in zip(epsilons, rows):
+        ref = np.array([tilted_density(d, 96, eps, q).values for q in qs])
+        assert got.tobytes() == ref.tobytes(), eps
+
+
 def test_fde_search_certificate_is_pinned():
     # p = 5.5 < 2* = 6 keeps the fde deficit monotone; the scan's best
     # value is the certificate, and the propagation must keep its bits
