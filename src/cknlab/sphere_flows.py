@@ -10,13 +10,15 @@ state is recomputed from the explicit flux form of the solution, which
 pins the mass to the rounding floor regardless of solver tolerances.
 
 The deficit derivative at time zero is the quantity the monotonicity
-statements are about, so it gets dedicated machinery: exact spectral
-propagation for the heat flow (which also permits the tiny backward
-steps a centered stencil needs) and Runge-Kutta substepping for the
-nonlinear flow, both wrapped in Richardson extrapolation with a
-reported error estimate.  Each stencil state is propagated at most once:
-when h halves, four of the six new stencil times are old ones to the
-bit, so a retry carries those states and propagates two.
+statements are about.  For the nonlinear flow it is a finite sum on the
+grid, the gradient of the deficit against the velocity L(rho^m) (the
+discrete entropy / entropy-production identity), reported with a
+derived rounding bound.  The heat flow still propagates exactly in its
+eigenbasis, which permits the tiny backward steps a centered stencil
+needs, and Richardson-extrapolates with a reported error estimate; each
+of its stencil states is propagated at most once: when h halves, four
+of the six new stencil times are old ones to the bit, so a retry
+carries those states and propagates two.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ _WORK_CAP = 1_000_000
 # after h halves, only the middle two are new times
 _STENCIL = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 _H_FLOOR = 1e-9
+_EPS = float(np.finfo(float).eps)
 # trajectory states per sphere_observables call: few enough that the
 # stack stays small, enough to share the per-call overhead
 _OBS_BLOCK = 16
@@ -170,11 +173,10 @@ class FlowTrajectory:
 
 @dataclass
 class DerivativeEstimate:
-    """A derivative value with its extrapolation error and step used."""
+    """A derivative value with its reported error."""
 
     value: float
     error: float
-    h: float
 
 
 @dataclass
@@ -350,92 +352,82 @@ def _spectral_propagate(modes, coeffs: np.ndarray,
     return (vecs @ scaled[:, :, None])[..., 0] / sqw
 
 
-def _rk4_propagate(grid: FVZonalGrid, starts: np.ndarray,
-                   times: Sequence[float], sub_dt: Sequence[float],
-                   m: float) -> np.ndarray:
-    """Nonlinear-diffusion states at the given times, all stepped together.
+def _fde_deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
+                             m: float) -> list[DerivativeEstimate | None]:
+    """Nonlinear-flow deficit derivatives for a (k, n) stack, in closed form.
 
-    Row j starts from starts[j] and takes ceil(|t_j| / sub_dt_j) classical
-    Runge-Kutta substeps of its own size.  Rows are sorted by decreasing
-    substep count, so the rows still running always form a leading slice.
-    That slice is stepped in place, in one block of buffers allocated once
-    per call, and the Laplacian treats it as one flat array with the three
-    diagonals tiled once per row.  Each row still meets the same
-    operations in the same order as when stepped alone: the products that
-    would couple the last cell of a row to the first of the next are
-    overwritten with -0.0, which adds exactly nothing (sign bits
-    included) and keeps a non-finite row from leaking into its
-    neighbours.  So a row's result does not depend on the rows around it.
+    Along rho' = v = L(rho^m) the deficit D = F - d E of
+    sphere_observables changes at the rate sum_i g_i v_i, with g its
+    gradient in the cell values.  With W the cell masses, M the mass,
+    a = 1/p (the double sphere_observables raises rho to, as it does 2a)
+    and u = rho^a,
+
+        dF/drho_i = -2a W_i (Lu)_i rho_i^(a-1),
+        dE/drho_i = 2a W_i (M^(2a-1) - rho_i^(2a-1)) / (p - 2),
+
+    the first by summation by parts, as W L is symmetric.  A row that is
+    not positive and finite, or whose sums overflow, gives None.  Each
+    row is bit-identical to evaluating that density alone.
+
+    Rounding bound.  Let eps be the machine epsilon; take each power to
+    within 2 eps relative and each other operation to within eps / 2,
+    and let |L| be L with the sign of its diagonal flipped.
+    - A three-term Laplacian sum is off by a multiple of its terms, not
+      of its value, which cancels for near-uniform rho: v_i is off by at
+      most 3.5 eps (|L| rho^m)_i, and (Lu)_i by 3.5 eps (|L|u)_i.
+    - So g_i is off by at most 8 eps f_i + (n/2 + 6) eps e_i, where
+      f_i = 2a W_i rho_i^(a-1) (|L|u)_i sizes the Fisher part,
+      e_i = 2a d W_i (M^(2a-1) + rho_i^(2a-1)) / |p - 2| the entropy
+      part, and n/2 is the rounding of the summed mass.
+    - The n products and their sum add (n + 1)/2 eps sum |g_i v_i|.
+    These are first-order bounds; with each constant rounded up to cover
+    the second-order terms, the reported error is
+
+        eps [4 sum |g_i| (|L| rho^m)_i
+             + sum |v_i| (9 f_i + (n/2 + 7) e_i) + n sum |g_i v_i|].
     """
-    nsub = [max(1, math.ceil(abs(t) / dt)) for t, dt in zip(times, sub_dt)]
-    order = sorted(range(len(nsub)), key=lambda j: -nsub[j])
-    v = starts[order]
-    hs = np.array([times[j] / nsub[j] for j in order])[:, None]
-    halves, sixths = 0.5 * hs, hs / 6.0
-    counts = [nsub[j] for j in order]
-    n = grid.n
-    # planes 0-5 hold the stages, 6-8 the diagonals tiled once per row and
-    # 9 the coupling products; the first na rows of a plane are one
-    # contiguous run of na * n values, which the Laplacian reads flat
-    bufs = np.empty((10, *v.shape))
-    bufs[6], bufs[7], bufs[8] = grid.lap_lo, grid.lap_di, grid.lap_up
-    lap_lo, lap_di, lap_up, coupling = bufs[6:].reshape(4, -1)
-
-    def rhs(x, out, power):
-        # L(|x|^m sign x); power is scratch and may not alias x
-        np.abs(x, out=power)
-        power **= m
-        np.copysign(power, x, out=power)
-        pf, of = power.reshape(-1), out.reshape(-1)
-        size = pf.size
-        cf = coupling[:size]
-        np.multiply(lap_di[:size], pf, out=of)
-        np.multiply(lap_up[:size - 1], pf[1:], out=cf[:-1])
-        cf[n - 1::n] = -0.0
-        of[:-1] += cf[:-1]
-        np.multiply(lap_lo[1:size], pf[:-1], out=cf[1:])
-        cf[n::n] = -0.0
-        of[1:] += cf[1:]
-
-    na = len(order)
-    for i in range(counts[0]):
-        while counts[na - 1] <= i:
-            na -= 1
-        x = v[:na]
-        k1, k2, k3, k4, stage, power = bufs[:6, :na]
-        rhs(x, k1, power)
-        np.multiply(halves[:na], k1, out=stage)
-        stage += x
-        rhs(stage, k2, power)
-        np.multiply(halves[:na], k2, out=stage)
-        stage += x
-        rhs(stage, k3, power)
-        np.multiply(hs[:na], k3, out=stage)
-        stage += x
-        rhs(stage, k4, power)
-        # x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixths[:na]
-        x += k1
-    out = np.empty_like(v)
-    out[order] = v
-    return out
+    n, d = grid.n, grid.sphere_dim
+    W, di = grid.cell_mass, grid.lap_di
+    a = 1.0 / p
+    ent_scale = 2.0 * a / (p - 2.0)
+    with np.errstate(all="ignore"):
+        w = rhos ** m
+        v = grid.apply_laplacian(w)
+        u = rhos ** a
+        lu = grid.apply_laplacian(u)
+        u_rate = u / rhos
+        s_rate = rhos ** (2.0 * a) / rhos
+        # one Python float power per row, as in sphere_observables
+        m_rate = np.array([mass ** (2.0 * a) / mass
+                           for mass in grid.integrate(rhos).tolist()])[:, None]
+        g = ((-2.0 * a) * W * lu * u_rate
+             - d * (ent_scale * W * (m_rate - s_rate)))
+        gv = g * v
+        # |L| f = L f - 2 diag(L) f for positive f
+        sizes = ((9.0 * 2.0 * a) * W * u_rate * (lu - 2.0 * di * u)
+                 + ((0.5 * n + 7.0) * d * abs(ent_scale)) * W
+                 * (m_rate + s_rate))
+        values = np.sum(gv, axis=-1)
+        errors = _EPS * (4.0 * np.sum(np.abs(g) * (v - 2.0 * di * w), axis=-1)
+                         + np.sum(np.abs(v) * sizes, axis=-1)
+                         + n * np.sum(np.abs(gv), axis=-1))
+    ok = ((rhos.min(axis=-1) > 0.0) & (rhos.max(axis=-1) < math.inf)
+          & np.isfinite(values) & np.isfinite(errors))
+    return [DerivativeEstimate(value, error) if good else None
+            for value, error, good in zip(values.tolist(), errors.tolist(),
+                                          ok.tolist())]
 
 
 def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
                          spec: FlowSpec) -> list[DerivativeEstimate | None]:
     """Deficit derivative estimates for a (k, n) stack of positive densities.
 
-    Per row: the centered fourth-order stencils at h and h/2 around
-    t = 0 and one Richardson round, with h halved until all six stencil
-    states stay positive; a row still losing positivity below h = 1e-9
-    gives None.  The heat flow propagates exactly in its eigenbasis, one
-    matrix-vector product per state; the nonlinear flow substeps all
-    (row, time) pairs of a halving round together.
+    The nonlinear flow's are in closed form (_fde_deficit_derivatives).
+    The heat flow's, per row: the centered fourth-order stencils at h and
+    h/2 around t = 0 and one Richardson round, with h halved until all
+    six stencil states stay positive; a row still losing positivity below
+    h = 1e-9 gives None.  The states propagate exactly in the eigenbasis,
+    one matrix-vector product per state.
 
     Each (row, time) state is propagated at most once.  A state depends
     only on its row and its time, and when h halves to h' the new times
@@ -445,27 +437,16 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     carries those four states and propagates only the two at +-h'/2.
     Every row's value is bit-identical to evaluating that row alone.
     """
+    if spec.kind == "fde":
+        return _fde_deficit_derivatives(grid, rhos, p,
+                                        spec.diffusion_exponent())
     modes = _modes(grid.sphere_dim, grid.n)
     lam, vecs, sqw = modes
     lmax = float(np.max(np.abs(lam)))
-    if spec.kind == "heat":
-        # stacks of column vectors, never one matrix-matrix product: that
-        # is not guaranteed to round like the matrix-vector products
-        coeffs = (vecs.T @ (sqw * rhos)[:, :, None])[..., 0]
-        rate_num = (vecs @ (lam * coeffs)[:, :, None])[..., 0] / sqw
-
-        def propagate(rows, times):
-            return _spectral_propagate(modes, coeffs[rows], times)
-    else:
-        m = spec.diffusion_exponent()
-        diff_max = np.max(m * rhos ** (m - 1.0), axis=-1).tolist()
-        sub_dt = [1.0 / (lmax * max(dm, 1e-3)) for dm in diff_max]
-        rate_num = grid.apply_laplacian(rhos ** m)
-
-        def propagate(rows, times):
-            return _rk4_propagate(grid, rhos[rows], times,
-                                  [sub_dt[i] for i in rows], m)
-
+    # stacks of column vectors, never one matrix-matrix product: that
+    # is not guaranteed to round like the matrix-vector products
+    coeffs = (vecs.T @ (sqw * rhos)[:, :, None])[..., 0]
+    rate_num = (vecs @ (lam * coeffs)[:, :, None])[..., 0] / sqw
     rates = np.max(np.abs(rate_num) / np.maximum(rhos, 1e-300),
                    axis=-1).tolist()
     hs = [min(4e-4, 1.0 / lmax, 0.1 / max(rate, 1.0)) for rate in rates]
@@ -474,9 +455,10 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     carried = None
     while pending:
         stencil = _STENCIL if carried is None else _STENCIL[2:4]
-        fresh = propagate([i for i in pending for _ in stencil],
-                          [c * hs[i] for i in pending for c in stencil]
-                          ).reshape(len(pending), len(stencil), grid.n)
+        fresh = _spectral_propagate(
+            modes, coeffs[[i for i in pending for _ in stencil]],
+            [c * hs[i] for i in pending for c in stencil]
+        ).reshape(len(pending), len(stencil), grid.n)
         stack = fresh if carried is None else np.concatenate(
             (carried[:, :2], fresh, carried[:, 2:]), axis=1)
         positive = (stack.min(axis=-1) > 0.0).all(axis=-1).tolist()
@@ -505,7 +487,7 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
         d2 = (dm1 - 8.0 * dmh + 8.0 * dph - dp1) / (12.0 * h * 0.5)
         value = (16.0 * d2 - d1) / 15.0
         error = abs(d2 - d1) / 15.0 + 1e-15 * math.exp(2.0 * h * lmax) / h
-        out[i] = DerivativeEstimate(value, error, h)
+        out[i] = DerivativeEstimate(value, error)
     return out
 
 
@@ -541,9 +523,12 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
     exponents q of both signs up to |q| = 4p (the negative branch is
     where the nonlinear-diffusion pressure ansatz 1/(m-1) = -n points,
     and in practice is where all witnesses live), then refines the best
-    cell by compass ascent.  Succeeds only when the derivative clears
-    ten times its own error estimate; otherwise the failure carries the
-    best value found, which in the monotone regime is the negative
+    cell by compass ascent.  The deficit derivative of the nonlinear
+    flow is a closed-form sum with a rounding bound as its error; the
+    heat flow's is a Richardson extrapolation of exactly propagated
+    states, with its extrapolation error.  Succeeds only when the
+    derivative clears ten times its error; otherwise the failure carries
+    the best value found, which in the monotone regime is the negative
     certificate the caller wants.
     """
     grid = _workspace(d, n_cells)
@@ -555,8 +540,8 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
     trace = []
     skipped = 0
     best = (-math.inf, None, None, None)
-    # one epsilon row per batch: two rows cut the fde search from 0.28 to
-    # 0.21 s but raised the workload's peak RSS from 68.8 to 70.8 MB
+    # one epsilon row (40 candidates) per batch; each candidate's value
+    # does not depend on the batch it is in
     for eps in np.linspace(0.05, 0.95, 16):
         # tilted_density per q: a broadcast power rounds apart at q = -1
         base = 1.0 + eps * grid.centroids

@@ -189,7 +189,7 @@ def test_repeated_sphere_runs_in_one_process_match(tmp_path, capsys,
                 assert not Path("fde.json").exists()
         seen.append(record)
     assert seen[0] == seen[1]
-    assert "best derivative -1.382234e-10" in seen[0][-1][1]
+    assert "best derivative -1.383196e-10" in seen[0][-1][1]
 
 
 def test_json_arrays_keep_their_values_and_null_non_finite_ones():

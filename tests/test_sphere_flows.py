@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,6 @@ from cknlab.sphere_flows import (
     _deficit_derivatives,
     _fde_step,
     _modes,
-    _rk4_propagate,
     _tridiagonal_solve,
     _workspace,
     flow_step,
@@ -197,29 +197,6 @@ def test_fde_step_is_bit_identical_to_the_recompute_form():
     assert rejected == 3
 
 
-def test_rk4_rows_stay_independent_of_non_finite_neighbours():
-    # the flat Laplacian must not couple the last cell of one row to the
-    # first of the next: 0 * nan and 0 * inf are nan
-    grid = _workspace(3, 32)
-    rows = [tilted_density(3, 32, e, q).values
-            for e, q in ((0.3, 2.0), (0.6, -5.0), (0.5, 3.0), (0.2, -2.0))]
-    bad_nan = np.full(grid.n, np.nan)
-    bad_inf = rows[0].copy()
-    bad_inf[[0, -1]] = np.inf
-    starts = np.array([rows[0], bad_nan, rows[1], bad_inf, rows[2], rows[3]])
-    times = [2e-3, 2e-3, -2e-3, 2e-3, 1e-3, 2e-3]
-    sub_dt = [1e-4] * len(times)
-    m = 0.7
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _rk4_propagate(grid, starts, times, sub_dt, m)
-    assert not np.isfinite(out[1]).any() and not np.isfinite(out[3]).all()
-    for j in (0, 2, 4, 5):
-        alone = _rk4_propagate(grid, starts[j:j + 1], times[j:j + 1],
-                               sub_dt[j:j + 1], m)[0]
-        assert np.isfinite(out[j]).all()
-        assert out[j].tobytes() == alone.tobytes(), j
-
-
 def test_deficit_monotone_and_mass_exact_along_heat_flow():
     rho0 = tilted_density(3, 64, 0.4, 2.0)
     spec = FlowSpec(kind="heat", p=3.0, t_end=0.25)
@@ -283,9 +260,11 @@ def test_random_density_generator_properties():
         tilted_density(3, 48, 1.5, 2.0)
 
 
-# The per-candidate derivative path the batched kernel replaced: one
+# The per-candidate derivative path the batched kernels replaced: one
 # propagator closure per density, six stencil states per attempt, and the
-# deficits of the +-h states evaluated twice.  Kept as the reference.
+# deficits of the +-h states evaluated twice.  Kept as the reference: the
+# heat kernel must match it bit for bit, the fde closed form within its
+# Richardson error.
 
 
 def _reference_deficit(grid, rho, p):
@@ -361,33 +340,32 @@ def _reference_derivative(grid, rho0, p, spec):
     return (value, error, h), halvings
 
 
-@pytest.mark.parametrize("kind", ["heat", "fde"])
+# plain rows, rows that need h halvings ((0.65, 22) for heat, (0.41, -22)
+# for fde) and rows that lose positivity at every h
+_TILTS = [(0.6, -5.0), (0.65, 22.0), (0.41, -22.0), (0.95, 22.0),
+          (0.89, -22.0), (0.2, 3.0)]
+
+
+@pytest.mark.parametrize("kind", ["heat"])
 def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
-    # plain rows, rows that need h halvings ((0.65, 22) for heat,
-    # (0.41, -22) for fde) and rows that lose positivity at every h
-    tilts = [(0.6, -5.0), (0.65, 22.0), (0.41, -22.0), (0.95, 22.0),
-             (0.89, -22.0), (0.2, 3.0)]
     p = 5.5
     grid = _workspace(3, 96)
     spec = FlowSpec(kind=kind, p=p)
-    rhos = np.array([tilted_density(3, 96, e, q).values for e, q in tilts])
-    name = "_spectral_propagate" if kind == "heat" else "_rk4_propagate"
-    inner = getattr(sphere_flows, name)
+    rhos = np.array([tilted_density(3, 96, e, q).values for e, q in _TILTS])
+    inner = sphere_flows._spectral_propagate
     handed = []
 
-    def counted(*args):
-        # the times: _rk4_propagate(grid, starts, times, sub_dt, m),
-        # _spectral_propagate(modes, coeffs, times)
-        handed.append(list(args[2] if kind == "fde" else args[-1]))
-        return inner(*args)
+    def counted(modes, coeffs, times):
+        handed.append(list(times))
+        return inner(modes, coeffs, times)
 
-    monkeypatch.setattr(sphere_flows, name, counted)
+    monkeypatch.setattr(sphere_flows, "_spectral_propagate", counted)
     got = _deficit_derivatives(grid, rhos, p, spec)
     refs = [_reference_derivative(grid, rho, p, spec) for rho in rhos]
     assert [est is None for est in got] == [ref is None for ref, _ in refs]
     for est, (ref, _) in zip(got, refs):
         if ref is not None:
-            assert (est.value, est.error, est.h) == ref
+            assert (est.value, est.error) == ref[:2]
     # the batch covers both ways the h-halving loop can end
     assert any(ref is not None and n > 0 for ref, n in refs)
     assert any(ref is None for ref, _ in refs)
@@ -400,6 +378,123 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
         for k in range(max(rounds))]
     for times in handed[1:]:
         assert times[0::2] == [-t for t in times[1::2]]
+
+
+def test_fde_closed_form_matches_rk4_richardson():
+    # the closed form against forward and backward RK4 states and
+    # Richardson, per density: within twice the reference's own error
+    # (the worst of the four comparable tilts reads 0.87 of it).  The
+    # reference loses positivity at (0.95, 22) and (0.89, -22); the
+    # closed form propagates nothing and gives a value there too.
+    p = 5.5
+    grid = _workspace(3, 96)
+    spec = FlowSpec(kind="fde", p=p)
+    rhos = np.array([tilted_density(3, 96, e, q).values for e, q in _TILTS])
+    got = _deficit_derivatives(grid, rhos, p, spec)
+    compared = 0
+    for est, rho in zip(got, rhos):
+        assert est is not None and math.isfinite(est.value)
+        ref, _ = _reference_derivative(grid, rho, p, spec)
+        if ref is not None:
+            assert abs(est.value - ref[0]) <= 2.0 * ref[1]
+            compared += 1
+    assert compared == 4
+
+
+def test_fde_closed_form_rows_stay_independent_of_bad_neighbours():
+    # a stacked row equals that density evaluated alone, bit for bit; a
+    # density with a zero, NaN or infinite cell has no finite Fisher
+    # gradient and gives None without disturbing its neighbours
+    p = 5.5
+    grid = _workspace(3, 96)
+    spec = FlowSpec(kind="fde", p=p)
+    good = [tilted_density(3, 96, e, q).values for e, q in _TILTS]
+    zero, bad_nan, bad_inf = good[0].copy(), good[1].copy(), good[2].copy()
+    zero[40] = 0.0
+    bad_nan[0] = np.nan
+    bad_inf[[0, -1]] = np.inf
+    stack = np.array(good[:2] + [zero, bad_nan] + good[2:4] + [bad_inf]
+                     + good[4:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _deficit_derivatives(grid, stack, p, spec)
+        alone = [_deficit_derivatives(grid, rho[None], p, spec)[0]
+                 for rho in stack]
+    assert [est is None for est in got] == [False] * 2 + [True] * 2 \
+        + [False] * 2 + [True] + [False] * 2
+    for est, ref in zip(got, alone):
+        if est is None:
+            assert ref is None
+        else:
+            assert (est.value, est.error) == (ref.value, ref.error)
+
+
+def _exact_fde_derivative(grid, rho, p, m):
+    """sum_i dD/drho_i * L(rho^m)_i at 40 digits, from the float64 arrays.
+
+    The exponent a is the double 1/p that sphere_observables raises rho
+    to; the diffusion exponent m is the flow's double.
+    """
+    with mpmath.workdps(40):
+        W, lo, di, up, rho = ([mpmath.mpf(x) for x in arr] for arr in (
+            grid.cell_mass, grid.lap_lo, grid.lap_di, grid.lap_up, rho))
+        n, a, m = len(rho), mpmath.mpf(1.0 / p), mpmath.mpf(m)
+
+        def lap(f):
+            return [di[i] * f[i] + (up[i] * f[i + 1] if i + 1 < n else 0)
+                    + (lo[i] * f[i - 1] if i > 0 else 0) for i in range(n)]
+
+        v = lap([x ** m for x in rho])
+        lu = lap([x ** a for x in rho])
+        mass = mpmath.fsum(w * x for w, x in zip(W, rho))
+        total = mpmath.fsum(
+            (-2 * a * W[i] * lu[i] * rho[i] ** (a - 1)
+             - grid.sphere_dim * 2 * a * W[i]
+             * (mass ** (2 * a - 1) - rho[i] ** (2 * a - 1)) / (p - 2))
+            * v[i] for i in range(n))
+        return total
+
+
+def test_fde_closed_form_error_bounds_a_40_digit_sum(monkeypatch):
+    # near-uniform tilts, where L cancels, a mild and a steep one, and the
+    # search's certificate: the stated error must cover the distance to
+    # the exact sum and still sit far below the value
+    p = 5.5
+    grid = _workspace(3, 96)
+    spec = FlowSpec(kind="fde", p=p)
+    seen = []
+    inner = sphere_flows._deficit_derivatives
+
+    def record(grid, rhos, p, spec):
+        out = inner(grid, rhos, p, spec)
+        seen.extend(zip(rhos, out))
+        return out
+
+    monkeypatch.setattr(sphere_flows, "_deficit_derivatives", record)
+    with pytest.raises(SearchFailed) as info:
+        counterexample_search(3, p, flow_kind="fde")
+    (certificate,) = {rho.tobytes(): rho for rho, est in seen
+                      if est.value == info.value.best_value}.values()
+    rhos = [tilted_density(3, 96, e, q).values
+            for e, q in ((0.05, -1.0), (0.05, -2.105), (0.35, 12.05),
+                         (0.95, -22.0))] + [certificate]
+    for rho in rhos:
+        (est,) = inner(grid, rho[None], p, spec)
+        exact = _exact_fde_derivative(grid, rho, p, spec.diffusion_exponent())
+        assert abs(mpmath.mpf(est.value) - exact) <= est.error
+        assert est.error <= 1e-3 * abs(est.value)
+
+
+@pytest.mark.parametrize("d, p", [(3, 2.5), (3, 4.0), (3, 5.9),
+                                  (4, 2.5), (4, 3.5), (4, 3.95),
+                                  (5, 2.5), (5, 3.0), (5, 3.3),
+                                  (6, 2.2), (6, 2.6), (6, 2.95)])
+def test_fde_search_finds_no_witness_below_the_critical_exponent(d, p):
+    # the default m = 1 - 1/n keeps the fde deficit monotone for p < 2*
+    # = 2d/(d-2); on 96 cells the search must fail with a negative value
+    with pytest.raises(SearchFailed) as info:
+        counterexample_search(d, p, flow_kind="fde")
+    assert info.value.best_value < 0.0
 
 
 @pytest.mark.parametrize("d, p", [(3, 5.5), (4, 3.9)])
@@ -427,10 +522,11 @@ def test_scan_rows_equal_tilted_densities(d, p, monkeypatch):
 
 def test_fde_search_certificate_is_pinned():
     # p = 5.5 < 2* = 6 keeps the fde deficit monotone; the scan's best
-    # value is the certificate, and the propagation must keep its bits
+    # value is the certificate, and the closed form must keep its bits
+    # (-1.382233879733955e-10, error 2.8e-11, from RK4 and Richardson)
     with pytest.raises(SearchFailed) as info:
         counterexample_search(3, 5.5, flow_kind="fde")
-    assert info.value.best_value == -1.382233879733955e-10
+    assert info.value.best_value == -1.3831958234354235e-10
 
 
 def test_search_with_every_candidate_skipped_fails_typed(monkeypatch):
