@@ -38,7 +38,7 @@ from .cylinder_solver import (
     symmetric_quotient,
 )
 from .errors import DomainError, GroundStateFailed, InsufficientSamples
-from .grids import brent_root, gauss_panels
+from .grids import gauss_panels
 from .params import (
     check_cylinder_exponent,
     check_theta,
@@ -46,6 +46,7 @@ from .params import (
     lambda_fs_theta,
     mu_star,
     sphere_area,
+    theta_constant,
     theta_Lambda,
     theta_mu,
     theta_optimal_lam,
@@ -145,23 +146,20 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
     On the grid of length 20/sqrt(lam) with N cells, h^2 lam does not
     depend on lam, so the discrete profile is lam^(1/(p-2)) times the
     lam = 1 one, and t(lam) = lam t_1, mu(lam) = lam^((p+2)/(2p)) mu_1.
-    The theta-quotient over lam is then minimized in closed form at
-    lam* = Lambda (p-2) / (t_1 (2 p theta - (p-2))), on two line grids
-    (m and 2m cells) whose minima are Richardson-combined; stationarity
-    at the optimum keeps the combination fourth-order.  What keeps this
-    route independent of `params.mu_star` is (mu_1, t_1): a
-    finite-difference polish and grid quadrature, not panel quadrature
-    of the explicit profile.
+    The theta-quotient over lam is then minimized in closed form by
+    `params.theta_constant`, on two line grids (m and 2m cells) whose
+    minima are Richardson-combined; stationarity at the optimum keeps the
+    combination fourth-order.  What keeps this route independent of
+    `params.mu_star` is (mu_1, t_1): a finite-difference polish and grid
+    quadrature, not panel quadrature of the explicit profile.
     """
     check_theta(d, p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
 
     def best(cells: int) -> float:
-        mu_1, t_1 = _unit_line_quotient(d, p, cells)
-        lam = Lambda * (p - 2.0) / (t_1 * (2.0 * p * theta - (p - 2.0)))
-        return theta_mu(theta, lam, lam * t_1, Lambda,
-                        lam ** ((p + 2.0) / (2.0 * p)) * mu_1)
+        return theta_constant(p, theta, Lambda,
+                              *_unit_line_quotient(d, p, cells))
 
     return (4.0 * best(2 * m_cells) - best(m_cells)) / 3.0
 
@@ -648,9 +646,11 @@ def lemma_criterion(d: int, p: float,
     Strict inequality certifies a symmetry-breaking interval below the
     linear-instability threshold at theta = vartheta(p): the translated
     branch bound never exceeds c_gn, while the symmetric constant grows
-    past it.  The bracket's upper end is where the two cross (Brent's
-    method on the increasing difference); a supplied branch can tighten
-    it with direct quotient witnesses.
+    past it.  The bracket's upper end is where the two cross: the
+    symmetric constant is a power of Lambda with exponent
+    vartheta - (p-2)/(2p) = (d-1)(p-2)/(2p), so the crossing is that
+    power's root.  A supplied branch can tighten it with direct quotient
+    witnesses.
     """
     pars = _params_of(d, p)
     vt = pars.vartheta
@@ -661,15 +661,8 @@ def lemma_criterion(d: int, p: float,
     predicted = c_gn < star_at_fs
     bracket = None
     if predicted:
-        def excess(Lam: float) -> float:
-            return mu_star(pars, Lam, vt) * ambient - c_gn
-
-        lo = lam_fs_th
-        for _ in range(200):
-            lo *= 0.5
-            if excess(lo) < 0.0:
-                break
-        upper = brent_root(excess, lo, lam_fs_th, xtol=1e-12)
+        upper = lam_fs_th * (c_gn / star_at_fs) ** (
+            2.0 * p / ((d - 1.0) * (p - 2.0)))
         if branch is not None:
             Lambda, _, mask = _witness_scan(branch, vt)
             below = Lambda[mask & (Lambda < lam_fs_th)]

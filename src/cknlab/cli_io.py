@@ -46,7 +46,7 @@ from .cylinder_solver import (
     Branch,
     ContinuationConfig,
     continue_branch,
-    cylinder_grid,
+    default_grid,
     linearized_spectrum,
     solve_symmetric,
     symmetric_quotient,
@@ -678,8 +678,7 @@ def _check_equivalence_triple():
 
 def _check_symmetric_constant():
     p, lam = 2.8, 2.0
-    length = 20.0 / math.sqrt(lam)
-    vals = [symmetric_quotient(cylinder_grid(5, length, m, 4), p, lam)[0]
+    vals = [symmetric_quotient(default_grid(5, lam, m, 4), p, lam)[0]
             for m in (400, 800)]
     richardson = (4.0 * vals[1] - vals[0]) / 3.0
     target = params_mod.mu_star(
@@ -689,7 +688,7 @@ def _check_symmetric_constant():
 
 def _check_translation_mode():
     lam = 6.0
-    grid = cylinder_grid(5, 20.0 / math.sqrt(lam), 800, 8)
+    grid = default_grid(5, lam, 800, 8)
     phi = solve_symmetric(5, 2.8, lam, grid)
     eig = float(linearized_spectrum(phi, lam, sector=0, count=2)[1])
     return [("zero mode at", eig, 1e-8)]

@@ -38,13 +38,6 @@ __all__ = [
 # sphere functionals
 
 
-def _check_sphere_exponent(d: int, p: float) -> None:
-    hi = math.inf if d <= 2 else 2.0 * d / (d - 2)
-    if not 1.0 <= p <= hi + 1e-12:
-        raise DomainError(
-            f"exponent p={p} outside [1, {hi}] for the {d}-sphere")
-
-
 def sphere_observables(grid: FVZonalGrid, rhos: np.ndarray,
                        p: float) -> np.ndarray:
     """Rows (mass, entropy, fisher, deficit) for a (k, n) stack of densities.

@@ -275,17 +275,14 @@ class FVZonalGrid:
         out[..., 1:] += self.lap_lo[1:] * v[..., :-1]
         return out
 
-    def dirichlet_form(self, f: np.ndarray, g: np.ndarray | None = None):
-        """Quadrature of grad f . grad g against the probability measure.
+    def dirichlet_form(self, f: np.ndarray):
+        """Quadrature of |grad f|^2 against the probability measure.
 
         Acts on the last axis: a float for one function, an array with
         one value per row for a stack.
         """
-        if g is None:
-            g = f
         df = np.diff(f, axis=-1) / np.diff(self.centroids)
-        dg = np.diff(g, axis=-1) / np.diff(self.centroids)
-        return _last_axis_sum(self.flux[1:-1] * df * dg
+        return _last_axis_sum(self.flux[1:-1] * df * df
                               * np.diff(self.centroids))
 
     def integrate(self, v: np.ndarray):
@@ -329,12 +326,9 @@ class GridFunction1D:
     def nodes(self) -> np.ndarray:
         return self.grid.centroids
 
-    def integrate(self, samples: np.ndarray | None = None) -> float:
-        return self.grid.integrate(self.values if samples is None else samples)
-
     @property
     def mass(self) -> float:
-        return self.integrate()
+        return self.grid.integrate(self.values)
 
 
 def _last_axis_sum(a: np.ndarray):

@@ -9,8 +9,9 @@ with the violated inequality spelled out.
 
 Scalar constants whose closed forms involve Gamma functions are
 evaluated in log space so that exponents arbitrarily close to 2 stay
-finite; quadrature-backed quantities share one cached line rule per
-(p, lambda) pair.
+finite.  Every symmetric cylinder profile is the unit-scale soliton
+rescaled, so quadrature-backed quantities read one cached line rule per
+p, at lambda = 1, and carry it to any scale by the exact scaling law.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, InversionError
-from .grids import brent_root, gauss_panels
+from .errors import AdmissibilityError, DomainError
+from .grids import gauss_panels
 from .profiles import phi_star_log
 
 __all__ = [
@@ -42,10 +43,12 @@ __all__ = [
     "symmetric_profile_data",
     "sphere_area",
     "check_cylinder_exponent",
+    "check_sphere_exponent",
     "check_theta",
     "theta_Lambda",
     "theta_mu",
     "theta_optimal_lam",
+    "theta_constant",
 ]
 
 _MODES = ("critical", "subcritical", "cylinder")
@@ -126,6 +129,14 @@ def check_cylinder_exponent(d: int, p: float) -> None:
     if d > 2 and p >= 2.0 * d / (d - 2.0):
         raise DomainError(
             f"p={p} is not subcritical for d={d} (needs p < {2 * d / (d - 2)})")
+
+
+def check_sphere_exponent(d: int, p: float) -> None:
+    """Reject p outside [1, 2d/(d-2)] for flows on the d-sphere."""
+    hi = math.inf if d <= 2 else 2.0 * d / (d - 2)
+    if not 1.0 <= p <= hi + 1e-12:
+        raise DomainError(
+            f"exponent p={p} outside [1, {hi}] for the {d}-sphere")
 
 
 def check_theta(d: int, p: float, theta: float) -> float:
@@ -268,8 +279,7 @@ def _log_dot(logf: np.ndarray, w: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=4096)
-def symmetric_profile_data(p: float, lam: float, n_panels: int = 96,
-                           n_nodes: int = 8):
+def symmetric_profile_data(p: float, lam: float):
     """Full-line integrals of the explicit symmetric profile.
 
     Returns (log_l2, log_lpp, t) with log_l2 = log of the squared L2
@@ -288,7 +298,9 @@ def symmetric_profile_data(p: float, lam: float, n_panels: int = 96,
     c = 20.0 * (p - 2.0)
     x_cut = c + math.log(2.0) if c > 300.0 else math.acosh(math.exp(c))
     extent = 2.0 * x_cut / ((p - 2.0) * math.sqrt(lam))
-    s, w = gauss_panels(0.0, extent, n_panels, n_nodes)
+    # the sech-power core narrows as p grows; 768 panels of 8 nodes
+    # resolve it to about 1e-12 up to p = 64
+    s, w = gauss_panels(0.0, extent, 768, 8)
     logphi = phi_star_log(s, p, lam)
     log2 = math.log(2.0)
     log_l2 = _log_dot(2.0 * logphi, w) + log2
@@ -300,17 +312,6 @@ def symmetric_profile_data(p: float, lam: float, n_panels: int = 96,
     log_l2_sech = _log_dot(2.0 * logphi + np.log(sech2), w) + log2
     t = lam * (1.0 - math.exp(log_l2_sech - log_l2))
     return log_l2, log_lpp, t
-
-
-def _mu_one(p: float) -> float:
-    """Optimal symmetric constant at unit scale, from quadrature."""
-    _, log_lpp, _ = symmetric_profile_data(p, 1.0)
-    return math.exp((p - 2.0) / p * log_lpp)
-
-
-def symmetric_t(p: float, lam: float) -> float:
-    """Gradient-to-mass ratio of the symmetric profile at scale lam."""
-    return symmetric_profile_data(p, lam)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +340,41 @@ def theta_optimal_lam(p: float, theta, Lambda):
     return Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
 
 
+def theta_constant(p: float, theta, Lambda, mu_1: float, t_1: float):
+    """Theta-constant of a family with t = lam t_1, mu = lam^((p+2)/(2p)) mu_1.
+
+    The theta-quotient of the family member at scale lam is minimized in
+    closed form at lam* = Lambda (p-2) / (t_1 (2 p theta - (p-2))); for
+    the soliton, t_1 = (p-2)/(p+2), that member sits at position Lambda.
+    The minimum scales as Lambda^(theta - (p-2)/(2p)).
+    """
+    lam = Lambda * (p - 2.0) / (t_1 * (2.0 * p * theta - (p - 2.0)))
+    return theta_mu(theta, lam, lam * t_1, Lambda,
+                    lam ** ((p + 2.0) / (2.0 * p)) * mu_1)
+
+
 def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
     """Optimal constant over the symmetric family at (Lambda, theta).
 
-    For theta = 1 this is the quadrature value at unit scale propagated
-    by the exact scaling law.  For theta < 1 the family member whose
-    reparametrized position equals Lambda is located by monotone root
-    finding, and its interpolation quotient is returned.
+    The family is the unit-scale soliton rescaled, so its quadrature
+    values (mu_1, t_1) at lam = 1 fix the constant at every (Lambda,
+    theta) through `theta_constant`.
     """
     check_theta(params.d, params.p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"needs Lambda > 0, got {Lambda}")
     p = params.p
-    if theta >= 1.0 - 1e-15:
-        return _mu_one(p) * Lambda ** ((p + 2.0) / (2.0 * p))
-
-    def offset(lam: float) -> float:
-        return theta_Lambda(theta, lam, symmetric_t(p, lam)) - Lambda
-
-    # not theta_optimal_lam: the two spellings differ in the last bit for
-    # about a third of inputs, and this guess sets the bracket
-    slope = (2.0 * p * theta - (p - 2.0)) / (p + 2.0)
-    guess = Lambda / slope
-    lo, hi = 0.5 * guess, 2.0 * guess
-    for _ in range(80):
-        if offset(lo) <= 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise InversionError(f"no lower bracket for Lambda={Lambda}")
-    for _ in range(80):
-        if offset(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InversionError(f"no upper bracket for Lambda={Lambda}")
-    lam_star = brent_root(offset, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    log_l2, log_lpp, t = symmetric_profile_data(p, lam_star)
-    log_ratio = log_l2 - (2.0 / p) * log_lpp
-    return (t + Lambda) ** theta * math.exp(log_ratio)
+    log_l2, log_lpp, t_1 = symmetric_profile_data(p, 1.0)
+    mu_1 = (1.0 + t_1) * math.exp(log_l2 - (2.0 / p) * log_lpp)
+    return theta_constant(p, theta, Lambda, mu_1, t_1)
 
 
 def lambda_fs_theta(params: CKNParams, theta: float) -> float:
     """Reparametrized position of the symmetry-breaking point."""
     check_theta(params.d, params.p, theta)
     lam_fs = lambda_fs_value(params.d, params.p)
-    return theta_Lambda(theta, lam_fs, symmetric_t(params.p, lam_fs))
+    t_1 = symmetric_profile_data(params.p, 1.0)[2]
+    return theta_Lambda(theta, lam_fs, lam_fs * t_1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from .errors import (CknlabError, DomainError, PositivityLoss, SearchFailed,
                      StepRejected)
-from .functionals import _check_sphere_exponent, sphere_observables
+from .functionals import sphere_observables
 from .grids import (FVZonalGrid, GridFunction1D, _tridiagonal_solve,
                     _workspace)
+from .params import check_sphere_exponent
 
 __all__ = [
     "FlowSpec",
@@ -56,6 +57,9 @@ _MASS_TOL = 1e-10
 _DT_GROWTH = 1.15
 # node-steps a trajectory may take before it is rejected as runaway
 _WORK_CAP = 1_000_000
+# the implicit fde step's Newton: relative residual and iteration budget
+_FDE_TOL = 1e-13
+_FDE_MAX_ITER = 30
 # stencil times around t = 0, in units of h: the fourth-order centered
 # difference at h uses the outer four, the one at h/2 the inner four;
 # after h halves, only the middle two are new times
@@ -222,8 +226,8 @@ def _heat_step(grid: FVZonalGrid, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + dt * grid.apply_laplacian(sol)
 
 
-def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
-              tol: float = 1e-13, max_iter: int = 30) -> np.ndarray:
+def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float,
+              m: float) -> np.ndarray:
     # for m < 1 the diffusivity m x^(m-1) is infinite at a zero cell; the
     # line search keeps every later iterate positive, so only rho is tested
     if m < 1.0 and not rho.min() > 0.0:
@@ -235,8 +239,8 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
     flux = dt * grid.apply_laplacian(x ** m)
     res = x - flux - rho
     nrm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if nrm <= tol * max(1.0, float(np.max(np.abs(x)))):
+    for _ in range(_FDE_MAX_ITER):
+        if nrm <= _FDE_TOL * max(1.0, float(np.max(np.abs(x)))):
             return rho + flux
         # the diffusivity m x^(m-1) degenerates at small x, so the floor
         # lives in the Jacobian only, never in the residual
@@ -256,7 +260,7 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float, m: float,
         else:
             raise StepRejected("line search exhausted in the implicit "
                                "diffusion solve", dt=dt)
-    raise StepRejected(f"no convergence in {max_iter} Newton iterations",
+    raise StepRejected(f"no convergence in {_FDE_MAX_ITER} Newton iterations",
                        dt=dt)
 
 
@@ -292,7 +296,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
     row of a stack is bit-identical to evaluating that state alone.
     """
     grid = state0.density.grid
-    _check_sphere_exponent(grid.sphere_dim, spec.p)
+    check_sphere_exponent(grid.sphere_dim, spec.p)
     obs = tuple(observers) if observers is not None else ()
     state = state0
     mass0 = state0.mass
@@ -532,7 +536,7 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
     certificate the caller wants.
     """
     grid = _workspace(d, n_cells)
-    _check_sphere_exponent(d, p)
+    check_sphere_exponent(d, p)
     spec = FlowSpec(kind=flow_kind, p=p)
 
     qs = np.concatenate([np.linspace(-4.0 * p, -1.0, 20),

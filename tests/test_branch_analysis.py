@@ -29,6 +29,7 @@ from cknlab import (
     mu_star,
     mu_star_theta_line,
     reparametrize,
+    sphere_area,
 )
 from cknlab import branch_analysis
 from cknlab.cli_io import run
@@ -337,6 +338,9 @@ def test_breaking_criterion_reports(d, p, c_gn, upper):
     assert rel(hi, upper) < 1e-6
     rec = derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder")
     assert hi < lambda_fs_theta(rec, rec.vartheta)
+    # the upper end is where the symmetric constant falls to c_gn
+    star = mu_star(rec, hi, rec.vartheta) * sphere_area(d) ** (1.0 - 2.0 / p)
+    assert rel(star, report.c_gn) < 1e-12
 
 
 def test_criterion_bracket_tightens_with_branch(branch_5_2_8):
@@ -486,6 +490,21 @@ def test_line_constant_matches_direct_minimization():
         got = mu_star_theta_line(5, 2.8, theta, Lambda, m_cells=200)
         assert rel(got, _inline_line_constant(5, 2.8, theta, Lambda, 200)) \
             <= 1e-12
+
+
+def test_line_constant_keeps_its_closed_form_bits():
+    # the optimum as mu_star_theta_line wrote it before params held it
+    for d, p, theta, Lambda in ((5, 2.8, 0.718, 2.5), (3, 2.5, 0.4, 0.9),
+                                (5, 2.8, 1.0, 4.0)):
+        def best(cells):
+            mu_1, t_1 = _unit_line_quotient(d, p, cells)
+            lam = Lambda * (p - 2.0) / (t_1 * (2.0 * p * theta - (p - 2.0)))
+            return ((lam * t_1 + Lambda) ** theta
+                    * (lam ** ((p + 2.0) / (2.0 * p)) * mu_1)
+                    / (lam * t_1 + lam))
+
+        want = (4.0 * best(3200) - best(1600)) / 3.0
+        assert mu_star_theta_line(d, p, theta, Lambda).hex() == want.hex()
 
 
 def test_curve_computes_its_line_quotients_once(branch_5_2_8, monkeypatch):

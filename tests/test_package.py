@@ -67,6 +67,110 @@ def test_every_library_definition_has_a_caller():
     assert set(uncalled) == KEPT_WITHOUT_CALLER, sorted(uncalled.values())
 
 
+# Keyword defaults that no call in the package sets, kept because tests
+# set them to reach a reference.  Any other such default is a constant
+# written as a setting.
+DEFAULTS_KEPT_WITHOUT_CALLER = {
+    # line resolution of the grid-refinement and minimizer checks
+    "branch_analysis.mu_star_theta_line(m_cells)",
+    # the pointwise K functional away from its default scale
+    "functionals.k_functional(zeta_star)",
+    # the zonal rule's exactness by degree
+    "grids.zonal_quadrature(rule)",
+    # acceptance criterion 04 refines the radial rule
+    "grids.log_radial_quadrature(n_panels)",
+    "grids.log_radial_quadrature(n_nodes)",
+    # the independent quotient at theta < 1
+    "functionals.cylinder_quotient(theta)",
+    # the trajectory observers of the flow tests
+    "sphere_flows.integrate(observers)",
+    # tests pass the command line; the console script reads sys.argv
+    "cli_io.run(argv)",
+}
+
+
+def _keyword_defaults(fn, bound):
+    """{name: position or None} of fn's parameters that have a default.
+
+    bound drops the instance or class argument from the positions;
+    keyword-only parameters have no position.
+    """
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[bound:]
+    first = len(positional) - len(args.defaults)
+    out = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
+    out.update((arg.arg, None)
+               for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None)
+    return out
+
+
+def test_every_keyword_default_is_set_by_a_caller():
+    # A module-level function is reached by its name in its own module,
+    # by a name imported from its module, or as an attribute of its
+    # module; a class's __init__ by the class name the same ways.  Methods
+    # cannot be told apart by the receiver, so a method is reached by any
+    # other attribute call of its name, and the module function
+    # sphere_flows.integrate stays apart from the integrate methods.  A
+    # call sets a default by keyword, by position, or through * or **.
+    src = Path(cknlab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    targets = []  # (label, how calls reach it, keyword defaults)
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                targets.append((f"{stem}.{node.name}", (stem, node.name),
+                                _keyword_defaults(node, 0)))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(isinstance(dec, ast.Name)
+                                 and dec.id == "staticmethod"
+                                 for dec in fn.decorator_list)
+                    reach = ((stem, node.name) if fn.name == "__init__"
+                             else (None, fn.name))
+                    targets.append((f"{stem}.{node.name}.{fn.name}", reach,
+                                    _keyword_defaults(fn, 1 - static)))
+    calls = {}
+    for stem, tree in trees.items():
+        modules, names = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        names[local] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                reach = names.get(func.id, (stem, func.id))
+            elif not isinstance(func, ast.Attribute):
+                continue
+            elif isinstance(func.value, ast.Name) and func.value.id in modules:
+                reach = (modules[func.value.id], func.attr)
+            else:
+                reach = (None, func.attr)
+            spread = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                      or any(kw.arg is None for kw in node.keywords))
+            calls.setdefault(reach, []).append(
+                (len(node.args), spread, {kw.arg for kw in node.keywords}))
+    unset = {f"{label}({name})"
+             for label, reach, defaults in targets
+             for name, position in defaults.items()
+             if not any(spread or name in keywords
+                        or (position is not None and n_args > position)
+                        for n_args, spread, keywords in calls.get(reach, []))}
+    # equality, as above
+    assert unset == DEFAULTS_KEPT_WITHOUT_CALLER, sorted(
+        unset ^ DEFAULTS_KEPT_WITHOUT_CALLER)
+
+
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # nothing in the package integrates an ODE or calls a SciPy optimizer,
     # so importing it must load neither scipy.integrate (about 0.15 s of

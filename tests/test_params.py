@@ -22,7 +22,8 @@ from cknlab import (
     thresholds,
     two_sharp_value,
 )
-from cknlab.params import CKNParams, symmetric_profile_data, symmetric_t
+from cknlab.grids import brent_root
+from cknlab.params import CKNParams, symmetric_profile_data, theta_Lambda
 
 
 def rel(a, b):
@@ -117,6 +118,41 @@ def test_symmetric_constant_scaling_law_property(d, frac, Lambda, scale,
     assert rel(ratio, scale ** (theta - (p - 2.0) / (2.0 * p))) < 1e-12
 
 
+def _nested_root_mu_star(p, theta, Lambda):
+    """The symmetric theta-constant by root finding over fresh quadratures.
+
+    Locates the scale whose position theta lam - (1 - theta) t(lam) is
+    Lambda by Brent's method, each evaluation a quadrature at that scale,
+    and returns the quotient there.  It assumes nothing of the scaling law.
+    """
+    def offset(lam):
+        return theta_Lambda(theta, lam, symmetric_profile_data(p, lam)[2]) \
+            - Lambda
+
+    guess = Lambda * (p + 2.0) / (2.0 * p * theta - (p - 2.0))
+    lo, hi = 0.5 * guess, 2.0 * guess
+    while offset(lo) > 0.0:
+        lo *= 0.5
+    while offset(hi) < 0.0:
+        hi *= 2.0
+    lam = brent_root(offset, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    log_l2, log_lpp, t = symmetric_profile_data(p, lam)
+    return (t + Lambda) ** theta * math.exp(log_l2 - (2.0 / p) * log_lpp)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), frac=st.floats(0.01, 0.99),
+       Lambda=st.floats(0.01, 100.0), theta_frac=st.floats(0.0, 1.0))
+def test_symmetric_constant_matches_nested_root_find(d, frac, Lambda,
+                                                     theta_frac):
+    # the scaling law against a root find that never uses it
+    p = _cylinder_exponent(d, frac)
+    rec = cylinder_record(d=d, p=p)
+    theta = rec.vartheta + theta_frac * (1.0 - rec.vartheta)
+    assert rel(mu_star(rec, Lambda, theta),
+               _nested_root_mu_star(p, theta, Lambda)) < 1e-12
+
+
 def test_derive_params_rejects_bad_dimensions():
     inputs = {"p": 2.8, "Lambda": 1.0}
     with pytest.raises(AdmissibilityError) as low:
@@ -209,8 +245,8 @@ def test_symmetric_constant_scaling_exponent():
 
 
 def test_symmetric_constant_below_one_matches_scan_minimum():
-    # invert-the-position route vs a brute-force scan over the profile
-    # scale; the two only meet if the stationarity reasoning is right
+    # the scaling-law route vs a brute-force scan over the profile scale;
+    # the two only meet if the stationarity reasoning is right
     rec = cylinder_record()
     p, theta, Lam = 2.8, 0.718, 2.5
     target = mu_star(rec, Lam, theta)
@@ -232,8 +268,8 @@ def test_mu_star_rejects_bad_inputs():
 
 
 def test_symmetric_gradient_ratio_closed_form():
-    assert rel(symmetric_t(2.8, 6.0), 6.0 * 0.8 / 4.8) < 1e-10
-    assert rel(symmetric_t(2.8, 1.0), 1.0 / 6.0) < 1e-10
+    assert rel(symmetric_profile_data(2.8, 6.0)[2], 6.0 * 0.8 / 4.8) < 1e-10
+    assert rel(symmetric_profile_data(2.8, 1.0)[2], 1.0 / 6.0) < 1e-10
 
 
 def test_threshold_position_below_one():
@@ -247,10 +283,17 @@ def test_threshold_position_below_one():
 
 
 def test_optimal_constant_ties_to_symmetric_constant():
-    rec = derive_params(5, {"a": 0.3, "b": 0.9}, "critical")
-    gap = rec.a_c - rec.a
-    expected = sphere_area(5) ** (1.0 - 2.0 / rec.p) * mu_star(rec, gap * gap)
-    assert rel(optimal_constant_star(rec), expected) < 1e-12
+    # the d = 2 records sit at p = 12, 32 and 64, whose sech-power cores
+    # the unit-scale quadrature must still resolve
+    for d, a, b, bound in ((5, 0.3, 0.9, 1e-12),
+                           (2, -1.0, -1.0 + 1.0 / 6.0, 1e-12),
+                           (2, -1.0, -0.9375, 1e-12),
+                           (2, -1.0, -0.96875, 1e-11)):
+        rec = derive_params(d, {"a": a, "b": b}, "critical")
+        gap = rec.a_c - rec.a
+        expected = (sphere_area(d) ** (1.0 - 2.0 / rec.p)
+                    * mu_star(rec, gap * gap))
+        assert rel(optimal_constant_star(rec), expected) < bound, rec.p
     sub = derive_params(5, {"beta": 0.0, "gamma": 0.0, "p": 1.4},
                         "subcritical")
     with pytest.raises(DomainError):
