@@ -1,5 +1,6 @@
 """Sphere entropies, curvature remainders, and quotients."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from cknlab import (
     tensor_grid,
 )
 from cknlab.functionals import density_from_pressure
-from cknlab.grids import GridFunction1D, fv_zonal_grid
+from cknlab.grids import GridFunction1D, fornberg_weights, fv_zonal_grid
 from cknlab.params import CKNParams
 from cknlab.sphere_flows import random_smooth_density, tilted_density
 
@@ -132,6 +133,61 @@ def test_curvature_remainder_pointwise_nonnegative():
             PressureField(grid, values, rec.m, rec.n, rec.alpha), rec)
         assert float(np.min(field)) > -1e-12 * float(np.max(np.abs(field)))
         assert integral > 0.0
+
+
+class _DenseOperator:
+    """A derivative scattered into a dense n x n matrix, applied by matmul.
+
+    Built row by row from fornberg_weights, with the dense row sum taken
+    off the diagonal: the form the tensor grid had before it kept
+    stencils.
+    """
+
+    def __init__(self, x, order):
+        n = len(x)
+        self.matrix = np.zeros((n, n))
+        for i in range(n):
+            j0 = min(max(i - 2, 0), n - 5)
+            self.matrix[i, j0:j0 + 5] = fornberg_weights(
+                x[i], x[j0:j0 + 5], order)[order]
+        self.matrix[np.arange(n), np.arange(n)] -= self.matrix.sum(axis=1)
+
+    def apply(self, v, axis=0):
+        return self.matrix @ v if axis == 0 else v @ self.matrix.T
+
+
+# Both evaluations sum the same five products per row, in different
+# orders.  Near r = 1e-2 the 48-panel radial weights reach about
+# 1/(r dt)^2 ~ 2e7, so the rounding of the derivatives, and through the
+# 1/r^2 and 1/r^4 factors that of the field, sits far above one ulp of
+# the field's maximum; 7e-11 and 9e-13 were the worst of six draws.
+DENSE_FIELD_RTOL = 1e-9
+DENSE_INTEGRAL_RTOL = 1e-11
+
+
+def test_curvature_remainder_matches_dense_matrix_evaluation():
+    grid = curvature_grid(3)
+    dense = dataclasses.replace(
+        grid, Dr=_DenseOperator(grid.r, 1), Drr=_DenseOperator(grid.r, 2),
+        Dz=_DenseOperator(grid.z, 1), Dzz=_DenseOperator(grid.z, 2))
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        n = 3.0 + rng.uniform(0.5, 4.0)
+        alpha = math.sqrt(2.0 / (n - 1.0)) * rng.uniform(0.3, 1.0)
+        rec = CKNParams(mode="subcritical", d=3, p=1.5, alpha=alpha, n=n,
+                        m=1.0 - 1.0 / n)
+        t0, amp = rng.uniform(-2.0, 2.0), rng.uniform(0.02, 0.1)
+        values = grid.sample(
+            lambda r, z: 1.0 + 0.5 * r * r
+            + amp * np.exp(-(np.log(r) - t0) ** 2) * np.cos(2.0 * z))
+        got, got_integral = k_functional(
+            PressureField(grid, values, rec.m, rec.n, rec.alpha), rec)
+        ref, ref_integral = k_functional(
+            PressureField(dense, values, rec.m, rec.n, rec.alpha), rec)
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got - ref))) <= DENSE_FIELD_RTOL * scale
+        assert (abs(got_integral - ref_integral)
+                <= DENSE_INTEGRAL_RTOL * abs(ref_integral))
 
 
 def test_curvature_remainder_rejections():

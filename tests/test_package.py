@@ -105,18 +105,46 @@ def _keyword_defaults(fn, bound):
     return out
 
 
-def test_every_keyword_default_is_set_by_a_caller():
-    # A module-level function is reached by its name in its own module,
-    # by a name imported from its module, or as an attribute of its
-    # module; a class's __init__ by the class name the same ways.  Methods
-    # cannot be told apart by the receiver, so a method is reached by any
-    # other attribute call of its name, and the module function
-    # sphere_flows.integrate stays apart from the integrate methods.  A
-    # call sets a default by keyword, by position, or through * or **.
-    src = Path(cknlab.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(src.glob("*.py"))}
+def _is_static(fn):
+    return any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+               for dec in fn.decorator_list)
+
+
+def _class_name(node, names):
+    """The (module, class) an annotation names, or None.
+
+    Takes a class name, a quoted one, or X | None; names maps local
+    names to where they are defined.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [side for side in (node.left, node.right)
+                 if not (isinstance(side, ast.Constant)
+                         and side.value is None)]
+        node = sides[0] if len(sides) == 1 else None
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    return None
+
+
+def _unset_defaults(sources):
+    """Labels "module.function(name)" of keyword defaults no call sets.
+
+    sources maps module stems to module source.  A module-level function
+    is reached by its name in its own module, by a name imported from its
+    module, or as an attribute of its module; a class's __init__ by the
+    class name the same ways.  A method is reached through a receiver
+    whose class is known: self (or cls) inside its class, or a parameter
+    annotated with the class (grid: FVZonalGrid).  Any other attribute
+    call of its name, x.integrate(v) with x unknown, reaches every method
+    of that name, and module functions such as sphere_flows.integrate
+    stay apart from methods.  A call sets a default by keyword, by
+    position, or through * or **.
+    """
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
     targets = []  # (label, how calls reach it, keyword defaults)
+    methods = set()
     for stem, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -126,16 +154,18 @@ def test_every_keyword_default_is_set_by_a_caller():
                 continue
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
-                    static = any(isinstance(dec, ast.Name)
-                                 and dec.id == "staticmethod"
-                                 for dec in fn.decorator_list)
+                    static = _is_static(fn)
                     reach = ((stem, node.name) if fn.name == "__init__"
-                             else (None, fn.name))
+                             else (stem, node.name, fn.name))
+                    methods.add((stem, node.name, fn.name))
                     targets.append((f"{stem}.{node.name}.{fn.name}", reach,
                                     _keyword_defaults(fn, 1 - static)))
     calls = {}
     for stem, tree in trees.items():
         modules, names = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names[node.name] = (stem, node.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
@@ -144,31 +174,103 @@ def test_every_keyword_default_is_set_by_a_caller():
                         modules[local] = alias.name
                     else:
                         names[local] = (node.module, alias.name)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+
+        def record(node, known):
             func = node.func
             if isinstance(func, ast.Name):
                 reach = names.get(func.id, (stem, func.id))
             elif not isinstance(func, ast.Attribute):
-                continue
+                return
             elif isinstance(func.value, ast.Name) and func.value.id in modules:
                 reach = (modules[func.value.id], func.attr)
             else:
+                owner = (known.get(func.value.id)
+                         if isinstance(func.value, ast.Name) else None)
                 reach = (None, func.attr)
+                if owner is not None and (*owner, func.attr) in methods:
+                    reach = (*owner, func.attr)
             spread = (any(isinstance(arg, ast.Starred) for arg in node.args)
                       or any(kw.arg is None for kw in node.keywords))
             calls.setdefault(reach, []).append(
                 (len(node.args), spread, {kw.arg for kw in node.keywords}))
-    unset = {f"{label}({name})"
-             for label, reach, defaults in targets
-             for name, position in defaults.items()
-             if not any(spread or name in keywords
-                        or (position is not None and n_args > position)
-                        for n_args, spread, keywords in calls.get(reach, []))}
+
+        def visit(node, known, cls):
+            # known maps local names to the (module, class) they hold; a
+            # nested function sees the names of the functions around it
+            if isinstance(node, ast.ClassDef):
+                cls = (stem, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                known = dict(known)
+                args = node.args.posonlyargs + node.args.args
+                for i, arg in enumerate(args + node.args.kwonlyargs):
+                    owner = _class_name(arg.annotation, names)
+                    if i == 0 and cls is not None and not _is_static(node):
+                        owner = cls
+                    if owner is not None:
+                        known[arg.arg] = owner
+                    else:
+                        known.pop(arg.arg, None)
+                cls = None
+            elif isinstance(node, ast.Call):
+                record(node, known)
+            for child in ast.iter_child_nodes(node):
+                visit(child, known, cls)
+
+        visit(tree, {}, None)
+
+    def reaching(reach):
+        found = list(calls.get(reach, []))
+        if len(reach) == 3:
+            found += calls.get((None, reach[2]), [])
+        return found
+
+    return {f"{label}({name})"
+            for label, reach, defaults in targets
+            for name, position in defaults.items()
+            if not any(spread or name in keywords
+                       or (position is not None and n_args > position)
+                       for n_args, spread, keywords in reaching(reach))}
+
+
+def test_every_keyword_default_is_set_by_a_caller():
+    src = Path(cknlab.__file__).parent
+    unset = _unset_defaults({path.stem: path.read_text()
+                             for path in sorted(src.glob("*.py"))})
     # equality, as above
     assert unset == DEFAULTS_KEPT_WITHOUT_CALLER, sorted(
         unset ^ DEFAULTS_KEPT_WITHOUT_CALLER)
+
+
+def test_default_guard_tells_same_named_methods_apart():
+    # two classes with the same method names: a call through self or an
+    # annotated parameter reaches one class's method only, and a call on
+    # an unknown receiver still reaches both
+    sources = {
+        "shapes": (
+            "class Coarse:\n"
+            "    def integrate(self, v, scale=1.0):\n"
+            "        return self.refine(v, level=2)\n"
+            "    def refine(self, v, level=1):\n"
+            "        return v\n"
+            "    def smooth(self, v, k=1):\n"
+            "        return v\n"
+            "class Fine:\n"
+            "    def integrate(self, v, scale=1.0):\n"
+            "        return v\n"
+            "    def refine(self, v, level=1):\n"
+            "        return v\n"
+            "    def smooth(self, v, k=1):\n"
+            "        return v\n"),
+        "use": (
+            "from .shapes import Coarse, Fine\n"
+            "def total(coarse: Coarse, fine: 'Fine | None', thing, v):\n"
+            "    thing.smooth(v, k=3)\n"
+            "    fine.integrate(v)\n"
+            "    fine.refine(v)\n"
+            "    return coarse.integrate(v, scale=2.0)\n"),
+    }
+    assert _unset_defaults(sources) == {"shapes.Fine.integrate(scale)",
+                                        "shapes.Fine.refine(level)"}
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
