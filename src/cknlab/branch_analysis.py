@@ -32,7 +32,6 @@ from scipy.linalg.lapack import dtrtrs
 
 from .cylinder_solver import (
     Branch,
-    ContinuationConfig,
     continue_branch,
     default_grid,
     symmetric_quotient,
@@ -58,7 +57,6 @@ __all__ = [
     "Classification",
     "reparametrize",
     "classify_bifurcation",
-    "branch_direction",
     "mu_star_theta_line",
     "GroundState",
     "gn_ground_state",
@@ -191,7 +189,19 @@ def reparametrize(branch: Branch, theta: float) -> CurveB:
                   branch=branch)
 
 
-def _slope_and_turnings(lam: np.ndarray, Lambda: np.ndarray):
+def _classify(lam: np.ndarray, Lambda: np.ndarray) -> Classification:
+    """Direction, onset slope and turning points of Lambda(lam) samples.
+
+    Direction is the sign of d Lambda / d lam over the first handful of
+    post-bifurcation samples (the continuation takes its smallest steps
+    there, which is what a local derivative estimate near a pitchfork
+    needs).  Turning points are sign changes of the same derivative,
+    refined by a local quadratic fit in (lam, Lambda).  Fewer than 10
+    samples past the bifurcation raise InsufficientSamples.
+    """
+    if len(lam) < 10:
+        raise InsufficientSamples(
+            f"need at least 10 samples past the bifurcation, got {len(lam)}")
     diffs = np.diff(Lambda) / np.diff(lam)
     onset = float(np.median(diffs[:5]))
     turnings = []
@@ -207,42 +217,14 @@ def _slope_and_turnings(lam: np.ndarray, Lambda: np.ndarray):
             lam_t = float(0.5 * (lam[i] + lam[i + 1]))
         lam_val = float(np.polyval(coeff, lam_t))
         turnings.append(TurningPoint(lam_t, lam_val, int(i) + 1))
-    return onset, turnings
-
-
-def classify_bifurcation(curve: CurveB) -> Classification:
-    """Initial direction and turning points of the reparametrized curve.
-
-    Direction is the sign of d Lambda / d lam over the first handful of
-    post-bifurcation samples (the continuation takes its smallest steps
-    there, which is what a local derivative estimate near a pitchfork
-    needs).  Turning points are sign changes of the same derivative,
-    refined by a local quadratic fit in (lam, Lambda).
-    """
-    if len(curve) < 10:
-        raise InsufficientSamples(
-            f"need at least 10 samples past the bifurcation, got {len(curve)}")
-    onset, turnings = _slope_and_turnings(curve.lam, curve.Lambda)
-    direction = "left" if onset < 0.0 else "right"
-    return Classification(direction=direction, slope_at_onset=onset,
+    return Classification(direction="left" if onset < 0.0 else "right",
+                          slope_at_onset=onset,
                           turning_points=tuple(turnings))
 
 
-def branch_direction(branch: Branch, theta: float) -> str:
-    """Bifurcation direction at one theta without building a full curve.
-
-    The probe's flip bisection calls this many times; it needs only the
-    Lambda(lam) samples, never the theta-constants, so skipping them
-    keeps the bisection cheap.
-    """
-    check_theta(branch.d, branch.p, theta)
-    if len(branch.points) < 10:
-        raise InsufficientSamples(
-            f"need at least 10 branch points, got {len(branch.points)}")
-    lam = branch.column("lam")
-    Lambda = theta_Lambda(theta, lam, branch.column("t_phi"))
-    onset, _ = _slope_and_turnings(lam, Lambda)
-    return "left" if onset < 0.0 else "right"
+def classify_bifurcation(curve: CurveB) -> Classification:
+    """Initial direction and turning points of the curve (see _classify)."""
+    return _classify(curve.lam, curve.Lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +604,13 @@ def grid_theta_reference(branch: Branch, theta: float,
     return out
 
 
+def _check_branch_of(branch: Branch, d: int, p: float) -> None:
+    if (branch.d, branch.p) != (d, p):
+        raise DomainError(
+            f"the branch is for (d, p) = ({branch.d}, {branch.p}), "
+            f"not for ({d}, {p})")
+
+
 def _witness_scan(branch: Branch, theta: float):
     """Samples where the branch theta-quotient beats the symmetric constant.
 
@@ -653,6 +642,8 @@ def lemma_criterion(d: int, p: float,
     witnesses.
     """
     pars = _params_of(d, p)
+    if branch is not None:
+        _check_branch_of(branch, d, p)
     vt = pars.vartheta
     ambient = sphere_area(d) ** (1.0 - 2.0 / p)
     c_gn = gn_constant(d, p)
@@ -708,17 +699,17 @@ def _monotone_increasing(Lambda: np.ndarray, mu: np.ndarray) -> bool:
 
 
 def conjecture_probe(d: int, p: float, theta_grid,
-                     branch: Branch | None = None,
-                     config: ContinuationConfig | None = None) -> ProbeReport:
+                     branch: Branch | None = None) -> ProbeReport:
     """Tabulate curve geometry and breaking witnesses over a theta grid.
 
-    One frozen branch serves every theta.  Each row records the curve
-    direction, its turning points, the Lambda range where branch
-    quotients certifiably beat the symmetric constant, and whether the
-    curve is monotone increasing as a function of Lambda (reported as an
-    observation; nothing downstream assumes it).  If adjacent grid
-    entries disagree on direction, the flip is located by bisection on
-    theta to 1e-3.
+    One frozen branch serves every theta: the one supplied, which must
+    be of the same (d, p), or else the default continuation.  Each row
+    records the curve direction, its turning points, the Lambda range
+    where branch quotients certifiably beat the symmetric constant, and
+    whether the curve is monotone increasing as a function of Lambda
+    (reported as an observation; nothing downstream assumes it).  If
+    adjacent grid entries disagree on direction, the flip is located by
+    bisection on theta to 1e-3.
     """
     thetas = sorted(float(t) for t in np.atleast_1d(theta_grid))
     if not thetas:
@@ -726,18 +717,21 @@ def conjecture_probe(d: int, p: float, theta_grid,
     for t in thetas:
         vt = check_theta(d, p, t)
     if branch is None:
-        branch = continue_branch(d, p, config)
+        branch = continue_branch(d, p)
+    _check_branch_of(branch, d, p)
 
+    lam = branch.column("lam")
+    t_phi = branch.column("t_phi")
     rows = []
     for t in thetas:
         Lambda, mu_theta, mask = _witness_scan(branch, t)
-        onset, turnings = _slope_and_turnings(branch.column("lam"), Lambda)
+        cls = _classify(lam, Lambda)
         witnesses = Lambda[mask]
         rows.append(ProbeRow(
             theta=t,
-            direction="left" if onset < 0.0 else "right",
-            slope_at_onset=onset,
-            turning_points=tuple(turnings),
+            direction=cls.direction,
+            slope_at_onset=cls.slope_at_onset,
+            turning_points=cls.turning_points,
             witness_exists=bool(witnesses.size),
             witness_Lambda_lo=float(witnesses.min()) if witnesses.size else None,
             witness_Lambda_hi=float(witnesses.max()) if witnesses.size else None,
@@ -750,7 +744,8 @@ def conjecture_probe(d: int, p: float, theta_grid,
             lo_t, hi_t = lo_row.theta, hi_row.theta
             while hi_t - lo_t > 1e-3:
                 mid = 0.5 * (lo_t + hi_t)
-                if branch_direction(branch, mid) == lo_row.direction:
+                cls = _classify(lam, theta_Lambda(mid, lam, t_phi))
+                if cls.direction == lo_row.direction:
                     lo_t = mid
                 else:
                     hi_t = mid

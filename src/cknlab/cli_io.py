@@ -92,12 +92,13 @@ class UsageError(Exception):
 
 def _render(value) -> str:
     """One cell of CSV output; floats get 17 significant digits."""
+    # floats first: they are most cells, and no bool or int is a float
+    if isinstance(value, (float, np.floating)):
+        return _FLOAT_FMT % float(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _FLOAT_FMT % float(value)
     return str(value)
 
 
@@ -141,12 +142,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_field_csv(path: Path, fld) -> None:
     """Cylinder field snapshot: flattened (s, z, value) plus a sidecar."""
     grid = fld.grid
-    with open(path, "w", newline="") as fh:
-        fh.write("s,z,value\n")
-        for i, s in enumerate(grid.s):
-            for j, z in enumerate(grid.z):
-                fh.write("%s,%s,%s\n" % (_FLOAT_FMT % s, _FLOAT_FMT % z,
-                                         _FLOAT_FMT % fld.values[i, j]))
+    _write_csv(path, ("s", "z", "value"),
+               zip(np.repeat(grid.s, grid.nz).tolist(),
+                   np.tile(grid.z, grid.m_cells).tolist(),
+                   fld.values.ravel().tolist()))
     _write_json(path.with_suffix(path.suffix + ".json"), {
         "d": grid.d, "h": grid.h, "m_cells": grid.m_cells, "nz": grid.nz,
         "p": fld.p, "Lambda": fld.Lambda,
@@ -580,13 +579,15 @@ def _branch_summary(branch: Branch) -> dict:
 def _run_branch(opts: dict, out: Path | None, args) -> tuple[list, dict]:
     if out is None:
         raise UsageError("--out is required for 'branch'")
+    fields_dir = getattr(args, "fields_dir", None) if args else None
+    if fields_dir:
+        # before the continuation, so that a file in the way fails at once
+        fdir = Path(fields_dir)
+        fdir.mkdir(parents=True, exist_ok=True)
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     _write_csv(out, _BRANCH_HEADER, branch.as_rows())
     artifacts = [out]
-    fields_dir = getattr(args, "fields_dir", None) if args else None
     if fields_dir:
-        fdir = Path(fields_dir)
-        fdir.mkdir(parents=True, exist_ok=True)
         for i, point in enumerate(branch.points):
             fpath = fdir / f"field_{i:04d}.csv"
             _write_field_csv(fpath, point.field)
@@ -623,10 +624,9 @@ def _run_criterion(opts: dict, out: Path | None, args) -> tuple[list, dict]:
 
 
 def _run_probe(opts: dict, out: Path | None, args) -> tuple[list, dict]:
-    config = _continuation_config(opts)
-    branch = _shared_branch(opts["d"], opts["p"], config)
+    branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     report = branch_analysis.conjecture_probe(
-        opts["d"], opts["p"], opts["thetas"], branch=branch, config=config)
+        opts["d"], opts["p"], opts["thetas"], branch=branch)
     payload = {
         "d": report.d,
         "p": report.p,
@@ -1002,8 +1002,9 @@ _PARSER: _Parser | None = None
 def _check_out_dir(out: Path) -> None:
     """Raise the error a write to out would meet for want of its directory.
 
-    run() calls it before the handler, so a missing directory fails at
-    once rather than after the computation.
+    run() calls it before the handler, so a missing directory, or an out
+    that is itself a directory, fails at once rather than after the
+    computation.
     """
     try:
         is_dir = stat.S_ISDIR(os.stat(out.parent).st_mode)
@@ -1011,6 +1012,8 @@ def _check_out_dir(out: Path) -> None:
         raise OSError(exc.errno, exc.strerror, str(out)) from None
     if not is_dir:
         raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    if out.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
 
 
 def run(argv=None) -> int:

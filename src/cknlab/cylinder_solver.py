@@ -121,9 +121,11 @@ def _s_operator(m: int, h: float, parity: str):
 
 
 def _apply_s_operator(main, off, v):
-    out = main * v if v.ndim == 1 else main[:, None] * v
-    out[:-1] += off * v[1:] if v.ndim == 1 else off[:, None] * v[1:]
-    out[1:] += off * v[:-1] if v.ndim == 1 else off[:, None] * v[:-1]
+    if v.ndim == 2:
+        main, off = main[:, None], off[:, None]
+    out = main * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
     return out
 
 
@@ -190,11 +192,17 @@ def solve_symmetric(d: int, p: float, Lambda: float,
     return grid.field(np.tile(phi[:, None], (1, grid.nz)), p=p, Lambda=Lambda)
 
 
-def _pt_lowest(grid: CylinderGrid, p: float, lam: float, profile: np.ndarray,
-               sector: int, parity: str, count: int) -> np.ndarray:
+def _sector_operator(grid: CylinderGrid, p: float, lam: float,
+                     profile: np.ndarray, sector: int, parity: str):
+    """(diag, off) of the linearization (see linearized_spectrum)."""
     main, off = _s_operator(grid.m_cells, grid.h, parity)
     delta_k = sector * (sector + grid.d - 2.0)
-    diag = main + lam + delta_k - (p - 1.0) * profile ** (p - 2.0)
+    return main + lam + delta_k - (p - 1.0) * profile ** (p - 2.0), off
+
+
+def _pt_lowest(grid: CylinderGrid, p: float, lam: float, profile: np.ndarray,
+               sector: int, parity: str, count: int) -> np.ndarray:
+    diag, off = _sector_operator(grid, p, lam, profile, sector, parity)
     try:
         vals = eigh_tridiagonal(diag, off, select="i",
                                 select_range=(0, count - 1))[0]
@@ -544,7 +552,7 @@ def continue_branch(d: int, p: float,
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
     profile_b = _symmetric_profile(grid, p, lam_b)
-    diag = main + lam_b + (d - 1.0) - (p - 1.0) * profile_b ** (p - 2.0)
+    diag, _ = _sector_operator(grid, p, lam_b, profile_b, 1, "even")
     try:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     except np.linalg.LinAlgError as exc:

@@ -431,7 +431,7 @@ class TensorGrid:
 
     d: int
     r: np.ndarray
-    wt: np.ndarray
+    wr: np.ndarray
     z: np.ndarray
     wz: np.ndarray
     Dr: Stencil
@@ -439,9 +439,9 @@ class TensorGrid:
     Dz: Stencil
     Dzz: Stencil
 
-    def radial_weights(self, n_power: float) -> np.ndarray:
-        """Quadrature weights for integration against r^(n-1) dr."""
-        return self.wt * self.r ** n_power
+    def radial_weights(self, n: float) -> np.ndarray:
+        """Weights against r^(n-1) dr, from the plain-dr weights wr."""
+        return self.wr * self.r ** (n - 1)
 
     def sample(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         R = self.r[:, None]
@@ -456,14 +456,13 @@ def tensor_grid(d: int, r_lo: float = 1e-4, r_hi: float = 1e4,
     """Assemble the default pressure-field grid for dimension d."""
     if r_lo <= 0.0 or r_hi <= r_lo:
         raise DomainError(f"bad radial range [{r_lo}, {r_hi}]")
-    t, wt = gauss_panels(np.log(r_lo), np.log(r_hi), n_panels, n_nodes)
-    r = np.exp(t)
+    r, wr = log_radial_quadrature(r_lo, r_hi, n_panels, n_nodes)
     z, wz = zonal_quadrature(d - 1, nz)
     Dr = derivative_matrix(r, 1)
     Drr = derivative_matrix(r, 2)
     Dz = derivative_matrix(z, 1)
     Dzz = derivative_matrix(z, 2)
-    return TensorGrid(d, r, wt, z, wz, Dr, Drr, Dz, Dzz)
+    return TensorGrid(d, r, wr, z, wz, Dr, Drr, Dz, Dzz)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,7 @@ grid, the gradient of the deficit against the velocity L(rho^m) (the
 discrete entropy / entropy-production identity), reported with a
 derived rounding bound.  The heat flow still propagates exactly in its
 eigenbasis, which permits the tiny backward steps a centered stencil
-needs, and Richardson-extrapolates with a reported error estimate; each
-of its stencil states is propagated at most once: when h halves, four
-of the six new stencil times are old ones to the bit, so a retry
-carries those states and propagates two.
+needs, and Richardson-extrapolates with a reported error estimate.
 """
 
 from __future__ import annotations
@@ -61,8 +58,7 @@ _WORK_CAP = 1_000_000
 _FDE_TOL = 1e-13
 _FDE_MAX_ITER = 30
 # stencil times around t = 0, in units of h: the fourth-order centered
-# difference at h uses the outer four, the one at h/2 the inner four;
-# after h halves, only the middle two are new times
+# difference at h uses the outer four, the one at h/2 the inner four
 _STENCIL = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 _H_FLOOR = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -431,15 +427,10 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     h/2 around t = 0 and one Richardson round, with h halved until all
     six stencil states stay positive; a row still losing positivity below
     h = 1e-9 gives None.  The states propagate exactly in the eigenbasis,
-    one matrix-vector product per state.
-
-    Each (row, time) state is propagated at most once.  A state depends
-    only on its row and its time, and when h halves to h' the new times
-    -2h', -h', h', 2h' are the old -h, -h/2, h/2, h to the bit: scaling
-    by a power of two is exact, so c * (h / 2) and (c / 2) * h are the
-    same double (h stays far above the subnormals).  A retry therefore
-    carries those four states and propagates only the two at +-h'/2.
-    Every row's value is bit-identical to evaluating that row alone.
+    one matrix-vector product per state, and each round propagates all
+    six states of every row still pending.  A state depends only on its
+    row and its time, so every row's value is bit-identical to evaluating
+    that row alone.
     """
     if spec.kind == "fde":
         return _fde_deficit_derivatives(grid, rhos, p,
@@ -456,27 +447,21 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     hs = [min(4e-4, 1.0 / lmax, 0.1 / max(rate, 1.0)) for rate in rates]
     states: dict[int, np.ndarray] = {}
     pending = [i for i, h in enumerate(hs) if h >= _H_FLOOR]
-    carried = None
     while pending:
-        stencil = _STENCIL if carried is None else _STENCIL[2:4]
-        fresh = _spectral_propagate(
-            modes, coeffs[[i for i in pending for _ in stencil]],
-            [c * hs[i] for i in pending for c in stencil]
-        ).reshape(len(pending), len(stencil), grid.n)
-        stack = fresh if carried is None else np.concatenate(
-            (carried[:, :2], fresh, carried[:, 2:]), axis=1)
+        stack = _spectral_propagate(
+            modes, coeffs[[i for i in pending for _ in _STENCIL]],
+            [c * hs[i] for i in pending for c in _STENCIL]
+        ).reshape(len(pending), len(_STENCIL), grid.n)
         positive = (stack.min(axis=-1) > 0.0).all(axis=-1).tolist()
         retry = []
-        for k, (i, ok) in enumerate(zip(pending, positive)):
+        for i, state, ok in zip(pending, stack, positive):
             if ok:
-                states[i] = stack[k]
+                states[i] = state
             else:
                 hs[i] *= 0.5
                 if hs[i] >= _H_FLOOR:
-                    retry.append(k)
-        # the outer four states at h / 2 are the inner four at h
-        carried = stack[retry, 1:5]
-        pending = [pending[k] for k in retry]
+                    retry.append(i)
+        pending = retry
 
     out: list[DerivativeEstimate | None] = [None] * len(rhos)
     if not states:

@@ -1,5 +1,6 @@
 """Reparametrized curves, the ground-state oracle, and breaking criteria."""
 
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from cknlab import (
     AdmissibilityError,
     DomainError,
     GroundStateFailed,
+    InsufficientSamples,
     classify_bifurcation,
     conjecture_probe,
     derive_params,
@@ -35,11 +37,10 @@ from cknlab import branch_analysis
 from cknlab.cli_io import run
 from cknlab.branch_analysis import (
     ProbeRow,
+    _classify,
     _monotone_increasing,
-    _slope_and_turnings,
     _unit_line_quotient,
     _witness_scan,
-    branch_direction,
     grid_theta_reference,
 )
 from cknlab.cylinder_solver import (
@@ -57,6 +58,7 @@ from cknlab.grids import (
     zonal_laplacian,
     zonal_quadrature,
 )
+from cknlab.params import theta_Lambda
 
 
 def rel(a, b):
@@ -82,7 +84,10 @@ def test_classification_right_at_theta_one(branch_5_2_8):
     assert cls.direction == "right"
     assert cls.slope_at_onset > 0.0
     assert cls.turning_points == ()
-    assert branch_direction(branch, 1.0) == "right"
+    # the bare Lambda(lam) samples read the same, without a curve
+    lam = branch.column("lam")
+    Lambda = theta_Lambda(1.0, lam, branch.column("t_phi"))
+    assert _classify(lam, Lambda) == cls
 
 
 def test_classification_left_with_one_turning(branch_5_2_8):
@@ -96,7 +101,10 @@ def test_classification_left_with_one_turning(branch_5_2_8):
     assert turn.lam == pytest.approx(7.175, rel=5e-2)
     rec = derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
     assert turn.Lambda < lambda_fs_theta(rec, theta)
-    assert branch_direction(branch, theta) == "left"
+    # the bare Lambda(lam) samples read the same, without a curve
+    lam = branch.column("lam")
+    Lambda = theta_Lambda(theta, lam, branch.column("t_phi"))
+    assert _classify(lam, Lambda) == cls
 
 
 def test_grid_reference_recovers_stored_column(branch_5_2_8):
@@ -369,6 +377,26 @@ def test_probe_rows_and_direction_flip(branch_5_2_8):
         conjecture_probe(5, 2.8, [0.5], branch=branch)
 
 
+def test_too_short_a_branch_gives_no_direction(branch_5_2_8):
+    # the curve, the probe's rows and its bisection all need 10 samples
+    branch, _ = branch_5_2_8
+    short = dataclasses.replace(branch, points=branch.points[:9])
+    with pytest.raises(InsufficientSamples, match="got 9"):
+        classify_bifurcation(reparametrize(short, 1.0))
+    for thetas in ([1.0], [0.718, 1.0]):
+        with pytest.raises(InsufficientSamples, match="got 9"):
+            conjecture_probe(5, 2.8, thetas, branch=short)
+
+
+def test_a_branch_of_another_pair_is_refused(branch_5_2_8):
+    branch, _ = branch_5_2_8
+    names_both = r"\(5, 2\.8\).*\(4, 2\.9\)"
+    with pytest.raises(DomainError, match=names_both):
+        conjecture_probe(4, 2.9, [0.9, 1.0], branch=branch)
+    with pytest.raises(DomainError, match=names_both):
+        lemma_criterion(4, 2.9, branch=branch)
+
+
 # The theta reading as each caller spelled it out before the formulas
 # moved into params; the shared helpers must reproduce it bit for bit.
 
@@ -413,7 +441,7 @@ def _inline_line_constant(d, p, theta, Lambda, m_cells):
 
 def _inline_direction(branch, theta):
     Lambda, _ = _inline_reading(branch, theta)
-    onset, _ = _slope_and_turnings(branch.column("lam"), Lambda)
+    onset = _classify(branch.column("lam"), Lambda).slope_at_onset
     return "left" if onset < 0.0 else "right"
 
 
@@ -448,16 +476,15 @@ def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
         assert np.array_equal(curve.mu_star_theta, want_Lambda)
         assert np.array_equal(curve.d_Lambda_d_lambda,
                               np.gradient(want_Lambda, lam))
-        assert branch_direction(branch, theta) == _inline_direction(branch,
-                                                                    theta)
+        cls = _classify(lam, Lambda)
+        assert cls.direction == _inline_direction(branch, theta)
 
-        onset, turnings = _slope_and_turnings(lam, Lambda)
         witnesses = Lambda[mask]
         rows.append(ProbeRow(
             theta=theta,
-            direction="left" if onset < 0.0 else "right",
-            slope_at_onset=onset,
-            turning_points=tuple(turnings),
+            direction="left" if cls.slope_at_onset < 0.0 else "right",
+            slope_at_onset=cls.slope_at_onset,
+            turning_points=cls.turning_points,
             witness_exists=bool(witnesses.size),
             witness_Lambda_lo=float(witnesses.min()) if witnesses.size else None,
             witness_Lambda_hi=float(witnesses.max()) if witnesses.size else None,

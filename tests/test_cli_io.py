@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cknlab import CknlabError, cli_io
+from cknlab import CknlabError, ContinuationConfig, cli_io, cylinder_grid
 from cknlab.cli_io import _sweep_groups, run
 
 
@@ -142,6 +142,55 @@ def test_missing_out_directory_fails_before_the_computation(
         assert captured.out == ""
 
 
+def test_unwritable_branch_outputs_fail_before_the_continuation(
+        tmp_path, capsys, monkeypatch):
+    # an --out that is a directory, or a --fields-dir that is a file or
+    # lies below one, fails with the line its write would print, but
+    # before the branch is computed or branch.csv written
+    def unreachable(*args):
+        pytest.fail("the continuation ran although an output is unwritable")
+
+    monkeypatch.setattr(cli_io, "_BRANCH_CACHE", {})
+    monkeypatch.setattr(cli_io, "continue_branch", unreachable)
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = tmp_path / "branch.csv"
+    cases = (
+        (["--out", str(a_dir)], a_dir, "Is a directory"),
+        (["--out", str(out), "--fields-dir", str(a_file)], a_file,
+         "File exists"),
+        (["--out", str(out), "--fields-dir", str(a_file / "sub")],
+         a_file / "sub", "Not a directory"),
+    )
+    for extra, path, reason in cases:
+        assert run(["branch", "--d", "5", "--p", "2.8", *extra]) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+        assert not out.exists()
+
+
+def test_field_snapshot_keeps_its_hand_written_bytes(tmp_path):
+    # the snapshot rows as they were formatted by hand before they went
+    # through the shared CSV writer
+    grid = cylinder_grid(5, 4.0, 30, 4)
+    values = np.random.default_rng(3).standard_normal((30, 4))
+    values[0, 0], values[1, 1], values[2, 2] = 0.0, -0.0, 5e-324
+    values[3] *= 1e300
+    fld = grid.field(values, p=2.8, Lambda=4.2)
+    path = tmp_path / "field.csv"
+    cli_io._write_field_csv(path, fld)
+    want = ["s,z,value\n"]
+    for i, s in enumerate(grid.s):
+        for j, z in enumerate(grid.z):
+            want.append("%s,%s,%s\n" % ("%.17g" % s, "%.17g" % z,
+                                         "%.17g" % values[i, j]))
+    assert path.read_bytes() == "".join(want).encode()
+    sidecar = json.loads(Path(str(path) + ".json").read_text())
+    assert sidecar["m_cells"] == 30 and sidecar["nz"] == 4
+
+
 def test_run_builds_its_parser_once(monkeypatch, capsys):
     built = []
     build = cli_io._build_parser
@@ -226,6 +275,30 @@ def test_sphere_workload_matches_the_benchmark_reference(tmp_path, capsys,
     for path in reference:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), \
             path.name
+
+
+def test_continuation_workload_matches_the_benchmark_reference(
+        branch_5_2_8, tmp_path, capsys, monkeypatch):
+    # the benchmark's seed-0 branch and probe operations, on the session
+    # branch, must write its reference artifacts byte for byte.  curve.csv
+    # is left out: its line constants differ from the reference in the
+    # last digits with the host's BLAS kernels.
+    def unreachable(*args):
+        pytest.fail("the continuation ran instead of the session branch")
+
+    monkeypatch.setitem(cli_io._BRANCH_CACHE, (5, 2.8, ContinuationConfig()),
+                        branch_5_2_8[0])
+    monkeypatch.setattr(cli_io, "continue_branch", unreachable)
+    monkeypatch.chdir(tmp_path)
+    dp = ["--d", "5", "--p", "2.8"]
+    assert run(["branch", *dp, "--out", "branch.csv"]) == 0
+    assert run(["probe", *dp, "--thetas", "0.718,1.0",
+                "--out", "probe.json"]) == 0
+    capsys.readouterr()
+    reference = PERFBENCH / "reference" / "continuation"
+    for name in ("branch.csv", "probe.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (reference / name).read_bytes(), name
 
 
 def test_failed_search_exits_three(capsys):

@@ -25,8 +25,11 @@ from cknlab import (
 )
 from cknlab.cylinder_solver import (
     _BorderedKeller,
+    _apply_s_operator,
     _residual_2d,
     _s_operator,
+    _sector_operator,
+    _symmetric_profile,
     default_grid,
 )
 
@@ -97,6 +100,29 @@ def test_linearization_spectrum_in_the_first_zonal_sector():
     low = linearized_spectrum(phi, lam, 1, count=1)[0]
     predicted = -0.25 * (p * p - 4.0) * (lam - lambda_fs_value(d, p))
     assert rel(low, predicted) < 1e-3
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_s_operator_on_a_field_matches_it_column_by_column(parity):
+    rng = np.random.default_rng(7)
+    main, off = _s_operator(50, 0.3, parity)
+    field = rng.standard_normal((50, 6))
+    got = _apply_s_operator(main, off, field)
+    for k in range(field.shape[1]):
+        assert np.array_equal(got[:, k],
+                              _apply_s_operator(main, off, field[:, k]))
+
+
+def test_first_sector_operator_keeps_the_inline_diagonal_bits():
+    # the critical-eigenfunction solve wrote delta_1 = d - 1 out by hand
+    d, p, lam = 5, 2.8, 4.2
+    grid = default_grid(d, lam, 120, 4)
+    profile = _symmetric_profile(grid, p, lam)
+    main, off = _s_operator(grid.m_cells, grid.h, "even")
+    diag, got_off = _sector_operator(grid, p, lam, profile, 1, "even")
+    assert np.array_equal(
+        diag, main + lam + (d - 1.0) - (p - 1.0) * profile ** (p - 2.0))
+    assert np.array_equal(got_off, off)
 
 
 def test_linearization_input_checks():

@@ -360,6 +360,20 @@ def test_tensor_grid_stencils_and_weights():
     np.testing.assert_array_equal(field, r[:, None] * z[None, :])
 
 
+def test_tensor_grid_radial_weights_stay_within_four_ulp():
+    # the weights as the grid built them from its own log-interval rule:
+    # t-weights times r^n; the dr-weights of log_radial_quadrature round
+    # once more, by about 2 ulp
+    grid = tensor_grid(3)
+    t, wt = grids.gauss_panels(np.log(1e-4), np.log(1e4), 128, 8)
+    r = np.exp(t)
+    assert np.array_equal(grid.r, r)
+    for n in (1.0, 2.0, 3.0, 3.125, 5.0):
+        want = wt * r ** n
+        got = grid.radial_weights(n)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want)), n
+
+
 def test_half_line_grid_cell_centers():
     s, h = half_line_grid(10.0, 100)
     assert h == pytest.approx(0.1)

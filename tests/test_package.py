@@ -39,8 +39,6 @@ KEPT_WITHOUT_CALLER = {
     "cylinder_quotient",
     # acceptance criterion 09: the Gaussian quotient dips below one
     "gaussian_h",
-    # acceptance criterion 04: the closed-form constant against quadrature
-    "log_radial_quadrature",
 }
 
 
@@ -77,9 +75,6 @@ DEFAULTS_KEPT_WITHOUT_CALLER = {
     "functionals.k_functional(zeta_star)",
     # the zonal rule's exactness by degree
     "grids.zonal_quadrature(rule)",
-    # acceptance criterion 04 refines the radial rule
-    "grids.log_radial_quadrature(n_panels)",
-    "grids.log_radial_quadrature(n_nodes)",
     # the independent quotient at theta < 1
     "functionals.cylinder_quotient(theta)",
     # the trajectory observers of the flow tests

@@ -370,15 +370,15 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
     # the batch covers both ways the h-halving loop can end
     assert any(ref is not None and n > 0 for ref, n in refs)
     assert any(ref is None for ref, _ in refs)
-    # each state is propagated once: six per row in its first round, then
-    # two new times (+-h/4 of the failed h) per row and halving round; a
-    # row whose first h is already below the floor is never propagated
+    # every round propagates the six stencil states of each row still
+    # pending; a row whose first h is already below the floor is never
+    # propagated
     rounds = [n + (ref is not None) for ref, n in refs]
     assert [len(times) for times in handed] == [
-        (6 if k == 0 else 2) * sum(r > k for r in rounds)
-        for k in range(max(rounds))]
-    for times in handed[1:]:
-        assert times[0::2] == [-t for t in times[1::2]]
+        6 * sum(r > k for r in rounds) for k in range(max(rounds))]
+    for times in handed:
+        for k in range(0, len(times), 6):
+            assert times[k:k + 6] == [-t for t in reversed(times[k:k + 6])]
 
 
 def test_fde_closed_form_matches_rk4_richardson():
