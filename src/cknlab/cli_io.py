@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import errno
 import gc
 import hashlib
@@ -998,6 +999,31 @@ def _build_parser() -> _Parser:
 # built by the first run() call in a process
 _PARSER: _Parser | None = None
 
+# mallopt(3) parameters, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_MAX = -4
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep freed memory in its heap for reuse.
+
+    SuperLU allocates its LU storage afresh in every factorization, and by
+    default glibc serves such blocks with mmap and hands them back with
+    munmap, or trims the heap top, so every corrector step of a branch
+    continuation faults its pages in again.  Serving every block from
+    the heap (no mmap) and trimming only past 1 GiB of free top lets each
+    factorization reuse the pages the last one freed.  Does nothing where
+    glibc or its mallopt is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_MAX, 0)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
 
 def _check_out_dir(out: Path) -> None:
     """Raise the error a write to out would meet for want of its directory.
@@ -1029,11 +1055,21 @@ def run(argv=None) -> int:
     workers, which would otherwise write to the pages they share with the
     parent.  Later calls leave the frozen set alone, so cyclic garbage
     that an earlier call left stays collectable.
+
+    Right after the freeze, the first call also tells glibc's allocator to
+    keep freed heap memory for reuse (_keep_freed_heap), so the branch
+    continuation's SuperLU factorizations stop faulting their storage
+    back in: the run() of a fresh `branch --d 5 --p 2.8` took about
+    285,000 minor page faults and 0.6-0.8 s of system time, and now takes
+    about 4,400 faults and 0.01 s (medians of 6 processes, 2-core Xeon).
+    Sweep workers forked later inherit the setting.  A plain import, and
+    library callers that never call run(), leave the allocator as it is.
     """
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
         gc.freeze()
+        _keep_freed_heap()
     try:
         args = _PARSER.parse_args(argv)
         if args.command is None:

@@ -33,7 +33,14 @@ on the s-major unknowns) was rejected: that LU rounds differently, and
 corrector residuals sitting at the floor just below _NEWTON_TOL then change
 the Newton iteration counts of the branch.  scipy.sparse is imported
 only inside _BorderedKeller, so processes that never continue a branch,
-such as params, criterion and the sphere flows, do not load it.
+such as params, criterion and the sphere flows, do not load it.  Each
+factorization allocates SuperLU's LU storage afresh, and with glibc's
+default allocator its pages are mapped, faulted in and unmapped every
+time: continue_branch(5, 2.8) then takes about 285,000 minor page faults
+and 0.6-0.8 s of system time (2-core Xeon).  cli_io.run sets the
+allocator to keep freed heap memory, so in a CLI process each
+factorization reuses the last one's pages: about 4,400 faults and 0.01 s.
+Library callers of continue_branch keep the allocator's defaults.
 """
 
 from __future__ import annotations

@@ -548,7 +548,10 @@ def artifact_bytes(out_dir):
     ("[sweep]\ncommand = params\nd = 3 5\np = 2.5\nLambda = 1.0 2.0\n", 0),
     # p = 3.5 is admissible in dimension three but not in dimension five
     ("[sweep]\ncommand = params\nd = 3 5\np = 3.5\n", 3),
-], ids=["all_ok", "partial_failure"])
+    # each (d, p) group continues its own branch, on a coarse grid
+    ("[sweep]\ncommand = criterion\nd = 5\np = 2.8 3.0\n[criterion]\n"
+     "with_branch = on\nm_cells = 120\nnz = 8\nlambda_max = 5.0\n", 0),
+], ids=["all_ok", "partial_failure", "with_branch"])
 def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
                                                   spec_text, code):
     spec = tmp_path / "sweep.ini"

@@ -4,9 +4,12 @@ import ast
 import importlib
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cknlab
 
@@ -279,10 +282,21 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # else may load multiprocessing (14 modules, about 1.7 MB).
     # The first run freezes the import graph once; later runs must leave
     # the frozen set alone, and garbage made after it is still collected.
+    # The first run also sets the allocator up, once, through ctypes; where
+    # glibc's mallopt is missing (no such C library, or one without the
+    # function) that step must do nothing and raise nothing, and importing
+    # the package must not take it.  Resetting the parser makes the next
+    # run a first run again.
     env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
     (tmp_path / "grid.ini").write_text(
         "[sweep]\ncommand = criterion\nd = 3\np = 2.5\n")
-    code = ("import gc, sys, cknlab\n"
+    code = ("import ctypes\n"
+            "loads = []\n"
+            "def no_libc(name, *args, **kwargs):\n"
+            "    loads.append(name)\n"
+            "    raise OSError(name)\n"
+            "ctypes.CDLL = no_libc\n"
+            "import gc, sys, cknlab\n"
             "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
             "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
@@ -290,19 +304,66 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "from cknlab import cli_io\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
+            "assert loads == [], loads\n"
             "assert cli_io.run(['criterion', '--d', '3', '--p', '2.5']) == 0\n"
             "frozen = gc.get_freeze_count()\n"
             "assert frozen > 0, frozen\n"
+            "assert len(loads) == 1, loads\n"
             "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "assert cli_io.run(['sweep', '--spec', 'grid.ini', '--out-dir',\n"
             "                   'swept', '--workers', '1']) == 0\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "assert gc.get_freeze_count() == frozen, gc.get_freeze_count()\n"
+            "assert len(loads) == 1, loads\n"
             "cycle = []\n"
             "cycle.append(cycle)\n"
             "del cycle\n"
-            "assert gc.collect() >= 1\n")
+            "assert gc.collect() >= 1\n"
+            "def no_mallopt(name, *args, **kwargs):\n"
+            "    loads.append(name)\n"
+            "    return object()\n"
+            "ctypes.CDLL = no_mallopt\n"
+            "cli_io._PARSER = None\n"
+            "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
+            "assert len(loads) == 2, loads\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator set-up uses glibc's mallopt")
+def test_run_lets_factorizations_reuse_freed_heap():
+    # Each SuperLU factorization of the branch continuation allocates its
+    # LU storage afresh, about 1,000 pages on the default (5, 2.8) grid.
+    # After the first run() the allocator keeps freed heap memory, so a
+    # factorization reuses the pages the last one freed instead of
+    # faulting them in again.
+    env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
+    code = (
+        "import math, resource\n"
+        "import numpy as np\n"
+        "from cknlab import cli_io, cylinder_solver as cs\n"
+        "from cknlab.params import lambda_fs_value\n"
+        "d, p = 5, 2.8\n"
+        "cfg = cs.ContinuationConfig()\n"
+        "lam = lambda_fs_value(d, p)\n"
+        "grid = cs.cylinder_grid(d, 20.0 / math.sqrt(lam), cfg.m_cells,\n"
+        "                        cfg.nz)\n"
+        "main, off = cs._s_operator(grid.m_cells, grid.h, 'even')\n"
+        "bordered = cs._BorderedKeller(grid, main, off)\n"
+        "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
+        "n = grid.m_cells * grid.nz\n"
+        "u = np.full((grid.m_cells, grid.nz), 0.1)\n"
+        "row = np.append(np.zeros(n), 1.0)\n"
+        "rhs = np.ones(n + 1)\n"
+        "bordered.solve(p, lam, u, row, rhs)  # grows the heap once\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(2):\n"
+        "    bordered.solve(p, lam, u, row, rhs)\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "assert faults < 300, faults\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
