@@ -244,11 +244,14 @@ class GroundState:
 
     d: int
     p: float
-    height: float
     profile: _Interpolant
     grad_sq: float
     mass_sq: float
     p_int: float
+
+    @property
+    def height(self) -> float:
+        return float(self.profile.at(np.array(0.0))[0])
 
 
 # The ground state is collocated on x in [-1, 1] with r = R sinh(a x) /
@@ -492,7 +495,7 @@ def _solve_ground_state(d: int, p: float):
     Each rung starts Newton from the previous rung's interpolant and
     falls back to continuation in d when that fails or there is none.
     """
-    vt = _params_of(d, p).vartheta
+    _params_of(d, p)  # rejects (d, p) before any rung is solved
     prev = None
     iters, residual = 0, math.nan
     for m, stretch in _RUNGS:
@@ -510,7 +513,7 @@ def _solve_ground_state(d: int, p: float):
             continue
         interp = _Interpolant(u, stretch)
         norms = _norms(interp, d, p)
-        value = _gn_value(d, p, vt, *norms)
+        value = _gn_value(d, p, *norms)
         if prev is not None and abs(value - prev[2]) <= _AGREE * value:
             return interp, norms
         prev = (interp, norms, value)
@@ -536,14 +539,14 @@ def gn_ground_state(d: int, p: float) -> GroundState:
     one state, so the interpolant's coefficients are read-only.
     """
     interp, (grad, mass, pint) = _solve_ground_state(d, p)
-    return GroundState(d=d, p=p, height=float(interp.at(np.array(0.0))[0]),
-                       profile=interp, grad_sq=grad, mass_sq=mass,
+    return GroundState(d=d, p=p, profile=interp, grad_sq=grad, mass_sq=mass,
                        p_int=pint)
 
 
-def _gn_value(d: int, p: float, vartheta: float, grad: float, mass: float,
+def _gn_value(d: int, p: float, grad: float, mass: float,
               pint: float) -> float:
     """The quotient from its three sphere-area-free radial integrals."""
+    vartheta = _params_of(d, p).vartheta
     area = sphere_area(d)
     return ((area * grad) ** vartheta * (area * mass) ** (1.0 - vartheta)
             / (area * pint) ** (2.0 / p))
@@ -557,9 +560,8 @@ def gn_constant(d: int, p: float) -> float:
     (area measure on spheres).  Reads through the ground-state cache.
     """
     p = float(p)
-    vt = _params_of(d, p).vartheta
     state = gn_ground_state(d, p)
-    return _gn_value(d, p, vt, state.grad_sq, state.mass_sq, state.p_int)
+    return _gn_value(d, p, state.grad_sq, state.mass_sq, state.p_int)
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +685,23 @@ class ProbeRow:
 
 @dataclass
 class ProbeReport:
-    d: int
-    p: float
-    vartheta: float
+    """Probe rows over a theta grid, read off one branch of (d, p)."""
+
     rows: list[ProbeRow]
     flip_theta: float | None
     branch: Branch
+
+    @property
+    def d(self) -> int:
+        return self.branch.d
+
+    @property
+    def p(self) -> float:
+        return self.branch.p
+
+    @property
+    def vartheta(self) -> float:
+        return _params_of(self.d, self.p).vartheta
 
 
 def _monotone_increasing(Lambda: np.ndarray, mu: np.ndarray) -> bool:
@@ -715,7 +728,7 @@ def conjecture_probe(d: int, p: float, theta_grid,
     if not thetas:
         raise DomainError("theta grid is empty")
     for t in thetas:
-        vt = check_theta(d, p, t)
+        check_theta(d, p, t)
     if branch is None:
         branch = continue_branch(d, p)
     _check_branch_of(branch, d, p)
@@ -752,5 +765,4 @@ def conjecture_probe(d: int, p: float, theta_grid,
             flip = 0.5 * (lo_t + hi_t)
             break
 
-    return ProbeReport(d=d, p=p, vartheta=vt, rows=rows,
-                       flip_theta=flip, branch=branch)
+    return ProbeReport(rows=rows, flip_theta=flip, branch=branch)

@@ -93,11 +93,9 @@ class UsageError(Exception):
 
 def _render(value) -> str:
     """One cell of CSV output; floats get 17 significant digits."""
-    # floats first: they are most cells, and no bool or int is a float
+    # floats first: they are most cells, and no int is a float
     if isinstance(value, (float, np.floating)):
         return _FLOAT_FMT % float(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
@@ -248,107 +246,30 @@ def _opt_p(required: bool = True) -> Option:
                   help="interpolation exponent")
 
 
+# the defaults are ContinuationConfig's, as flow's are FlowSpec's: a
+# dataclass holds each field's default as a class attribute
 _BRANCH_OPTIONS = (
-    Option("lambda_max", float, 12.0, lo=1e-6, hi=1e6,
-           help="follow the branch up to this parameter value"),
-    Option("m_cells", int, 400, lo=16, hi=100000,
+    Option("lambda_max", float, ContinuationConfig.lambda_max, lo=1e-6,
+           hi=1e6, help="follow the branch up to this parameter value"),
+    Option("m_cells", int, ContinuationConfig.m_cells, lo=16, hi=100000,
            help="axial cells of the continuation grid"),
-    Option("nz", int, 20, lo=4, hi=4096, help="zonal nodes"),
-    Option("length", float, None, lo=1e-3, hi=1e4,
+    Option("nz", int, ContinuationConfig.nz, lo=4, hi=4096,
+           help="zonal nodes"),
+    Option("length", float, ContinuationConfig.length, lo=1e-3, hi=1e4,
            help="axial truncation (default scales with the onset)"),
-    Option("ds_init", float, 0.005, lo=1e-10, hi=10.0,
+    Option("ds_init", float, ContinuationConfig.ds_init, lo=1e-10, hi=10.0,
            help="initial arclength step"),
-    Option("ds_growth", float, 1.3, lo=1.0, hi=10.0,
-           help="step growth factor after accepted steps"),
-    Option("ds_max", float, 0.25, lo=1e-8, hi=10.0,
+    Option("ds_growth", float, ContinuationConfig.ds_growth, lo=1.0,
+           hi=10.0, help="step growth factor after accepted steps"),
+    Option("ds_max", float, ContinuationConfig.ds_max, lo=1e-8, hi=10.0,
            help="arclength step cap"),
-    Option("max_points", int, 400, lo=2, hi=100000,
-           help="hard cap on recorded branch points"),
+    Option("max_points", int, ContinuationConfig.max_points, lo=2,
+           hi=100000, help="hard cap on recorded branch points"),
 )
 
-_OPTIONS: dict[str, tuple[Option, ...]] = {
-    "params": (
-        _opt_d(),
-        Option("mode", str, "cylinder",
-               choices=("cylinder", "critical", "subcritical"),
-               help="which generating set the inputs form"),
-        _opt_p(required=False),
-        Option("Lambda", float, None, lo=1e-12, hi=1e6,
-               help="cylinder coercivity parameter (default 1)"),
-        Option("theta", float, None, lo=1e-6, hi=1.0,
-               help="interpolation strength"),
-        Option("a", float, None, lo=-64.0, hi=64.0,
-               help="gradient weight exponent (critical mode)"),
-        Option("b", float, None, lo=-64.0, hi=64.0,
-               help="norm weight exponent (critical mode)"),
-        Option("beta", float, None, lo=-64.0, hi=64.0,
-               help="diffusion weight exponent (subcritical mode)"),
-        Option("gamma", float, None, lo=-64.0, hi=64.0,
-               help="measure weight exponent (subcritical mode)"),
-        Option("m", float, None, lo=1e-6, hi=2.0,
-               help="diffusion exponent override"),
-    ),
-    "flow": (
-        _opt_d(),
-        _opt_p(),
-        Option("kind", str, "heat", choices=("heat", "fde"),
-               help="which flow to integrate"),
-        Option("m", float, None, lo=1e-6, hi=2.0,
-               help="diffusion exponent (fde only)"),
-        Option("n_cells", int, 96, lo=8, hi=100000,
-               help="finite-volume cells"),
-        Option("t_end", float, 1.0, lo=1e-12, hi=1e4, help="final time"),
-        Option("dt_init", float, 1e-4, lo=1e-14, hi=10.0,
-               help="initial step"),
-        Option("dt_max", float, 2e-2, lo=1e-14, hi=10.0, help="step cap"),
-        Option("init", str, "tilted", choices=("tilted", "random"),
-               help="initial density family"),
-        Option("epsilon", float, 0.3, lo=1e-6, hi=0.999999,
-               help="tilt amplitude (tilted init)"),
-        Option("q", float, 2.0, lo=-256.0, hi=256.0,
-               help="tilt exponent (tilted init)"),
-        Option("seed", int, 0, lo=0, hi=2**63 - 1,
-               help="generator seed (random init)"),
-    ),
-    "counterexample": (
-        _opt_d(),
-        _opt_p(),
-        Option("kind", str, "heat", choices=("heat", "fde"),
-               help="which flow the derivative refers to"),
-        Option("n_cells", int, 96, lo=8, hi=100000,
-               help="finite-volume cells"),
-    ),
-    "branch": (_opt_d(), _opt_p()) + _BRANCH_OPTIONS,
-    "curve": (
-        _opt_d(),
-        _opt_p(),
-        Option("theta", float, None, required=True, lo=1e-6, hi=1.0,
-               help="interpolation strength for the reparametrization"),
-    ) + _BRANCH_OPTIONS,
-    "criterion": (
-        _opt_d(),
-        _opt_p(),
-        Option("with_branch", _cast_bool, False,
-               help="also run the continuation to harvest witnesses"),
-    ) + _BRANCH_OPTIONS,
-    "probe": (
-        _opt_d(),
-        _opt_p(),
-        Option("thetas", _cast_float_list, None, required=True,
-               lo=1e-6, hi=1.0,
-               help="comma-separated interpolation strengths"),
-    ) + _BRANCH_OPTIONS,
-}
 
-_ARTIFACT_NAMES = {
-    "params": "params.json",
-    "flow": "trajectory.csv",
-    "counterexample": "counterexample.json",
-    "branch": "branch.csv",
-    "curve": "curve.csv",
-    "criterion": "criterion.json",
-    "probe": "probe.json",
-}
+def _schema(*options: Option) -> dict[str, Option]:
+    return {opt.name: opt for opt in options}
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +293,7 @@ def _read_ini(path, what: str) -> configparser.ConfigParser:
 
 def _cast_section(command: str, items, where: str) -> dict:
     """Cast and range-check ``(key, raw)`` pairs against a command's schema."""
-    schema = {opt.name: opt for opt in _OPTIONS[command]}
+    schema = _COMMANDS[command].options
     values = {}
     for key, raw in items:
         if key not in schema:
@@ -396,10 +317,10 @@ def load_config(path) -> dict[str, dict]:
     parser = _read_ini(path, "config file")
     loaded: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _OPTIONS:
+        if section not in _COMMANDS:
             raise ConfigError(
                 f"unknown section [{section}] in {path}; expected one of "
-                f"{sorted(_OPTIONS)}")
+                f"{sorted(_COMMANDS)}")
         loaded[section] = _cast_section(
             section, parser.items(section), f"section [{section}] of {path}")
     return loaded
@@ -423,7 +344,7 @@ def _resolve_options(command: str, args, overrides: dict | None = None) -> dict:
     if overrides:
         file_values = {**file_values, **overrides}
     resolved = {}
-    for opt in _OPTIONS[command]:
+    for opt in _COMMANDS[command].options.values():
         value = getattr(args, opt.name, None) if args is not None else None
         origin = opt.flag
         if value is None and opt.name in file_values:
@@ -520,9 +441,7 @@ def _initial_density(opts: dict):
     return sphere_flows.random_smooth_density(opts["d"], opts["n_cells"], rng)
 
 
-def _run_flow(opts: dict, out: Path | None, args) -> tuple[list, dict]:
-    if out is None:
-        raise UsageError("--out is required for 'flow'")
+def _run_flow(opts: dict, out: Path, args) -> tuple[list, dict]:
     spec = sphere_flows.FlowSpec(
         kind=opts["kind"], p=opts["p"], m=opts["m"], t_end=opts["t_end"],
         dt_init=opts["dt_init"], dt_max=opts["dt_max"])
@@ -577,9 +496,7 @@ def _branch_summary(branch: Branch) -> dict:
     }
 
 
-def _run_branch(opts: dict, out: Path | None, args) -> tuple[list, dict]:
-    if out is None:
-        raise UsageError("--out is required for 'branch'")
+def _run_branch(opts: dict, out: Path, args) -> tuple[list, dict]:
     fields_dir = getattr(args, "fields_dir", None) if args else None
     if fields_dir:
         # before the continuation, so that a file in the way fails at once
@@ -600,9 +517,7 @@ _CURVE_HEADER = ("lambda", "Lambda", "mu", "mu_star_theta",
                  "d_Lambda_d_lambda")
 
 
-def _run_curve(opts: dict, out: Path | None, args) -> tuple[list, dict]:
-    if out is None:
-        raise UsageError("--out is required for 'curve'")
+def _run_curve(opts: dict, out: Path, args) -> tuple[list, dict]:
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     curve = branch_analysis.reparametrize(branch, opts["theta"])
     _write_csv(out, _CURVE_HEADER, curve.as_rows())
@@ -640,14 +555,99 @@ def _run_probe(opts: dict, out: Path | None, args) -> tuple[list, dict]:
     return _emit_json(payload, out), summary
 
 
-_HANDLERS = {
-    "params": _run_params,
-    "flow": _run_flow,
-    "counterexample": _run_counterexample,
-    "branch": _run_branch,
-    "curve": _run_curve,
-    "criterion": _run_criterion,
-    "probe": _run_probe,
+@dataclass(frozen=True)
+class _Command:
+    """A data-producing subcommand: its settings, artifact and handler.
+
+    artifact names a sweep point's output; needs_out makes --out
+    required on the command line.
+    """
+
+    options: dict[str, Option]
+    artifact: str
+    handler: Callable
+    needs_out: bool = False
+
+
+# in the order the subcommands are listed in --help
+_COMMANDS: dict[str, _Command] = {
+    "params": _Command(_schema(
+        _opt_d(),
+        Option("mode", str, "cylinder",
+               choices=("cylinder", "critical", "subcritical"),
+               help="which generating set the inputs form"),
+        _opt_p(required=False),
+        Option("Lambda", float, None, lo=1e-12, hi=1e6,
+               help="cylinder coercivity parameter (default 1)"),
+        Option("theta", float, None, lo=1e-6, hi=1.0,
+               help="interpolation strength"),
+        Option("a", float, None, lo=-64.0, hi=64.0,
+               help="gradient weight exponent (critical mode)"),
+        Option("b", float, None, lo=-64.0, hi=64.0,
+               help="norm weight exponent (critical mode)"),
+        Option("beta", float, None, lo=-64.0, hi=64.0,
+               help="diffusion weight exponent (subcritical mode)"),
+        Option("gamma", float, None, lo=-64.0, hi=64.0,
+               help="measure weight exponent (subcritical mode)"),
+        Option("m", float, None, lo=1e-6, hi=2.0,
+               help="diffusion exponent override"),
+    ), "params.json", _run_params),
+    "flow": _Command(_schema(
+        _opt_d(),
+        _opt_p(),
+        Option("kind", str, "heat", choices=("heat", "fde"),
+               help="which flow to integrate"),
+        Option("m", float, None, lo=1e-6, hi=2.0,
+               help="diffusion exponent (fde only)"),
+        Option("n_cells", int, 96, lo=8, hi=100000,
+               help="finite-volume cells"),
+        Option("t_end", float, sphere_flows.FlowSpec.t_end, lo=1e-12,
+               hi=1e4, help="final time"),
+        Option("dt_init", float, sphere_flows.FlowSpec.dt_init, lo=1e-14,
+               hi=10.0, help="initial step"),
+        Option("dt_max", float, sphere_flows.FlowSpec.dt_max, lo=1e-14,
+               hi=10.0, help="step cap"),
+        Option("init", str, "tilted", choices=("tilted", "random"),
+               help="initial density family"),
+        Option("epsilon", float, 0.3, lo=1e-6, hi=0.999999,
+               help="tilt amplitude (tilted init)"),
+        Option("q", float, 2.0, lo=-256.0, hi=256.0,
+               help="tilt exponent (tilted init)"),
+        Option("seed", int, 0, lo=0, hi=2**63 - 1,
+               help="generator seed (random init)"),
+    ), "trajectory.csv", _run_flow, needs_out=True),
+    "counterexample": _Command(_schema(
+        _opt_d(),
+        _opt_p(),
+        Option("kind", str, "heat", choices=("heat", "fde"),
+               help="which flow the derivative refers to"),
+        Option("n_cells", int, 96, lo=8, hi=100000,
+               help="finite-volume cells"),
+    ), "counterexample.json", _run_counterexample),
+    "branch": _Command(_schema(_opt_d(), _opt_p(), *_BRANCH_OPTIONS),
+                       "branch.csv", _run_branch, needs_out=True),
+    "curve": _Command(_schema(
+        _opt_d(),
+        _opt_p(),
+        Option("theta", float, None, required=True, lo=1e-6, hi=1.0,
+               help="interpolation strength for the reparametrization"),
+        *_BRANCH_OPTIONS,
+    ), "curve.csv", _run_curve, needs_out=True),
+    "criterion": _Command(_schema(
+        _opt_d(),
+        _opt_p(),
+        Option("with_branch", _cast_bool, False,
+               help="also run the continuation to harvest witnesses"),
+        *_BRANCH_OPTIONS,
+    ), "criterion.json", _run_criterion),
+    "probe": _Command(_schema(
+        _opt_d(),
+        _opt_p(),
+        Option("thetas", _cast_float_list, None, required=True,
+               lo=1e-6, hi=1.0,
+               help="comma-separated interpolation strengths"),
+        *_BRANCH_OPTIONS,
+    ), "probe.json", _run_probe),
 }
 
 
@@ -691,7 +691,7 @@ def _check_translation_mode():
     lam = 6.0
     grid = default_grid(5, lam, 800, 8)
     phi = solve_symmetric(5, 2.8, lam, grid)
-    eig = float(linearized_spectrum(phi, lam, sector=0, count=2)[1])
+    eig = float(linearized_spectrum(phi, sector=0, count=2)[1])
     return [("zero mode at", eig, 1e-8)]
 
 
@@ -806,10 +806,10 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
     command = entries.pop("command", None)
     if command is None:
         raise invalid("needs 'command = <subcommand>' under [sweep]")
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise invalid(f"sweep target {command!r} is not a data-producing "
-                      f"subcommand; expected one of {sorted(_HANDLERS)}")
-    schema = {opt.name: opt for opt in _OPTIONS[command]}
+                      f"subcommand; expected one of {sorted(_COMMANDS)}")
+    schema = _COMMANDS[command].options
     axes: list[str] = []
     values: list[tuple] = []
     for key in _AXIS_ORDER:
@@ -843,9 +843,9 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
 
 def _sweep_point(command: str, opts: dict, point_dir: Path):
     point_dir.mkdir(parents=True, exist_ok=True)
-    out = point_dir / _ARTIFACT_NAMES[command]
+    out = point_dir / _COMMANDS[command].artifact
     t0 = time.perf_counter()
-    artifacts, summary = _HANDLERS[command](opts, out, None)
+    artifacts, summary = _COMMANDS[command].handler(opts, out, None)
     _write_manifest(point_dir / "manifest.json", command, opts,
                     artifacts, summary, t0)
     return out
@@ -963,9 +963,9 @@ def _build_parser() -> _Parser:
                                  "symmetry breaking in weighted "
                                  "interpolation inequalities.")
     sub = parser.add_subparsers(dest="command")
-    for command, options in _OPTIONS.items():
+    for command, entry in _COMMANDS.items():
         p = sub.add_parser(command)
-        for opt in options:
+        for opt in entry.options.values():
             if opt.cast is _cast_bool:
                 p.add_argument(opt.flag, dest=opt.name, const=True,
                                default=None, action="store_const",
@@ -1079,11 +1079,14 @@ def run(argv=None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         t0 = time.perf_counter()
+        entry = _COMMANDS[args.command]
         opts = _resolve_options(args.command, args)
         out = Path(args.out) if args.out else None
         if out is not None:
             _check_out_dir(out)
-        artifacts, summary = _HANDLERS[args.command](opts, out, args)
+        elif entry.needs_out:
+            raise UsageError(f"--out is required for {args.command!r}")
+        artifacts, summary = entry.handler(opts, out, args)
         if artifacts:
             manifest_path = out.with_suffix(out.suffix + ".manifest.json")
             _write_manifest(manifest_path, args.command, opts,

@@ -219,7 +219,7 @@ def _pt_lowest(grid: CylinderGrid, p: float, lam: float, profile: np.ndarray,
     return vals
 
 
-def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
+def linearized_spectrum(phi: CylinderField, sector: int,
                         count: int = 1) -> np.ndarray:
     """Lowest eigenvalues of the linearization around a symmetric solution.
 
@@ -233,11 +233,11 @@ def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
 
     The odd sector at k = 0 always contains a near-zero eigenvalue: the
     translation mode phi'.  Its presence in the output is a correctness
-    signal, not a defect.
+    signal, not a defect.  Lambda is the field's own, like p.
     """
-    if phi.p is None:
-        raise DomainError("field carries no exponent p; build it via "
-                          "solve_symmetric or attach metadata")
+    if phi.p is None or phi.Lambda is None:
+        raise DomainError("field carries no exponent p or no Lambda; build "
+                          "it via solve_symmetric or attach metadata")
     if sector < 0 or sector != int(sector):
         raise DomainError(f"sector must be a nonnegative integer, got {sector}")
     if count < 1:
@@ -249,8 +249,10 @@ def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
         raise DomainError("linearized_spectrum expects a symmetric field; "
                           f"zonal spread {zonal_spread:.2e} is too large")
     evs = np.concatenate([
-        _pt_lowest(grid, phi.p, Lambda, profile, int(sector), "even", count),
-        _pt_lowest(grid, phi.p, Lambda, profile, int(sector), "odd", count),
+        _pt_lowest(grid, phi.p, phi.Lambda, profile, int(sector), "even",
+                   count),
+        _pt_lowest(grid, phi.p, phi.Lambda, profile, int(sector), "odd",
+                   count),
     ])
     evs.sort()
     return evs[:count]
@@ -259,20 +261,22 @@ def linearized_spectrum(phi: CylinderField, Lambda: float, sector: int,
 # ---------------------------------------------------------------------------
 # the zonal equation and its Jacobian pattern
 
-def _residual_2d(grid: CylinderGrid, main, off, p: float, lam: float,
+def _residual_2d(grid: CylinderGrid, p: float, lam: float,
                  u: np.ndarray) -> np.ndarray:
+    main, off = _s_operator(grid.m_cells, grid.h, "even")
     out = _apply_s_operator(main, off, u)
     out -= u @ grid.lap_z.T
     return out + lam * u - np.maximum(u, 0.0) ** (p - 1.0)
 
 
-def _stencil_csc(grid: CylinderGrid, main, off):
+def _stencil_csc(grid: CylinderGrid):
     """CSC pattern of the bordered Keller matrix, natural order.
 
-    Unknowns are s-major (index j * nz + k).  Column j * nz + k holds, in
-    increasing row order, the s-neighbour below (off[j-1]), the zonal
-    block -Lap_z[:, k] with main[j] - Lap_z[k, k] on the diagonal, and the
-    s-neighbour above (off[j]).  The full Jacobian adds the diagonal
+    Unknowns are s-major (index j * nz + k).  With (main, off) the grid's
+    even s-operator, column j * nz + k holds, in increasing row order, the
+    s-neighbour below (off[j-1]), the zonal block -Lap_z[:, k] with
+    main[j] - Lap_z[k, k] on the diagonal, and the s-neighbour above
+    (off[j]).  The full Jacobian adds the diagonal
     lam - (p-1) u_+^(p-2) to it.  Every column also ends in row n (the
     tangent row), and column n (rows 0..n: the u column and the corner)
     is appended; the border entries are zero.  Returns (data, indices,
@@ -280,6 +284,7 @@ def _stencil_csc(grid: CylinderGrid, main, off):
     entry.
     """
     m, nz = grid.m_cells, grid.nz
+    main, off = _s_operator(m, grid.h, "even")
     n = m * nz
     width = nz + 3
     k = np.arange(nz, dtype=np.int32)
@@ -385,10 +390,14 @@ class Branch:
     d: int
     p: float
     bifurcation_lambda: float
-    predicted_lambda_fs: float
     grid: CylinderGrid
     config: ContinuationConfig
     points: list[BranchPoint]
+
+    @property
+    def predicted_lambda_fs(self) -> float:
+        """The continuum Felli-Schneider threshold of (d, p)."""
+        return lambda_fs_value(self.d, self.p)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -448,11 +457,11 @@ class _BorderedKeller:
     differently (see the module docstring).
     """
 
-    def __init__(self, grid: CylinderGrid, main, off):
+    def __init__(self, grid: CylinderGrid):
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import spilu
         n = grid.m_cells * grid.nz
-        data, indices, indptr, diag = _stencil_csc(grid, main, off)
+        data, indices, indptr, diag = _stencil_csc(grid)
         self._fixed_diag = data[diag]
         # Any nonsingular values do, since the column order depends on the
         # pattern alone: J = fixed + I, a zero u column and the row e_n.
@@ -488,10 +497,10 @@ class _BorderedKeller:
         return step
 
 
-def _quotient_data(grid: CylinderGrid, main, off, p: float, lam: float,
-                   u: np.ndarray):
+def _quotient_data(grid: CylinderGrid, p: float, lam: float, u: np.ndarray):
     """(mu, t) from the discrete quadratic forms, full-cylinder convention."""
     h, wz = grid.h, grid.wz
+    main, off = _s_operator(grid.m_cells, h, "even")
     a_u = _apply_s_operator(main, off, u)
     grad = 2.0 * h * float(np.sum((a_u * u) @ wz))
     grad += 2.0 * h * float(np.sum(((-(u @ grid.lap_z.T)) * u) @ wz))
@@ -512,15 +521,14 @@ def symmetric_quotient(grid: CylinderGrid, p: float, lam: float):
     numbers; computing them on the branch's own grid is what cancels the
     O(h^2) quadrature bias out of every symmetry-breaking gap.
     """
-    profile = _symmetric_profile(grid, p, lam)
-    main, off = _s_operator(grid.m_cells, grid.h, "even")
-    return _profile_quotient(grid, main, off, p, lam, profile)
+    return _profile_quotient(grid, p, lam, _symmetric_profile(grid, p, lam))
 
 
-def _profile_quotient(grid: CylinderGrid, main, off, p: float, lam: float,
+def _profile_quotient(grid: CylinderGrid, p: float, lam: float,
                       profile: np.ndarray):
     """(mu, t) of a given s-only profile; see symmetric_quotient."""
     h = grid.h
+    main, off = _s_operator(grid.m_cells, h, "even")
     a_phi = _apply_s_operator(main, off, profile)
     grad = 2.0 * h * float(np.sum(a_phi * profile))
     l2 = 2.0 * h * float(np.sum(profile * profile))
@@ -553,13 +561,12 @@ def continue_branch(d: int, p: float,
     lam_fs = lambda_fs_value(d, p)
     length = cfg.length if cfg.length is not None else 20.0 / math.sqrt(lam_fs)
     grid = cylinder_grid(d, length, cfg.m_cells, cfg.nz)
-    main, off = _s_operator(grid.m_cells, grid.h, "even")
     m, nz = grid.m_cells, grid.nz
-    bordered = _BorderedKeller(grid, main, off)
+    bordered = _BorderedKeller(grid)
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
     profile_b = _symmetric_profile(grid, p, lam_b)
-    diag, _ = _sector_operator(grid, p, lam_b, profile_b, 1, "even")
+    diag, off = _sector_operator(grid, p, lam_b, profile_b, 1, "even")
     try:
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     except np.linalg.LinAlgError as exc:
@@ -580,7 +587,7 @@ def continue_branch(d: int, p: float,
         for it in range(_NEWTON_MAX_ITER):
             u = xk[:-1].reshape(m, nz)
             lam = xk[-1]
-            f = _residual_2d(grid, main, off, p, lam, u).ravel()
+            f = _residual_2d(grid, p, lam, u).ravel()
             constraint = float(row @ (xk - x_cur)) - ds
             res = max(float(np.max(np.abs(f))), abs(constraint))
             if res < _NEWTON_TOL:
@@ -593,9 +600,9 @@ def continue_branch(d: int, p: float,
     def record(x, iters, res, ds):
         u = x[:-1].reshape(m, nz)
         lam = float(x[-1])
-        mu, t_phi = _quotient_data(grid, main, off, p, lam, u)
+        mu, t_phi = _quotient_data(grid, p, lam, u)
         profile = _symmetric_profile(grid, p, lam)
-        mu_sym, _ = _profile_quotient(grid, main, off, p, lam, profile)
+        mu_sym, _ = _profile_quotient(grid, p, lam, profile)
         eig = float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
         points.append(BranchPoint(
             lam=lam, mu=mu, mu_star=mu_sym, t_phi=t_phi, lowest_eig=eig,
@@ -644,6 +651,5 @@ def continue_branch(d: int, p: float,
                     f"step size underflowed at lam={points[-1].lam:.5f}",
                     lam=points[-1].lam)
 
-    return Branch(d=d, p=p, bifurcation_lambda=lam_b,
-                  predicted_lambda_fs=lam_fs, grid=grid, config=cfg,
+    return Branch(d=d, p=p, bifurcation_lambda=lam_b, grid=grid, config=cfg,
                   points=points)

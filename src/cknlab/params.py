@@ -223,13 +223,9 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
         return CKNParams(mode=mode, d=d, p=p, beta=beta, gamma=gamma,
                          alpha=alpha, n=n, m=m)
 
-    # shared critical/cylinder tail
-    if p > 2.0:
-        n = 2.0 * p / (p - 2.0)
-        alpha = (a_c - a) * (p - 2.0) / 2.0
-    else:
-        n = math.inf
-        alpha = 0.0
+    # shared critical/cylinder tail; both modes give p > 2
+    n = 2.0 * p / (p - 2.0)
+    alpha = (a_c - a) * (p - 2.0) / 2.0
     m = float(inputs.get("m", 1.0 - 1.0 / n))
     _reject(not (1.0 - 1.0 / n - _TOL <= m < 1.0), "m outside [1 - 1/n, 1)")
     record = CKNParams(mode=mode, d=d, p=p, a=a, b=b, theta=1.0,

@@ -122,16 +122,18 @@ class FlowState:
 
     density: GridFunction1D
     time: float
-    mass: float
+
+    @property
+    def mass(self) -> float:
+        return self.density.mass
 
     @classmethod
     def initial(cls, density: GridFunction1D) -> "FlowState":
         if np.any(density.values < 0.0):
             raise PositivityLoss("initial density has negative values")
-        mass = density.mass
-        if mass <= 0.0:
+        if density.mass <= 0.0:
             raise DomainError("initial density has nonpositive mass")
-        return cls(density, 0.0, mass)
+        return cls(density, 0.0)
 
 
 @dataclass
@@ -153,14 +155,6 @@ class FlowTrajectory:
     @property
     def masses(self) -> np.ndarray:
         return self.data[:, 1]
-
-    @property
-    def entropies(self) -> np.ndarray:
-        return self.data[:, 2]
-
-    @property
-    def fishers(self) -> np.ndarray:
-        return self.data[:, 3]
 
     @property
     def deficits(self) -> np.ndarray:
@@ -274,8 +268,7 @@ def flow_step(state: FlowState, spec: FlowSpec, dt: float) -> FlowState:
     if not new.min() > 0.0:
         raise PositivityLoss(
             f"density lost positivity at t={state.time + dt:.6g}")
-    gf = GridFunction1D(grid, new)
-    return FlowState(gf, state.time + dt, gf.mass)
+    return FlowState(GridFunction1D(grid, new), state.time + dt)
 
 
 def integrate(state0: FlowState, spec: FlowSpec,
@@ -418,7 +411,7 @@ def _fde_deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
                                           ok.tolist())]
 
 
-def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
+def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray,
                          spec: FlowSpec) -> list[DerivativeEstimate | None]:
     """Deficit derivative estimates for a (k, n) stack of positive densities.
 
@@ -433,7 +426,7 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     that row alone.
     """
     if spec.kind == "fde":
-        return _fde_deficit_derivatives(grid, rhos, p,
+        return _fde_deficit_derivatives(grid, rhos, spec.p,
                                         spec.diffusion_exponent())
     modes = _modes(grid.sphere_dim, grid.n)
     lam, vecs, sqw = modes
@@ -469,7 +462,7 @@ def _deficit_derivatives(grid: FVZonalGrid, rhos: np.ndarray, p: float,
     done = sorted(states)
     deficits = sphere_observables(
         grid, np.concatenate([states[i] for i in done]),
-        p)[:, 3].reshape(len(done), len(_STENCIL))
+        spec.p)[:, 3].reshape(len(done), len(_STENCIL))
     for i, (dm2, dm1, dmh, dph, dp1, dp2) in zip(done, deficits.tolist()):
         h = hs[i]
         d1 = (dm2 - 8.0 * dm1 + 8.0 * dp1 - dp2) / (12.0 * h)
@@ -536,7 +529,7 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
         base = 1.0 + eps * grid.centroids
         raw = np.array([base ** q for q in qs])
         rhos = raw / grid.integrate(raw)[:, None]
-        for q, est in zip(qs, _deficit_derivatives(grid, rhos, p, spec)):
+        for q, est in zip(qs, _deficit_derivatives(grid, rhos, spec)):
             if est is None:
                 skipped += 1
                 continue
@@ -561,7 +554,7 @@ def counterexample_search(d: int, p: float, n_cells: int = 96,
             ce = min(max(eps + de, 0.01), 0.985)
             cq = min(max(q + dq, q_lo), q_hi)
             rho = tilted_density(d, n_cells, ce, cq).values
-            est = _deficit_derivatives(grid, rho[None], p, spec)[0]
+            est = _deficit_derivatives(grid, rho[None], spec)[0]
             if est is None:
                 skipped += 1
                 continue

@@ -106,7 +106,7 @@ def test_01_first_zonal_eigenvalue_law():
         t0 = time.perf_counter()
         grid = cylinder_grid(d, 20.0 / math.sqrt(min(lam, lam_fs)), 2000, 4)
         phi = solve_symmetric(d, p, lam, grid)
-        eig = float(linearized_spectrum(phi, lam, sector=1, count=1)[0])
+        eig = float(linearized_spectrum(phi, sector=1, count=1)[0])
         slowest = max(slowest, time.perf_counter() - t0)
         target = -0.25 * (p * p - 4.0) * (lam - lam_fs)
         if lam == lam_fs:

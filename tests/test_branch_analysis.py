@@ -167,8 +167,7 @@ def test_two_resolutions_agree(d, p, monkeypatch):
     # two rungs finer than any the default ladder accepts here
     monkeypatch.setattr(branch_analysis, "_RUNGS", ((160, 6.0), (240, 8.0)))
     state = gn_ground_state.__wrapped__(d, p)
-    vt = derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder").vartheta
-    fine = branch_analysis._gn_value(d, p, vt, state.grad_sq, state.mass_sq,
+    fine = branch_analysis._gn_value(d, p, state.grad_sq, state.mass_sq,
                                      state.p_int)
     assert rel(fine, accepted) <= 1e-12
 
@@ -300,14 +299,13 @@ def test_unresolved_ground_state_raises_with_its_state(monkeypatch, capsys):
 def test_quotient_scale_invariance():
     d, p = 5, 2.8
     state = gn_ground_state(d, p)
-    vt = derive_params(d, {"p": p, "Lambda": 1.0}, "cylinder").vartheta
     x, w = gauss_panels(0.0, 1.0, 1, branch_analysis._GAUSS_NODES)
     u, du, r, jac = state.profile.at_x(x)
 
     def quotient(r, weight, u, du):
         measure = weight * r ** (d - 1.0)
         return branch_analysis._gn_value(
-            d, p, vt, np.sum(du * du * measure), np.sum(u * u * measure),
+            d, p, np.sum(du * du * measure), np.sum(u * u * measure),
             np.sum(np.abs(u) ** p * measure))
 
     base = quotient(r, w * jac, u, du)
@@ -565,7 +563,7 @@ def _polished_and_settled(p, lam):
     jac = main + lam - (p - 1.0) * phi ** (p - 2.0)
     band = np.vstack([np.append(0.0, off), jac, np.append(off, 0.0)])
     settled = phi - solve_banded((1, 1), band, f)
-    return [(u, *_profile_quotient(grid, main, off, p, lam, u))
+    return [(u, *_profile_quotient(grid, p, lam, u))
             for u in (phi, settled)]
 
 

@@ -5,6 +5,7 @@ exit codes and captured output without spawning subprocesses.
 """
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -124,7 +125,8 @@ def test_missing_out_directory_fails_before_the_computation(
         pytest.fail("the handler ran although --out cannot be written")
 
     for command in ("params", "flow", "branch"):
-        monkeypatch.setitem(cli_io._HANDLERS, command, unreachable)
+        monkeypatch.setitem(cli_io._COMMANDS, command, dataclasses.replace(
+            cli_io._COMMANDS[command], handler=unreachable))
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     cases = (

@@ -23,9 +23,11 @@ from cknlab import (
     solve_symmetric,
     symmetric_quotient,
 )
+from cknlab import cylinder_solver
 from cknlab.cylinder_solver import (
     _BorderedKeller,
     _apply_s_operator,
+    _locate_bifurcation,
     _residual_2d,
     _s_operator,
     _sector_operator,
@@ -87,7 +89,7 @@ def test_quotient_equals_lp_norm_power_at_solution():
 def test_linearization_spectrum_in_the_symmetric_sector():
     d, p, lam = 5, 2.8, 6.0
     phi = solve_symmetric(d, p, lam)
-    evs = linearized_spectrum(phi, lam, 0, count=2)
+    evs = linearized_spectrum(phi, 0, count=2)
     # ground level of the sech-squared well, exact in the continuum
     assert rel(evs[0], -0.25 * (p * p - 4.0) * lam) < 1e-3
     # translation mode: the discrete eigenvalue sits at rounding level
@@ -97,7 +99,7 @@ def test_linearization_spectrum_in_the_symmetric_sector():
 def test_linearization_spectrum_in_the_first_zonal_sector():
     d, p, lam = 5, 2.8, 6.0
     phi = solve_symmetric(d, p, lam)
-    low = linearized_spectrum(phi, lam, 1, count=1)[0]
+    low = linearized_spectrum(phi, 1, count=1)[0]
     predicted = -0.25 * (p * p - 4.0) * (lam - lambda_fs_value(d, p))
     assert rel(low, predicted) < 1e-3
 
@@ -130,15 +132,18 @@ def test_linearization_input_checks():
     grid = default_grid(d, lam, 120, 8)
     phi = solve_symmetric(d, p, lam, grid)
     with pytest.raises(DomainError):
-        linearized_spectrum(phi, lam, -1)
+        linearized_spectrum(phi, -1)
     with pytest.raises(DomainError):
-        linearized_spectrum(phi, lam, 1, count=0)
-    skewed = grid.field(phi.values * (1.0 + 0.1 * grid.z[None, :]), p=p)
-    with pytest.raises(DomainError):
-        linearized_spectrum(skewed, lam, 1)
+        linearized_spectrum(phi, 1, count=0)
+    skewed = grid.field(phi.values * (1.0 + 0.1 * grid.z[None, :]), p=p,
+                        Lambda=lam)
+    with pytest.raises(DomainError, match="zonal spread"):
+        linearized_spectrum(skewed, 1)
     anonymous = grid.field(phi.values.copy())
-    with pytest.raises(DomainError):
-        linearized_spectrum(anonymous, lam, 1)
+    no_lambda = grid.field(phi.values.copy(), p=p)
+    for bare in (anonymous, no_lambda):
+        with pytest.raises(DomainError, match="no exponent p or no Lambda"):
+            linearized_spectrum(bare, 1)
 
 
 def test_truncation_length_is_resolved():
@@ -156,10 +161,9 @@ def test_every_branch_point_solves_the_discrete_equation(branch_5_2_8):
     # recorded mu (worst seen: 7.2e-16 relative)
     branch, _ = branch_5_2_8
     grid = branch.grid
-    main, off = _s_operator(grid.m_cells, grid.h, "even")
     for point in branch.points:
         u = point.field.values
-        residual = _residual_2d(grid, main, off, branch.p, point.lam, u)
+        residual = _residual_2d(grid, branch.p, point.lam, u)
         assert np.max(np.abs(residual)) <= 1e-10, point.lam
         got = cylinder_quotient(point.field, point.lam, branch.p)["mu"]
         assert rel(got, point.mu) < 1e-12, point.lam
@@ -189,6 +193,40 @@ def test_short_cylinders_fail_with_their_state():
         continue_branch(5, 2.8, ContinuationConfig(length=1.0, m_cells=40,
                                                    nz=4))
     assert info.value.lam == lambda_fs_value(5, 2.8)
+
+
+def test_branch_switch_that_never_lands_stalls_at_the_onset(monkeypatch):
+    # with no corrector iteration allowed every Keller step gives up, so
+    # each switch try halves the step until the tries run out
+    lam_fs = lambda_fs_value(5, 2.8)
+    grid = cylinder_grid(5, 20.0 / math.sqrt(lam_fs), 40, 4)
+    lam_b = _locate_bifurcation(grid, 2.8, lam_fs)
+    monkeypatch.setattr(cylinder_solver, "_NEWTON_MAX_ITER", 0)
+    with pytest.raises(ContinuationStalled,
+                       match="branch switch never produced") as info:
+        continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
+    assert info.value.lam == lam_b
+
+
+def test_steps_that_never_land_stall_at_the_last_point(monkeypatch):
+    # three points land; from then on every Keller step gives up, so the
+    # step is halved until the failures in a row run out
+    recorded = []
+    quotient = cylinder_solver._quotient_data
+
+    def three_points(grid, p, lam, u):
+        recorded.append(lam)
+        if len(recorded) == 3:
+            monkeypatch.setattr(cylinder_solver, "_NEWTON_MAX_ITER", 0)
+        return quotient(grid, p, lam, u)
+
+    monkeypatch.setattr(cylinder_solver, "_quotient_data", three_points)
+    with pytest.raises(ContinuationStalled) as info:
+        continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
+    assert len(recorded) == 3
+    assert info.value.lam == recorded[-1]
+    assert str(info.value) == \
+        f"step size underflowed at lam={recorded[-1]:.5f}"
 
 
 def test_branch_shape_and_diagnostics(branch_5_2_8):
@@ -241,15 +279,10 @@ def _bordered_reference_solve(grid, p, lam, u, row, rhs):
     return splu(_bordered_reference(grid, p, lam, u, row)).solve(rhs)
 
 
-def _keller(grid):
-    main, off = _s_operator(grid.m_cells, grid.h, "even")
-    return _BorderedKeller(grid, main, off)
-
-
 def test_ordered_bordered_solve_is_bit_identical(branch_5_2_8):
     branch, _ = branch_5_2_8
     grid, p = branch.grid, branch.p
-    keller = _keller(grid)
+    keller = _BorderedKeller(grid)
     w2 = grid.h * np.tile(grid.wz, grid.m_cells)
     rng = np.random.default_rng(0)
     # switch step: symmetric solution at the onset, tangent along the first
@@ -285,7 +318,7 @@ def test_dropping_ilu_orders_columns_like_a_full_lu(d, length, m_cells, nz):
                                    np.ones(n + 1))
     assert template.nnz == _kron_operator(grid).nnz + 2 * n + 1
     perm_c = splu(template).perm_c
-    assert np.array_equal(_keller(grid)._order, np.argsort(perm_c))
+    assert np.array_equal(_BorderedKeller(grid)._order, np.argsort(perm_c))
 
 
 def test_bordered_assembly_memory_is_bounded():
@@ -293,10 +326,10 @@ def test_bordered_assembly_memory_is_bounded():
     # 6.3 MB from the stencil, against 18 MB for a Kronecker-product
     # assembly with a full splu of the template
     grid = cylinder_grid(5, 20.0 / math.sqrt(lambda_fs_value(5, 2.8)))
-    _keller(cylinder_grid(5, 4.0, 40, 4))  # loads what it imports lazily
+    _BorderedKeller(cylinder_grid(5, 4.0, 40, 4))  # loads its lazy imports
     tracemalloc.start()
     try:
-        _keller(grid)
+        _BorderedKeller(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -96,12 +96,16 @@ def test_gegenbauer_basis_orthogonal_and_eigen():
     diag = [lam_idx / (k + lam_idx) * eval_gegenbauer(k, lam_idx, 1.0)
             for k in range(basis.shape[1])]
     np.testing.assert_allclose(gram, np.diag(diag), atol=1e-11)
-    lap = zonal_laplacian(sphere_dim, z, w)
-    for k in range(basis.shape[1]):
-        gk = basis[:, k]
-        resid = lap @ gk + k * (k + sphere_dim - 1) * gk
-        scale = max(1.0, k * (k + sphere_dim - 1)) * np.max(np.abs(gk))
-        assert np.max(np.abs(resid)) < 1e-9 * scale
+    # on the circle (d = 2) the basis is Chebyshev's, with eigenvalues -k^2
+    for sphere_dim in (4, 1):
+        z, w = zonal_quadrature(sphere_dim, 24)
+        basis = zonal_gegenbauer_basis(sphere_dim, z, 5)
+        lap = zonal_laplacian(sphere_dim, z, w)
+        for k in range(basis.shape[1]):
+            gk = basis[:, k]
+            resid = lap @ gk + k * (k + sphere_dim - 1) * gk
+            scale = max(1.0, k * (k + sphere_dim - 1)) * np.max(np.abs(gk))
+            assert np.max(np.abs(resid)) < 1e-9 * scale, (sphere_dim, k)
 
 
 def test_zonal_laplacian_self_adjoint():

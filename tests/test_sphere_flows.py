@@ -117,7 +117,7 @@ def test_heat_flow_entropy_production_identity():
     spec = FlowSpec(kind="heat", p=3.0, t_end=0.02,
                     dt_init=2e-4, dt_max=2e-4)
     traj = integrate(FlowState.initial(rho0), spec)
-    t, E, I = traj.times, traj.entropies, traj.fishers
+    t, E, I = traj.times, traj.data[:, 2], traj.data[:, 3]
     dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     assert np.max(np.abs(dE + 2.0 * I[1:-1]) / np.abs(2.0 * I[1:-1])) < 1e-3
 
@@ -220,7 +220,7 @@ def test_deficit_monotone_along_nonlinear_flow():
 
 def test_deficit_derivative_signs():
     def estimate(rho, p):
-        (est,) = _deficit_derivatives(rho.grid, rho.values[None], p,
+        (est,) = _deficit_derivatives(rho.grid, rho.values[None],
                                       FlowSpec(kind="heat", p=p))
         return est
 
@@ -361,7 +361,7 @@ def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
         return inner(modes, coeffs, times)
 
     monkeypatch.setattr(sphere_flows, "_spectral_propagate", counted)
-    got = _deficit_derivatives(grid, rhos, p, spec)
+    got = _deficit_derivatives(grid, rhos, spec)
     refs = [_reference_derivative(grid, rho, p, spec) for rho in rhos]
     assert [est is None for est in got] == [ref is None for ref, _ in refs]
     for est, (ref, _) in zip(got, refs):
@@ -391,7 +391,7 @@ def test_fde_closed_form_matches_rk4_richardson():
     grid = _workspace(3, 96)
     spec = FlowSpec(kind="fde", p=p)
     rhos = np.array([tilted_density(3, 96, e, q).values for e, q in _TILTS])
-    got = _deficit_derivatives(grid, rhos, p, spec)
+    got = _deficit_derivatives(grid, rhos, spec)
     compared = 0
     for est, rho in zip(got, rhos):
         assert est is not None and math.isfinite(est.value)
@@ -418,8 +418,8 @@ def test_fde_closed_form_rows_stay_independent_of_bad_neighbours():
                      + good[4:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _deficit_derivatives(grid, stack, p, spec)
-        alone = [_deficit_derivatives(grid, rho[None], p, spec)[0]
+        got = _deficit_derivatives(grid, stack, spec)
+        alone = [_deficit_derivatives(grid, rho[None], spec)[0]
                  for rho in stack]
     assert [est is None for est in got] == [False] * 2 + [True] * 2 \
         + [False] * 2 + [True] + [False] * 2
@@ -466,8 +466,8 @@ def test_fde_closed_form_error_bounds_a_40_digit_sum(monkeypatch):
     seen = []
     inner = sphere_flows._deficit_derivatives
 
-    def record(grid, rhos, p, spec):
-        out = inner(grid, rhos, p, spec)
+    def record(grid, rhos, spec):
+        out = inner(grid, rhos, spec)
         seen.extend(zip(rhos, out))
         return out
 
@@ -480,7 +480,7 @@ def test_fde_closed_form_error_bounds_a_40_digit_sum(monkeypatch):
             for e, q in ((0.05, -1.0), (0.05, -2.105), (0.35, 12.05),
                          (0.95, -22.0))] + [certificate]
     for rho in rhos:
-        (est,) = inner(grid, rho[None], p, spec)
+        (est,) = inner(grid, rho[None], spec)
         exact = _exact_fde_derivative(grid, rho, p, spec.diffusion_exponent())
         assert abs(mpmath.mpf(est.value) - exact) <= est.error
         assert est.error <= 1e-3 * abs(est.value)
@@ -516,7 +516,7 @@ def test_scan_rows_equal_tilted_densities(d, p, monkeypatch):
     # q = -1 included, must carry tilted_density's bits
     rows = []
 
-    def record(grid, rhos, p, spec):
+    def record(grid, rhos, spec):
         rows.append(rhos.copy())
         return [None] * len(rhos)
 
@@ -544,7 +544,7 @@ def test_fde_search_certificate_is_pinned():
 
 def test_search_with_every_candidate_skipped_fails_typed(monkeypatch):
     monkeypatch.setattr(sphere_flows, "_deficit_derivatives",
-                        lambda grid, rhos, p, spec: [None] * len(rhos))
+                        lambda grid, rhos, spec: [None] * len(rhos))
     with pytest.raises(SearchFailed) as info:
         counterexample_search(3, 5.5, n_cells=32)
     assert info.value.best_value is None
