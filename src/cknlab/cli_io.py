@@ -246,8 +246,10 @@ def _opt_p(required: bool = True) -> Option:
                   help="interpolation exponent")
 
 
-# the defaults are ContinuationConfig's, as flow's are FlowSpec's: a
-# dataclass holds each field's default as a class attribute
+# the defaults are ContinuationConfig's, as flow's are FlowSpec's (a
+# dataclass holds each field's default as a class attribute), and
+# counterexample's are counterexample_search's keyword defaults
+_SEARCH = sphere_flows.counterexample_search.__kwdefaults__
 _BRANCH_OPTIONS = (
     Option("lambda_max", float, ContinuationConfig.lambda_max, lo=1e-6,
            hi=1e6, help="follow the branch up to this parameter value"),
@@ -595,7 +597,7 @@ _COMMANDS: dict[str, _Command] = {
     "flow": _Command(_schema(
         _opt_d(),
         _opt_p(),
-        Option("kind", str, "heat", choices=("heat", "fde"),
+        Option("kind", str, "heat", choices=sphere_flows._KINDS,
                help="which flow to integrate"),
         Option("m", float, None, lo=1e-6, hi=2.0,
                help="diffusion exponent (fde only)"),
@@ -619,9 +621,9 @@ _COMMANDS: dict[str, _Command] = {
     "counterexample": _Command(_schema(
         _opt_d(),
         _opt_p(),
-        Option("kind", str, "heat", choices=("heat", "fde"),
+        Option("kind", str, _SEARCH["flow_kind"], choices=sphere_flows._KINDS,
                help="which flow the derivative refers to"),
-        Option("n_cells", int, 96, lo=8, hi=100000,
+        Option("n_cells", int, _SEARCH["n_cells"], lo=8, hi=100000,
                help="finite-volume cells"),
     ), "counterexample.json", _run_counterexample),
     "branch": _Command(_schema(_opt_d(), _opt_p(), *_BRANCH_OPTIONS),

@@ -497,7 +497,7 @@ def random_smooth_density(d: int, n_cells: int,
     return GridFunction1D(grid, rho / grid.integrate(rho))
 
 
-def counterexample_search(d: int, p: float, n_cells: int = 96,
+def counterexample_search(d: int, p: float, *, n_cells: int = 96,
                           flow_kind: str = "heat") -> CounterexampleReport:
     """Search the tilt family for a density with increasing deficit.
 

@@ -1,5 +1,6 @@
 """Reparametrized curves, the ground-state oracle, and breaking criteria."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -201,6 +202,118 @@ def test_lu_solves_like_lapack(n, seed):
         + 1e-12 * scale
     np.testing.assert_allclose(x, ref, rtol=0,
                                atol=1e-12 * np.max(np.abs(ref)))
+
+
+# the 80-, 120-, 160- and 240-unknown rungs
+_LU_RUNGS = branch_analysis._RUNGS[:4]
+
+
+def _rung_jacobian(m, stretch):
+    """The Newton Jacobian of one rung at the (3, 3.0) ground state."""
+    r, first, second = branch_analysis._radial_operators(m, stretch)
+    u = gn_ground_state(3, 3.0).profile.at(r)[0]
+    return (branch_analysis._laplacian(r, first, second, 3.0) - np.eye(m)
+            + np.diag(2.0 * np.abs(u)))
+
+
+@pytest.mark.parametrize("m, stretch", _LU_RUNGS)
+def test_lu_solves_rung_jacobians_like_lapack(m, stretch):
+    jac = _rung_jacobian(m, stretch)
+    b = np.random.default_rng(m).standard_normal(m)
+    x = branch_analysis._lu_solve(branch_analysis._lu_factor(jac), b)
+    ref = np.linalg.solve(jac, b)
+    res, res_ref = (np.max(np.abs(jac @ v - b)) for v in (x, ref))
+    assert res <= res_ref + 1e-12 * np.max(np.abs(jac)) * np.max(np.abs(ref))
+    # The condition number reaches 7e6 (max-norm) on the 240-unknown
+    # rung, where np.linalg.solve and scipy.linalg.solve differ by 1e-11
+    # relative, so the solutions are held to the gap the two residuals
+    # explain: |x - ref| <= |J^-1| (|J x - b| + |J ref - b|).
+    inverse_norm = np.max(np.sum(np.abs(np.linalg.inv(jac)), axis=1))
+    assert np.max(np.abs(x - ref)) <= inverse_norm * (res + res_ref)
+    # a zero column leaves a zero pivot for any pivoting order
+    jac[:, m // 2] = 0.0
+    assert branch_analysis._lu_factor(jac) is None
+
+
+def test_lu_factor_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        branch_analysis._lu_factor(np.ones((4, 3)))
+
+
+def test_lu_factor_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """_lu_factor on the rung Jacobians under 1 and 2 BLAS threads.
+
+    On a 1-core host both settings run one thread, so there the test
+    cannot tell them apart.
+    """
+    mats = tmp_path / "rungs.npz"
+    np.savez(mats, *(_rung_jacobian(m, s) for m, s in _LU_RUNGS))
+    script = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from cknlab.branch_analysis import _lu_factor\n"
+        "with np.load(sys.argv[1]) as mats:\n"
+        "    for name in sorted(mats.files):\n"
+        "        lu, perm = _lu_factor(mats[name])\n"
+        "        print(hashlib.sha256(lu.tobytes('A') + perm.tobytes())"
+        ".hexdigest())\n")
+    src = str(Path(branch_analysis.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script, str(mats)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == len(_LU_RUNGS)
+    assert digests[0] == digests[1]
+
+
+def _blas_references(tree: ast.Module) -> list[str]:
+    """Names in tree that reach a BLAS-backed product or solver.
+
+    Products are @ and any name with dot, matmul, inner or linalg in it,
+    and getrf is LAPACK's threaded LU; a name with solve or lu_factor in
+    it counts unless the module defines it.  Import sources are not
+    read: dtrtrs and the Cython capsules come from scipy.linalg.
+    """
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".") + [node.asname or ""]
+        for name in names:
+            low = name.lower()
+            if any(w in low for w in ("dot", "matmul", "inner", "linalg",
+                                      "getrf")) \
+                    or (any(w in low for w in ("solve", "lu_factor"))
+                        and name not in own):
+                found.append(name)
+    return found
+
+
+def test_ground_state_solver_calls_no_blas_product_or_solver():
+    """The GN oracle's bits must not depend on the BLAS thread count.
+
+    The byte test above cannot see a threaded call on a 1-core host;
+    this reads the source, so it holds on any host.
+    """
+    tree = ast.parse(Path(branch_analysis.__file__).read_text())
+    assert _blas_references(tree) == []
+    probe = ast.parse("import numpy.linalg\nfrom scipy.linalg import "
+                      "lu_factor, solve\nx = a @ b\ny = np.dot(a, b)\n"
+                      "z = dgetrf(a)\n")
+    assert len(_blas_references(probe)) == 6
 
 
 def test_lu_pivots_past_a_zero_leading_entry():
