@@ -89,9 +89,9 @@ class CurveB:
     Lambda is theta lam - (1 - theta) t[phi_lam] sample by sample, and
     mu_star_theta is the symmetric theta-constant at that Lambda from
     `mu_star_theta_line`, deliberately not from `params.mu_star`: a
-    finite-difference polish and grid quadrature instead of panel
-    quadrature of the explicit profile, so the two stay independent
-    cross-checks of each other.  The mu
+    finite-difference polish and grid quadrature instead of the
+    soliton's closed form, so the two stay independent cross-checks of
+    each other.  The mu
     column bounds the optimal theta-constant from above at each Lambda;
     nothing here claims any sample is optimal.
     """
@@ -151,7 +151,7 @@ def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
     minima are Richardson-combined; stationarity at the optimum keeps the
     combination fourth-order.  What keeps this route independent of
     `params.mu_star` is (mu_1, t_1): a finite-difference polish and grid
-    quadrature, not panel quadrature of the explicit profile.
+    quadrature, not the soliton's closed form.
     """
     check_theta(d, p, theta)
     if Lambda <= 0.0:

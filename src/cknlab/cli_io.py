@@ -392,17 +392,14 @@ def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
 
 def _params_payload(opts: dict) -> dict:
     mode = opts["mode"]
-    allowed = {"cylinder": ("p", "Lambda", "theta", "m"),
-               "critical": ("a", "b", "theta", "m"),
-               "subcritical": ("beta", "gamma", "p", "m")}[mode]
-    needed = {"cylinder": ("p",), "critical": ("a", "b"),
-              "subcritical": ("beta", "gamma", "p")}[mode]
-    for key in needed:
+    required, optional = params_mod._GENERATING_SETS[mode]
+    if mode == "cylinder" and opts.get("Lambda") is None:
+        opts = dict(opts, Lambda=1.0)
+    for key in required:
         if opts.get(key) is None:
             raise UsageError(f"--{key} is required for mode {mode!r}")
-    inputs = {key: opts[key] for key in allowed if opts.get(key) is not None}
-    if mode == "cylinder" and "Lambda" not in inputs:
-        inputs["Lambda"] = 1.0
+    inputs = {key: opts[key] for key in required + optional
+              if opts.get(key) is not None}
     record = params_mod.derive_params(opts["d"], inputs, mode)
     payload = {k: v for k, v in asdict(record).items() if v is not None}
     payload["a_c"] = record.a_c
@@ -411,8 +408,7 @@ def _params_payload(opts: dict) -> dict:
     for key, value in asdict(params_mod.thresholds(record)).items():
         if value is not None:
             payload[key] = value
-    if mode != "subcritical" and 2.0 < record.p and (
-            record.d <= 2 or record.p < record.two_star):
+    if mode != "subcritical" and record.p < record.two_star:
         payload["mu_star"] = params_mod.mu_star(
             record, record.Lambda, record.theta or 1.0)
         payload["optimal_constant_star"] = \
@@ -670,8 +666,8 @@ def _check_equivalence_triple():
     broken = 0
     for _ in range(300):
         d = int(rng.integers(2, 9))
-        hi = 2.0 * d / (d - 2) if d > 2 else 12.0
-        p = float(rng.uniform(2.01, min(hi - 0.01, 12.0)))
+        p = float(rng.uniform(2.01, min(params_mod.two_star_value(d), 12.0)
+                              - 0.01))
         lam = float(10.0 ** rng.uniform(-2, 2))
         pars = params_mod.derive_params(d, {"p": p, "Lambda": lam}, "cylinder")
         c1, c2, c3 = params_mod.check_equivalence(pars)

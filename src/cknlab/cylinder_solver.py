@@ -208,15 +208,15 @@ def _sector_operator(grid: CylinderGrid, p: float, lam: float,
 
 
 def _pt_lowest(grid: CylinderGrid, p: float, lam: float, profile: np.ndarray,
-               sector: int, parity: str, count: int) -> np.ndarray:
+               sector: int, parity: str, count: int):
+    """(values, vectors) of the count lowest eigenpairs of one sector."""
     diag, off = _sector_operator(grid, p, lam, profile, sector, parity)
     try:
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, count - 1))[0]
+        return eigh_tridiagonal(diag, off, select="i",
+                                select_range=(0, count - 1))
     except np.linalg.LinAlgError as exc:
         raise EigFailed(f"tridiagonal eigensolve failed in sector {sector}: "
                         f"{exc}") from exc
-    return vals
 
 
 def linearized_spectrum(phi: CylinderField, sector: int,
@@ -249,11 +249,9 @@ def linearized_spectrum(phi: CylinderField, sector: int,
         raise DomainError("linearized_spectrum expects a symmetric field; "
                           f"zonal spread {zonal_spread:.2e} is too large")
     evs = np.concatenate([
-        _pt_lowest(grid, phi.p, phi.Lambda, profile, int(sector), "even",
-                   count),
-        _pt_lowest(grid, phi.p, phi.Lambda, profile, int(sector), "odd",
-                   count),
-    ])
+        _pt_lowest(grid, phi.p, phi.Lambda, profile, int(sector), parity,
+                   count)[0]
+        for parity in ("even", "odd")])
     evs.sort()
     return evs[:count]
 
@@ -423,7 +421,7 @@ def _locate_bifurcation(grid: CylinderGrid, p: float, lam_fs: float) -> float:
 
     def lowest(lam: float) -> float:
         profile = _symmetric_profile(grid, p, lam)
-        return float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
+        return float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0][0])
 
     lo, hi = 0.9 * lam_fs, 1.1 * lam_fs
     f_lo, f_hi = lowest(lo), lowest(hi)
@@ -559,18 +557,14 @@ def continue_branch(d: int, p: float,
     check_cylinder_exponent(d, p)
     cfg = config if config is not None else ContinuationConfig()
     lam_fs = lambda_fs_value(d, p)
-    length = cfg.length if cfg.length is not None else 20.0 / math.sqrt(lam_fs)
-    grid = cylinder_grid(d, length, cfg.m_cells, cfg.nz)
+    grid = (default_grid(d, lam_fs, cfg.m_cells, cfg.nz) if cfg.length is None
+            else cylinder_grid(d, cfg.length, cfg.m_cells, cfg.nz))
     m, nz = grid.m_cells, grid.nz
     bordered = _BorderedKeller(grid)
 
     lam_b = _locate_bifurcation(grid, p, lam_fs)
     profile_b = _symmetric_profile(grid, p, lam_b)
-    diag, off = _sector_operator(grid, p, lam_b, profile_b, 1, "even")
-    try:
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    except np.linalg.LinAlgError as exc:
-        raise EigFailed(f"critical eigenfunction solve failed: {exc}") from exc
+    vecs = _pt_lowest(grid, p, lam_b, profile_b, 1, "even", 1)[1]
     u1 = vecs[:, 0] / math.sqrt(grid.h * float(np.sum(vecs[:, 0] ** 2)))
     if u1[int(np.argmax(np.abs(u1)))] < 0.0:
         u1 = -u1
@@ -603,7 +597,7 @@ def continue_branch(d: int, p: float,
         mu, t_phi = _quotient_data(grid, p, lam, u)
         profile = _symmetric_profile(grid, p, lam)
         mu_sym, _ = _profile_quotient(grid, p, lam, profile)
-        eig = float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0])
+        eig = float(_pt_lowest(grid, p, lam, profile, 1, "even", 1)[0][0])
         points.append(BranchPoint(
             lam=lam, mu=mu, mu_star=mu_sym, t_phi=t_phi, lowest_eig=eig,
             newton_iters=iters, residual=res, arclength=ds,

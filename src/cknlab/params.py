@@ -10,22 +10,18 @@ with the violated inequality spelled out.
 Scalar constants whose closed forms involve Gamma functions are
 evaluated in log space so that exponents arbitrarily close to 2 stay
 finite.  Every symmetric cylinder profile is the unit-scale soliton
-rescaled, so quadrature-backed quantities read one cached line rule per
-p, at lambda = 1, and carry it to any scale by the exact scaling law.
+rescaled, and the soliton's quotient and gradient ratio at lambda = 1
+are closed forms, so the symmetric constant at any (Lambda, theta)
+follows from them by the exact scaling law, with no quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .errors import AdmissibilityError, DomainError
-from .grids import gauss_panels
-from .profiles import phi_star_log
 
 __all__ = [
     "CKNParams",
@@ -40,7 +36,9 @@ __all__ = [
     "alpha_fs_value",
     "two_sharp_value",
     "b_fs_value",
-    "symmetric_profile_data",
+    "two_star_value",
+    "n_value",
+    "m_value",
     "sphere_area",
     "check_cylinder_exponent",
     "check_sphere_exponent",
@@ -51,7 +49,10 @@ __all__ = [
     "theta_constant",
 ]
 
-_MODES = ("critical", "subcritical", "cylinder")
+# each mode's generating set, then the inputs it may also take
+_GENERATING_SETS = {"critical": (("a", "b"), ("theta", "m")),
+                    "subcritical": (("beta", "gamma", "p"), ("m",)),
+                    "cylinder": (("p", "Lambda"), ("theta", "m"))}
 _TOL = 1e-12
 _THETA_SLACK = 1e-9
 
@@ -79,13 +80,11 @@ class CKNParams:
 
     @property
     def a_c(self) -> float:
-        return 0.5 * (self.d - 2)
+        return _a_c(self.d)
 
     @property
     def two_star(self) -> float:
-        if self.d <= 2:
-            return math.inf
-        return 2.0 * self.d / (self.d - 2)
+        return two_star_value(self.d)
 
     @property
     def vartheta(self) -> float:
@@ -120,20 +119,40 @@ def _vartheta(d: int, p: float) -> float:
     return d * (p - 2.0) / (2.0 * p)
 
 
+def _a_c(d: int) -> float:
+    return 0.5 * (d - 2)
+
+
+def two_star_value(d: int) -> float:
+    """The critical Sobolev exponent 2d/(d-2); infinite for d <= 2."""
+    return math.inf if d <= 2 else 2.0 * d / (d - 2)
+
+
+def n_value(p: float) -> float:
+    """The dimension n = 2p/(p-2) of the change of variables, for p > 2."""
+    return 2.0 * p / (p - 2.0)
+
+
+def m_value(n: float) -> float:
+    """The fast-diffusion exponent m = 1 - 1/n tied to the dimension n."""
+    return 1.0 - 1.0 / n
+
+
 def check_cylinder_exponent(d: int, p: float) -> None:
     """Reject (d, p) outside the cylinder range 2 < p < 2d/(d-2)."""
     if d < 2:
         raise DomainError(f"cylinder problems need d >= 2, got d={d}")
     if p <= 2.0:
         raise DomainError(f"cylinder exponent must satisfy p > 2, got p={p}")
-    if d > 2 and p >= 2.0 * d / (d - 2.0):
+    hi = two_star_value(d)
+    if p >= hi:
         raise DomainError(
-            f"p={p} is not subcritical for d={d} (needs p < {2 * d / (d - 2)})")
+            f"p={p} is not subcritical for d={d} (needs p < {hi})")
 
 
 def check_sphere_exponent(d: int, p: float) -> None:
     """Reject p outside [1, 2d/(d-2)] for flows on the d-sphere."""
-    hi = math.inf if d <= 2 else 2.0 * d / (d - 2)
+    hi = two_star_value(d)
     if not 1.0 <= p <= hi + 1e-12:
         raise DomainError(
             f"exponent p={p} outside [1, {hi}] for the {d}-sphere")
@@ -158,34 +177,29 @@ def check_theta(d: int, p: float, theta: float) -> float:
 def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
     """Fill a full parameter record from one generating set.
 
-    Generating sets: (a, b) for critical, (beta, gamma, p) for
-    subcritical, (p, Lambda) for cylinder.  ``theta`` may accompany the
-    critical and cylinder sets, ``m`` any set; everything else is
-    derived and providing it is an error.
+    `_GENERATING_SETS` lists each mode's set and the inputs that may
+    accompany it; everything else is derived and providing it is an error.
     """
-    if mode not in _MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in _GENERATING_SETS:
+        raise DomainError(f"unknown mode {mode!r}; expected one of "
+                          f"{tuple(_GENERATING_SETS)}")
     if d < 2:
         raise AdmissibilityError(f"d = {d} below 2", violated="d < 2")
     if not float(d).is_integer():
         raise AdmissibilityError(f"d = {d} is not an integer",
                                  violated="d not an integer")
     d = int(d)
-    required = {"critical": {"a", "b"},
-                "subcritical": {"beta", "gamma", "p"},
-                "cylinder": {"p", "Lambda"}}[mode]
-    optional = {"m", "theta"} if mode != "subcritical" else {"m"}
-    keys = set(inputs)
-    missing = required - keys
+    required, optional = _GENERATING_SETS[mode]
+    missing = set(required).difference(inputs)
     if missing:
         raise DomainError(
             f"{mode} mode needs {sorted(required)}; missing {sorted(missing)}")
-    extra = keys - required - optional
+    extra = set(inputs).difference(required, optional)
     if extra:
         raise DomainError(
             f"unexpected inputs for {mode} mode: {sorted(extra)}")
 
-    a_c = 0.5 * (d - 2)
+    a_c = _a_c(d)
     if mode == "critical":
         a = float(inputs["a"])
         b = float(inputs["b"])
@@ -200,8 +214,7 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
         p = float(inputs["p"])
         lam = float(inputs["Lambda"])
         _reject(p <= 2.0, "p <= 2")
-        if d > 2:
-            _reject(p >= 2.0 * d / (d - 2), "p >= 2*d/(d-2)")
+        _reject(p >= two_star_value(d), "p >= 2*d/(d-2)")
         _reject(lam <= 0.0, "Lambda <= 0")
         a = a_c - math.sqrt(lam)
         b = a + d / p - a_c
@@ -217,17 +230,16 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
         _reject(p > p_star + _TOL, "p > p_star")
         alpha = 1.0 + 0.5 * (beta - gamma)
         n = 2.0 * (d - gamma) / (beta + 2.0 - gamma)
-        m = float(inputs.get("m", 1.0 - 1.0 / n))
-        _reject(not (1.0 - 1.0 / n - _TOL <= m < 1.0),
-                "m outside [1 - 1/n, 1)")
+    if mode != "subcritical":
+        # both critical-type modes give p > 2
+        n = n_value(p)
+        alpha = (a_c - a) * (p - 2.0) / 2.0
+    m_low = m_value(n)
+    m = float(inputs.get("m", m_low))
+    _reject(not (m_low - _TOL <= m < 1.0), "m outside [1 - 1/n, 1)")
+    if mode == "subcritical":
         return CKNParams(mode=mode, d=d, p=p, beta=beta, gamma=gamma,
                          alpha=alpha, n=n, m=m)
-
-    # shared critical/cylinder tail; both modes give p > 2
-    n = 2.0 * p / (p - 2.0)
-    alpha = (a_c - a) * (p - 2.0) / 2.0
-    m = float(inputs.get("m", 1.0 - 1.0 / n))
-    _reject(not (1.0 - 1.0 / n - _TOL <= m < 1.0), "m outside [1 - 1/n, 1)")
     record = CKNParams(mode=mode, d=d, p=p, a=a, b=b, theta=1.0,
                        Lambda=lam, alpha=alpha, n=n, m=m)
     if "theta" in inputs:
@@ -242,7 +254,7 @@ def sphere_area(d: int) -> float:
 
 def b_fs_value(d: int, a: float) -> float:
     """Height of the symmetry-breaking boundary curve at weight a."""
-    gap = 0.5 * (d - 2) - a
+    gap = _a_c(d) - a
     if gap <= 0.0:
         raise DomainError(f"curve defined for a < (d-2)/2, got a={a}")
     return d * gap / (2.0 * math.sqrt(gap * gap + d - 1.0)) - gap
@@ -262,52 +274,6 @@ def lambda_fs_value(d: int, p: float) -> float:
 
 def alpha_fs_value(d: int, n: float) -> float:
     return math.sqrt((d - 1.0) / (n - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# quadrature over the explicit symmetric cylinder family
-
-
-def _log_dot(logf: np.ndarray, w: np.ndarray) -> float:
-    """log(sum w * exp(logf)) with the max factored out."""
-    mx = float(np.max(logf))
-    return mx + math.log(float(np.sum(w * np.exp(logf - mx))))
-
-
-@lru_cache(maxsize=4096)
-def symmetric_profile_data(p: float, lam: float):
-    """Full-line integrals of the explicit symmetric profile.
-
-    Returns (log_l2, log_lpp, t) with log_l2 = log of the squared L2
-    norm, log_lpp = log of the p-th power of the L^p norm, and
-    t = gradient energy over squared L2 norm.  Everything is computed
-    in log space so the large-amplitude regime near p = 2 stays finite.
-    """
-    if p <= 2.0 or lam <= 0.0:
-        raise DomainError(f"symmetric family needs p > 2, lam > 0; "
-                          f"got ({p}, {lam})")
-    # Cut the half-line where the profile has decayed to exp(-40).  The
-    # sech argument needed for that is arccosh(exp(20 (p-2))), which
-    # interpolates between the Gaussian-core regime sqrt(40 (p-2)) near
-    # p = 2 and the exponential-tail regime 20 (p-2) + log 2; using the
-    # tail formula alone truncates most of the mass for small p - 2.
-    c = 20.0 * (p - 2.0)
-    x_cut = c + math.log(2.0) if c > 300.0 else math.acosh(math.exp(c))
-    extent = 2.0 * x_cut / ((p - 2.0) * math.sqrt(lam))
-    # the sech-power core narrows as p grows; 768 panels of 8 nodes
-    # resolve it to about 1e-12 up to p = 64
-    s, w = gauss_panels(0.0, extent, 768, 8)
-    logphi = phi_star_log(s, p, lam)
-    log2 = math.log(2.0)
-    log_l2 = _log_dot(2.0 * logphi, w) + log2
-    log_lpp = _log_dot(p * logphi, w) + log2
-    # phi' = -sqrt(lam) tanh(width s) phi, so the gradient integral is
-    # lam (l2 - integral of phi^2 sech^2)
-    width = 0.5 * (p - 2.0) * math.sqrt(lam)
-    sech2 = 1.0 / np.cosh(np.minimum(width * s, 350.0)) ** 2
-    log_l2_sech = _log_dot(2.0 * logphi + np.log(sech2), w) + log2
-    t = lam * (1.0 - math.exp(log_l2_sech - log_l2))
-    return log_l2, log_lpp, t
 
 
 # ---------------------------------------------------------------------------
@@ -349,28 +315,38 @@ def theta_constant(p: float, theta, Lambda, mu_1: float, t_1: float):
                     lam ** ((p + 2.0) / (2.0 * p)) * mu_1)
 
 
+def _unit_soliton(p: float):
+    """(log mu_1, t_1): quotient and gradient-to-mass ratio of the soliton.
+
+    At lam = 1 each integral of the soliton is a Beta integral of a power
+    of sech, so t_1 = (p-2)/(p+2) and mu_1 is a ratio of Gamma functions
+    (Catrina & Wang, CPAM 54 (2001) 229-258), taken in log space.
+    """
+    q = p / (p - 2.0)
+    log_mu_1 = math.log(0.5 * p) + (p - 2.0) / p * (
+        math.log(2.0) + 0.5 * math.log(math.pi) + math.lgamma(q)
+        - math.log(p - 2.0) - math.lgamma(q + 0.5))
+    return log_mu_1, (p - 2.0) / (p + 2.0)
+
+
 def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
     """Optimal constant over the symmetric family at (Lambda, theta).
 
-    The family is the unit-scale soliton rescaled, so its quadrature
-    values (mu_1, t_1) at lam = 1 fix the constant at every (Lambda,
-    theta) through `theta_constant`.
+    The family is the unit-scale soliton rescaled, so the closed-form
+    (mu_1, t_1) of `_unit_soliton` fix it through `theta_constant`.
     """
     check_theta(params.d, params.p, theta)
     if Lambda <= 0.0:
         raise DomainError(f"needs Lambda > 0, got {Lambda}")
-    p = params.p
-    log_l2, log_lpp, t_1 = symmetric_profile_data(p, 1.0)
-    mu_1 = (1.0 + t_1) * math.exp(log_l2 - (2.0 / p) * log_lpp)
-    return theta_constant(p, theta, Lambda, mu_1, t_1)
+    log_mu_1, t_1 = _unit_soliton(params.p)
+    return theta_constant(params.p, theta, Lambda, math.exp(log_mu_1), t_1)
 
 
 def lambda_fs_theta(params: CKNParams, theta: float) -> float:
     """Reparametrized position of the symmetry-breaking point."""
     check_theta(params.d, params.p, theta)
     lam_fs = lambda_fs_value(params.d, params.p)
-    t_1 = symmetric_profile_data(params.p, 1.0)[2]
-    return theta_Lambda(theta, lam_fs, lam_fs * t_1)
+    return theta_Lambda(theta, lam_fs, lam_fs * _unit_soliton(params.p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +417,8 @@ def optimal_constant_star(params: CKNParams) -> float:
     gap = abs(params.a - params.a_c)
     if gap == 0.0:
         raise DomainError("needs a != (d-2)/2")
-    q = p / (p - 2.0)
     log_area = math.log(2.0) + 0.5 * params.d * math.log(math.pi) \
         - math.lgamma(0.5 * params.d)
-    log_c = (math.log(0.5 * p)
-             + (1.0 - 2.0 / p) * log_area
-             + (1.0 + 2.0 / p) * math.log(gap)
-             + (p - 2.0) / p * (math.log(2.0) + 0.5 * math.log(math.pi)
-                                + math.lgamma(q) - math.log(p - 2.0)
-                                - math.lgamma(q + 0.5)))
-    return math.exp(log_c)
+    # the bubble is the soliton in the variable s = -log r, at lam = gap^2
+    return math.exp(_unit_soliton(p)[0] + (1.0 - 2.0 / p) * log_area
+                    + (1.0 + 2.0 / p) * math.log(gap))

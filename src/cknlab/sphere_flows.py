@@ -31,7 +31,7 @@ from .errors import (CknlabError, DomainError, PositivityLoss, SearchFailed,
 from .functionals import sphere_observables
 from .grids import (FVZonalGrid, GridFunction1D, _tridiagonal_solve,
                     _workspace)
-from .params import check_sphere_exponent
+from .params import check_sphere_exponent, m_value, n_value
 
 __all__ = [
     "FlowSpec",
@@ -112,8 +112,7 @@ class FlowSpec:
         if self.p <= 2.0:
             raise DomainError(
                 f"default diffusion exponent needs p > 2, got p={self.p}")
-        n = 2.0 * self.p / (self.p - 2.0)
-        return 1.0 - 1.0 / n
+        return m_value(n_value(self.p))
 
 
 @dataclass

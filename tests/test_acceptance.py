@@ -33,9 +33,9 @@ from cknlab.params import (
     derive_params,
     lambda_fs_theta,
     lambda_fs_value,
+    mu_star,
     optimal_constant_star,
     sphere_area,
-    symmetric_profile_data,
 )
 from cknlab.sphere_flows import (
     FlowSpec,
@@ -45,6 +45,7 @@ from cknlab.sphere_flows import (
     random_smooth_density,
     tilted_density,
 )
+from soliton_quadrature import symmetric_profile_data
 
 FDE_EXPONENTS = (3.0, 5.0, 5.9)
 
@@ -143,16 +144,17 @@ def test_02_symmetric_profile_exactness():
 
 
 def test_03_symmetric_constant_scaling_law():
+    # the library carries the unit-scale soliton to every scale by the
+    # scaling law; the quadrature integrates the profile at each scale
     p = 2.8
+    rec = derive_params(5, {"p": p, "Lambda": 1.0}, "cylinder")
 
     def mu_quad(lam):
         log_l2, log_lpp, t = symmetric_profile_data(p, lam)
         return (t + lam) * math.exp(log_l2 - (2.0 / p) * log_lpp)
 
-    base = mu_quad(1.0)
-    worst = max(
-        abs(mu_quad(lam) / (base * lam ** ((p + 2.0) / (2.0 * p))) - 1.0)
-        for lam in (0.5, 1.0, 4.0))
+    worst = max(abs(mu_star(rec, lam) / mu_quad(lam) - 1.0)
+                for lam in (0.5, 1.0, 4.0))
     ok = worst <= 1e-8
     _report(3, "symmetric constant scaling law", ok, f"worst rel {worst:.1e}")
     assert worst <= 1e-8

@@ -1,7 +1,11 @@
 """Parameter records, closed-form thresholds, and the symmetric constant."""
 
+import ast
 import math
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +27,8 @@ from cknlab import (
     two_sharp_value,
 )
 from cknlab.grids import brent_root
-from cknlab.params import CKNParams, symmetric_profile_data, theta_Lambda
+from cknlab.params import CKNParams, theta_Lambda
+from soliton_quadrature import symmetric_profile_data
 
 
 def rel(a, b):
@@ -268,8 +273,39 @@ def test_mu_star_rejects_bad_inputs():
 
 
 def test_symmetric_gradient_ratio_closed_form():
+    # the quadrature oracle against the closed form t = lam (p-2)/(p+2)
     assert rel(symmetric_profile_data(2.8, 6.0)[2], 6.0 * 0.8 / 4.8) < 1e-10
     assert rel(symmetric_profile_data(2.8, 1.0)[2], 1.0 / 6.0) < 1e-10
+
+
+def _mp_unit_quotient(p):
+    """The soliton's quotient at lam = 1 by 40-digit quadrature.
+
+    With x = (p-2) s / 2 and k = 2/(p-2) the soliton is
+    c sech(x)^k, c = (p/2)^(1/(p-2)), and its derivative in s is
+    -c sech(x)^k tanh(x); ds = k dx.
+    """
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        k = 2 / (p - 2)
+        c = (p / 2) ** (k / 2)
+
+        def half_line(f):
+            return 2 * k * mpmath.quad(f, [0, 1, 10, mpmath.inf])
+
+        l2 = c ** 2 * half_line(lambda x: mpmath.sech(x) ** (2 * k))
+        grad = c ** 2 * half_line(
+            lambda x: mpmath.sech(x) ** (2 * k) * mpmath.tanh(x) ** 2)
+        lpp = c ** p * half_line(lambda x: mpmath.sech(x) ** (p * k))
+        return (grad + l2) / lpp ** (2 / p)
+
+
+@pytest.mark.parametrize("p", [2.05, 2.8, 6.0, 12.0, 48.0, 64.0])
+def test_unit_symmetric_constant_matches_mpmath(p):
+    # d = 2 admits every p > 2; at Lambda = 1, theta = 1 the constant is
+    # the unit-scale soliton's quotient
+    got = mu_star(cylinder_record(d=2, p=p), 1.0)
+    assert rel(got, float(_mp_unit_quotient(p))) < 1e-14
 
 
 def test_threshold_position_below_one():
@@ -283,17 +319,16 @@ def test_threshold_position_below_one():
 
 
 def test_optimal_constant_ties_to_symmetric_constant():
-    # the d = 2 records sit at p = 12, 32 and 64, whose sech-power cores
-    # the unit-scale quadrature must still resolve
-    for d, a, b, bound in ((5, 0.3, 0.9, 1e-12),
-                           (2, -1.0, -1.0 + 1.0 / 6.0, 1e-12),
-                           (2, -1.0, -0.9375, 1e-12),
-                           (2, -1.0, -0.96875, 1e-11)):
+    # the two share the unit-scale soliton's closed form, but mu_star
+    # reaches the scale gap^2 through the scaling law; the d = 2 records
+    # sit at p = 12, 32 and 64
+    for d, a, b in ((5, 0.3, 0.9), (2, -1.0, -1.0 + 1.0 / 6.0),
+                    (2, -1.0, -0.9375), (2, -1.0, -0.96875)):
         rec = derive_params(d, {"a": a, "b": b}, "critical")
         gap = rec.a_c - rec.a
         expected = (sphere_area(d) ** (1.0 - 2.0 / rec.p)
                     * mu_star(rec, gap * gap))
-        assert rel(optimal_constant_star(rec), expected) < bound, rec.p
+        assert rel(optimal_constant_star(rec), expected) < 1e-14, rec.p
     sub = derive_params(5, {"beta": 0.0, "gamma": 0.0, "p": 1.4},
                         "subcritical")
     with pytest.raises(DomainError):
@@ -341,10 +376,10 @@ def test_equivalence_boundary_and_random_samples():
         check_equivalence(sub)
 
 
-def test_check_equivalence_runs_no_quadrature(monkeypatch):
-    # the three conditions read lambda_fs, b_fs and alpha_fs only, so no
-    # record may reach the symmetric family's quadrature.  Records:
-    # verify's 300-sample draw and the two boundary cases above.
+def test_check_equivalence_runs_no_quadrature():
+    # the three conditions read lambda_fs, b_fs and alpha_fs only, and
+    # params has no quadrature to run (see the import guard below).
+    # Records: verify's 300-sample draw and the two boundary cases above.
     rng = np.random.default_rng(2023)
     records = []
     for _ in range(300):
@@ -363,11 +398,39 @@ def test_check_equivalence_runs_no_quadrature(monkeypatch):
                        rec.a < rec.a_c and rec.b >= th.b_fs - 1e-12,
                        0.0 < rec.alpha <= th.alpha_fs + 1e-12))
     assert {t[0] for t in truths} == {True, False}
-
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("check_equivalence ran the profile quadrature")
-
-    monkeypatch.setattr(params_mod, "symmetric_profile_data", no_quadrature)
     assert [check_equivalence(rec) for rec in records] == truths
     assert cli_io._check_equivalence_triple() == [
         ("inconsistent samples", 0, 0)]
+
+
+def _foreign_imports(tree):
+    """Imports other than the standard library and the package's errors."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module != "errors":
+                    found.append("." * node.level + (node.module or ""))
+                continue
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names
+                  if name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_params_imports_only_the_standard_library_and_errors():
+    """params takes every value in closed form, so it needs no NumPy, no
+    grid and no profile; this keeps a quadrature from coming back."""
+    tree = ast.parse(Path(params_mod.__file__).read_text())
+    assert _foreign_imports(tree) == []
+    probe = ast.parse("import math\nfrom .errors import DomainError\n"
+                      "import numpy as np\nfrom numpy import exp\n"
+                      "from .grids import gauss_panels\n"
+                      "from . import profiles\nfrom cknlab import grids\n"
+                      "import cknlab.profiles\n"
+                      "def f():\n    import scipy.integrate\n")
+    assert len(_foreign_imports(probe)) == 7
