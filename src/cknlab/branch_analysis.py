@@ -52,6 +52,7 @@ from .params import (
     theta_mu,
     theta_optimal_lam,
 )
+from .profiles import phi_star
 
 __all__ = [
     "CurveB",
@@ -261,8 +262,8 @@ class GroundState:
 # profile in x is an even profile in r, so only the nodes with x > 0 are
 # unknowns (Trefethen, Spectral Methods in MATLAB, ch. 11).  u(R) = 0
 # stands in for decay at infinity.  Near p = 2 the profile is wide (1e-7
-# of its height at r = 38 for (3, 2.05)), but the constant is stationary
-# in the profile: it moves by 7e-15 between R = 40 and R = 60 there.
+# of its height at r = 38 for (3, 2.05)), and _tail_share refuses a
+# state whose tail is too heavy for R to leave the constant alone.
 _OUTER_R = 40.0
 # (unknowns, map stretch a), coarse to fine.  A solve is accepted only
 # when two consecutive rungs give the same constant to _AGREE: peaked
@@ -270,19 +271,14 @@ _OUTER_R = 40.0
 # last one the solve fails.  The constant is compared, not the height:
 # being stationary in the profile it settles to ~1e-15, while heights
 # and norms of the finest rungs scatter by ~1e-12 from rounding.  A
-# rung's matrices are built once per process, and each Newton stage on
-# it is a chord iteration that factors its Jacobian once or twice.
+# rung's matrices are built once per process, and 1 - lap is factored
+# once per solve on it.
 _RUNGS = ((80, 4.0), (120, 4.0), (160, 6.0), (240, 6.0), (240, 8.0),
           (320, 8.0))
 _AGREE = 1e-12
-# Continuation in d starts from the explicit d = 1 soliton with the step
-# (d - 1) / _D_STEPS, halved after each failed Newton solve.
-_D_STEPS = 8
-_MAX_HALVINGS = 6
-_NEWTON_MAX_ITER = 30
-# A chord step must shrink below this fraction of the previous one, or
-# the Jacobian is factored afresh.
-_CHORD_RATE = 0.3
+# The longest stage of an accepted state took 4,106 steps, at (8, 2.663),
+# over 90 (d, p) with d = 2 to 20 and p up to 99.5% of the way to 2*.
+_PETVIASHVILI_MAX_ITER = 5000
 _GAUSS_NODES = 400
 
 
@@ -366,11 +362,6 @@ def _radial_operators(m: int, stretch: float):
     return r, first, second
 
 
-def _laplacian(r, first, second, dim: float) -> np.ndarray:
-    """The matrix of u'' + (dim - 1) u'/r on one rung."""
-    return second + ((dim - 1.0) / r)[:, None] * first
-
-
 def _cython_lapack(routine: str) -> int:
     """Address of a LAPACK routine, as SciPy publishes it for Cython."""
     capsule, obj = cython_lapack.__pyx_capi__[routine], ctypes.py_object
@@ -420,73 +411,48 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _newton(lap: np.ndarray, u: np.ndarray, p: float):
-    """Chord Newton on lap u - u + |u|^(p-2) u = 0 from u.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _petviashvili(lap: np.ndarray, u: np.ndarray, p: float):
+    """Petviashvili's iteration for L u = |u|^(p-2) u, L = 1 - lap, from u.
 
-    Returns (u, iterations, residual).  The Jacobian is factored at the
-    start and again after any step that fails to contract to _CHORD_RATE
-    of the previous one (Kelley, Solving Nonlinear Equations with
-    Newton's Method, SIAM 2003, sec. 5.4): a factorization costs 0.1 ms
-    at 80 unknowns and 2 ms at 240, twenty to a hundred solves.  Once a
-    step is below 1e-9 of the profile the iteration is settled, and it
-    goes on with the same factors until a step fails to contract: that
-    step is rounding noise.  u is None unless the iteration settled on a
-    profile of height above 1 (u''(0) < 0 forces u(0) > 1) that stays
-    above -1e-6 of its height: a deeper dip marks a sign-changing state
-    or an unresolved core.  An exactly zero pivot gives None, and so
-    does a diverging stage, whose overflow the finiteness check catches
-    without a warning.
+    Returns (u, iterations, residual).  L is factored once, and each step
+    is u <- u + L^-1 (M^gamma |u|^(p-2) u - L u), gamma = (p-1)/(p-2),
+    M = <u, L u> / <u, |u|^(p-2) u> (Petviashvili, Sov. J. Plasma Phys.
+    2, 1976; Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42, 2004):
+    u <- M^gamma L^-1 (|u|^(p-2) u) as a correction, because L's
+    condition number reaches 7e6 and a solve for u itself never settles.
+    Once steps are below 1e-9 of the profile, the first that fails to
+    contract is rounding noise and ends the iteration.  u is None unless
+    it settled on a profile of height above 1 (u''(0) < 0 forces
+    u(0) > 1) that stays above -1e-6 of its height: a deeper dip marks a
+    sign-changing state or an unresolved core.  An exactly zero pivot
+    gives None, and so does an overflow, without a warning.
     """
-    shift = lap - np.eye(len(u))
-    factors, last, settled = None, math.inf, False
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        power = np.abs(u) ** (p - 2.0)
-        if factors is None:
-            factors = _lu_factor(shift + np.diag((p - 1.0) * power))
-            if factors is None:
-                return None, it, math.inf
-        step = _lu_solve(factors, np.einsum("ij,j->i", shift, u)
-                         + power * u)
+    shift = np.eye(len(u)) - lap
+    factors = _lu_factor(shift)
+    if factors is None:
+        return None, 0, math.inf
+    gamma = (p - 1.0) / (p - 2.0)
+    last, settled = math.inf, False
+    for it in range(1, _PETVIASHVILI_MAX_ITER + 1):
+        power = np.abs(u) ** (p - 2.0) * u
+        image = np.einsum("ij,j->i", shift, u)
+        ratio = np.einsum("i,i->", u, image) / np.einsum("i,i->", u, power)
+        step = _lu_solve(factors, ratio ** gamma * power - image)
         size = np.max(np.abs(step))
         if not math.isfinite(size):
             return None, it, math.inf
-        u = u - step
-        if size >= _CHORD_RATE * last:
-            if settled:
-                break
-            factors = None
+        u = u + step
+        if settled and size >= last:
+            break
         settled = settled or size <= 1e-9 * np.max(np.abs(u))
         last = size
-    residual = float(np.max(np.abs(np.einsum("ij,j->i", shift, u)
-                                   + np.abs(u) ** (p - 2.0) * u)))
+    residual = float(np.max(np.abs(np.abs(u) ** (p - 2.0) * u
+                                   - np.einsum("ij,j->i", shift, u))))
     height = float(np.max(u))
     if not settled or height <= 1.0 or np.min(u) < -1e-6 * height:
         return None, it, residual
     return u, it, residual
-
-
-def _continue_in_d(ops, d: int, p: float):
-    """The ground state at dimension d, continued from the d = 1 soliton."""
-    r = ops[0]
-    # (p/2)^(1/(p-2)) sech(z)^(2/(p-2)) with z = (p-2) r / 2, overflow-free
-    e = np.exp(-0.5 * (p - 2.0) * r)
-    u = (p / 2.0) ** (1.0 / (p - 2.0)) * (2.0 * e / (1.0 + e * e)) \
-        ** (2.0 / (p - 2.0))
-    dim, step, halvings = 1.0, (d - 1.0) / _D_STEPS, 0
-    iters, residual = 0, math.nan
-    while dim < d:
-        nxt = min(dim + step, d)
-        got, n, residual = _newton(_laplacian(*ops, nxt), u, p)
-        iters += n
-        if got is not None:
-            u, dim = got, nxt
-        elif halvings < _MAX_HALVINGS:
-            step *= 0.5
-            halvings += 1
-        else:
-            return None, iters, residual
-    return u, iters, residual
 
 
 def _norms(interp: _Interpolant, d: int, p: float):
@@ -503,25 +469,48 @@ def _norms(interp: _Interpolant, d: int, p: float):
             float(np.einsum("i,i->", np.abs(u) ** p, weight)))
 
 
+def _tail_share(interp: _Interpolant, d: int, mass: float) -> float:
+    """The share s of mass_sq, the integral of u^2 r^(d-1), past 0.75 R.
+
+    The constant is stationary in the profile, so the wall u(R) = 0,
+    R = _OUTER_R, moves it by about kappa e, e the whole-space state's
+    share past R.  Near p = 2 the state is Gaussian out to r = 2/(p-2)
+    (the 1-D soliton sech((p-2) r/2)^(2/(p-2)) is about
+    exp(-(p-2) r^2/4)), so e = s^((1/0.75)^2) = s^(16/9); an exponential
+    tail gives far less.  The move from R = 40 to 60 over s^(16/9) was at
+    most 5.5 on twelve pairs near p = 2, these among them, so kappa = 10,
+    and kappa s^(16/9) <= _AGREE is s <= 4.9e-8:
+
+        (d, p)     (3, 2.05) (3, 2.04) (10, 2.05) (3, 2.03) (3, 2.01)
+        s           3.7e-9    1.5e-7    1.2e-6     7.6e-6    1.7e-2
+        move        5.7e-15   1.5e-12   3.4e-12    6.0e-10   8.3e-5
+    """
+    stretch = interp.stretch
+    x, w = gauss_panels(math.asinh(0.75 * math.sinh(stretch)) / stretch,
+                        1.0, 1, _GAUSS_NODES)
+    u, _, r, jac = interp.at_x(x)
+    return float(np.einsum("i,i->", u * u, w * jac * r ** (d - 1.0))) / mass
+
+
 def _solve_ground_state(d: int, p: float):
     """Walk _RUNGS until two consecutive ones agree; the finer one wins.
 
-    Each rung starts Newton from the previous rung's interpolant and
-    falls back to continuation in d when that fails or there is none.
+    Each rung iterates from the previous rung's interpolant, or from the
+    1-D soliton on the first rung and after a failed one.  A state with
+    too heavy a tail (see _tail_share) is refused.
     """
     _params_of(d, p)  # rejects (d, p) before any rung is solved
     prev = None
     iters, residual = 0, math.nan
+    reason = f"no two consecutive resolutions of the ground state agreed " \
+        f"to {_AGREE}"
     for m, stretch in _RUNGS:
-        ops = _radial_operators(m, stretch)
-        u = None
-        if prev is not None:
-            u, n, residual = _newton(_laplacian(*ops, d),
-                                     prev[0].at(ops[0])[0], p)
-            iters += n
-        if u is None:
-            u, n, residual = _continue_in_d(ops, d, p)
-            iters += n
+        r, first, second = _radial_operators(m, stretch)
+        seed = phi_star(r, p, 1.0) if prev is None else prev[0].at(r)[0]
+        # u'' + (d - 1) u'/r
+        lap = second + ((d - 1.0) / r)[:, None] * first
+        u, n, residual = _petviashvili(lap, seed, p)
+        iters += n
         if u is None:
             prev = None
             continue
@@ -529,12 +518,16 @@ def _solve_ground_state(d: int, p: float):
         norms = _norms(interp, d, p)
         value = _gn_value(d, p, *norms)
         if prev is not None and abs(value - prev[2]) <= _AGREE * value:
-            return interp, norms
+            share = _tail_share(interp, d, norms[1])
+            if share <= (0.1 * _AGREE) ** (9.0 / 16.0):
+                return interp, norms
+            reason = f"the ground state carries {share:.1e} of its mass " \
+                f"in its outer quarter, too much for a constant to {_AGREE}"
+            break
         prev = (interp, norms, value)
     raise GroundStateFailed(
-        f"no two consecutive resolutions of the ground state agreed to "
-        f"{_AGREE} (d={d}, p={p}; {iters} Newton iterations, last "
-        f"residual {residual:.3e})",
+        f"{reason} (d={d}, p={p}; {iters} iterations, last residual "
+        f"{residual:.3e})",
         d=d, p=p, iterations=iters, residual=residual)
 
 
@@ -542,12 +535,13 @@ def _solve_ground_state(d: int, p: float):
 def gn_ground_state(d: int, p: float) -> GroundState:
     """Solve for the radial ground state by mapped Chebyshev collocation.
 
-    Newton on u'' + (d-1) u'/r - u + |u|^(p-2) u = 0 with u(R) = 0 on a
-    ladder of resolutions (_RUNGS); the state is returned only when two
-    consecutive resolutions give the same Gagliardo-Nirenberg constant to
-    1e-12, and GroundStateFailed is raised past the last rung, so no
-    unverified constant leaves this function.  The norms come from a
-    400-point Gauss-Legendre rule through the interpolant.
+    Petviashvili's iteration on u'' + (d-1) u'/r - u + |u|^(p-2) u = 0
+    with u(R) = 0 on a ladder of resolutions (_RUNGS); the state is
+    returned only when two consecutive resolutions give the same
+    Gagliardo-Nirenberg constant to 1e-12 and R cannot move it at that
+    level, else GroundStateFailed is raised, so no unverified constant
+    leaves this function.  The norms come from a 400-point
+    Gauss-Legendre rule through the interpolant.
 
     Deterministic, hence cached on its arguments; every caller shares
     one state, so the interpolant's coefficients are read-only.

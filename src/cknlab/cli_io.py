@@ -392,14 +392,15 @@ def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
 
 def _params_payload(opts: dict) -> dict:
     mode = opts["mode"]
-    required, optional = params_mod._GENERATING_SETS[mode]
+    required = params_mod._GENERATING_SETS[mode][0]
     if mode == "cylinder" and opts.get("Lambda") is None:
         opts = dict(opts, Lambda=1.0)
     for key in required:
         if opts.get(key) is None:
             raise UsageError(f"--{key} is required for mode {mode!r}")
-    inputs = {key: opts[key] for key in required + optional
-              if opts.get(key) is not None}
+    # every given input, so derive_params refuses another mode's
+    inputs = {key: value for key, value in opts.items()
+              if key not in ("d", "mode") and value is not None}
     record = params_mod.derive_params(opts["d"], inputs, mode)
     payload = {k: v for k, v in asdict(record).items() if v is not None}
     payload["a_c"] = record.a_c
@@ -979,8 +980,7 @@ def _build_parser() -> _Parser:
         if command == "branch":
             p.add_argument("--fields-dir", dest="fields_dir", default=None,
                            help="also dump per-point field snapshots here")
-    v = sub.add_parser("verify")
-    v.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("verify")
     s = sub.add_parser("sweep")
     s.add_argument("--spec", required=True,
                    help="sweep file: [sweep] section with command and axes")

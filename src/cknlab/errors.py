@@ -95,17 +95,17 @@ class ContinuationStalled(CknlabError):
 
 
 class GroundStateFailed(CknlabError):
-    """The ground-state solve reached its finest resolution without two
-    consecutive resolutions agreeing on the constant.
+    """The ground-state solve found no two consecutive resolutions that
+    agree on the constant, or a state with too heavy a tail to trust it.
 
     Attributes
     ----------
     d, p : int and float, or None
         The problem that was solved.
     iterations : int or None
-        Newton iterations spent over all resolutions.
+        Petviashvili iterations spent over all resolutions.
     residual : float or None
-        The collocation residual of the last Newton solve.
+        The collocation residual of the last iteration stage.
     """
 
     def __init__(self, message: str, d: int | None = None,

@@ -123,6 +123,11 @@ def _a_c(d: int) -> float:
     return 0.5 * (d - 2)
 
 
+def _p_star(d: int, beta: float, gamma: float) -> float:
+    """The subcritical endpoint p* = (d - gamma)/(d - beta - 2)."""
+    return (d - gamma) / (d - beta - 2.0)
+
+
 def two_star_value(d: int) -> float:
     """The critical Sobolev exponent 2d/(d-2); infinite for d <= 2."""
     return math.inf if d <= 2 else 2.0 * d / (d - 2)
@@ -225,9 +230,8 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
         _reject(gamma >= d, "gamma >= d")
         _reject(beta <= gamma - 2.0, "beta <= gamma - 2")
         _reject(beta > (d - 2.0) * gamma / d + _TOL, "beta > (d-2)*gamma/d")
-        p_star = (d - gamma) / (d - beta - 2.0)
         _reject(p <= 1.0, "p <= 1")
-        _reject(p > p_star + _TOL, "p > p_star")
+        _reject(p > _p_star(d, beta, gamma) + _TOL, "p > p_star")
         alpha = 1.0 + 0.5 * (beta - gamma)
         n = 2.0 * (d - gamma) / (beta + 2.0 - gamma)
     if mode != "subcritical":
@@ -367,7 +371,7 @@ def thresholds(params: CKNParams) -> Thresholds:
             beta_fs=d - 2.0 - math.sqrt(disc),
             alpha_fs=alpha_fs_value(d, params.n),
             two_sharp=two_sharp,
-            p_star=(d - params.gamma) / (d - params.beta - 2.0),
+            p_star=_p_star(d, params.beta, params.gamma),
         )
     # the theta reading needs p < 2*; a critical record with b == a sits
     # at the endpoint p = 2* and gets no lambda_fs_theta

@@ -212,7 +212,7 @@ def _rung_jacobian(m, stretch):
     """The Newton Jacobian of one rung at the (3, 3.0) ground state."""
     r, first, second = branch_analysis._radial_operators(m, stretch)
     u = gn_ground_state(3, 3.0).profile.at(r)[0]
-    return (branch_analysis._laplacian(r, first, second, 3.0) - np.eye(m)
+    return (second + (2.0 / r)[:, None] * first - np.eye(m)
             + np.diag(2.0 * np.abs(u)))
 
 
@@ -323,18 +323,58 @@ def test_lu_pivots_past_a_zero_leading_entry():
     np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-14)
 
 
-def test_chord_stage_fails_quietly_on_singular_or_diverging_jacobians():
+def test_petviashvili_stage_fails_quietly_on_singular_or_overflowing_seeds():
     n = 6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # at u = 1, p = 3 the Jacobian is the all-ones matrix
-        got, it, residual = branch_analysis._newton(
-            np.ones((n, n)) - np.eye(n), np.ones(n), 3.0)
+        # lap = 1 leaves 1 - lap all zeros: nothing is iterated
+        got, it, residual = branch_analysis._petviashvili(
+            np.eye(n), np.ones(n), 3.0)
+        assert got is None and it == 0 and residual == math.inf
+        # |u|^(p-2) u overflows at the first iterate
+        got, it, residual = branch_analysis._petviashvili(
+            np.zeros((n, n)), np.full(n, 1e60), 8.0)
         assert got is None and it == 1 and residual == math.inf
-        # |u|^(p-2) overflows at the first iterate
-        got, _, _ = branch_analysis._newton(np.zeros((n, n)),
-                                            np.full(n, 1e60), 8.0)
-        assert got is None
+
+
+def test_ground_state_factors_once_per_rung(monkeypatch):
+    visited, sizes = [], []
+    operators, factor = (branch_analysis._radial_operators,
+                         branch_analysis._lu_factor)
+
+    def counted_operators(m, stretch):
+        visited.append(m)
+        return operators(m, stretch)
+
+    def counted_factor(a):
+        sizes.append(len(a))
+        return factor(a)
+
+    monkeypatch.setattr(branch_analysis, "_radial_operators",
+                        counted_operators)
+    monkeypatch.setattr(branch_analysis, "_lu_factor", counted_factor)
+    # (3, 5.9) visits all six rungs; the others stop at the second
+    for d, p in [(5, 2.8), (3, 2.5), (3, 5.9)]:
+        visited.clear()
+        sizes.clear()
+        gn_ground_state.__wrapped__(d, p)
+        assert len(visited) >= 2
+        assert sizes == visited
+
+
+def test_tail_heavy_ground_state_is_refused(capsys):
+    # the constant moves by 3e-7 between R = 40 and R = 60 at (3, 2.02)
+    with pytest.raises(GroundStateFailed, match="in its outer quarter") \
+            as info:
+        gn_ground_state.__wrapped__(3, 2.02)
+    assert (info.value.d, info.value.p) == (3, 2.02)
+    assert info.value.iterations > 0
+    assert run(["criterion", "--d", "3", "--p", "2.02"]) == 3
+    assert "too much for a constant" in capsys.readouterr().err
+    # at (3, 2.05) the share is 3.7e-9, under the bound of 4.9e-8
+    state = gn_ground_state(3, 2.05)
+    share = branch_analysis._tail_share(state.profile, 3, state.mass_sq)
+    assert 1e-9 < share < 1e-8
 
 
 def test_peaked_states_raise_no_runtime_warning():

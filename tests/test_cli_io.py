@@ -90,6 +90,29 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "usage error" in capsys.readouterr().err
 
 
+def test_verify_takes_no_options(capsys):
+    assert run(["verify", "--config", "x"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_params_refuses_inputs_of_another_mode(capsys):
+    cases = (
+        (["--mode", "critical", "--a", "0.5", "--b", "1.0", "--p", "3.3"],
+         "unexpected inputs for critical mode: ['p']"),
+        (["--p", "2.8", "--beta", "1"],
+         "unexpected inputs for cylinder mode: ['beta']"),
+        (["--mode", "subcritical", "--beta", "0.5", "--gamma", "1",
+          "--p", "1.5", "--theta", "0.5", "--a", "0.1"],
+         "unexpected inputs for subcritical mode: ['a', 'theta']"),
+    )
+    for extra, message in cases:
+        assert run(["params", "--d", "5", *extra]) == 2, extra
+        assert message in capsys.readouterr().err
+    # the subcritical call without its stray inputs is valid
+    assert run(["params", "--d", "5", "--mode", "subcritical", "--beta",
+                "0.5", "--gamma", "1", "--p", "1.5"]) == 0
+
+
 def test_admissibility_errors_exit_two(capsys):
     # p = 3.5 sits above the critical exponent 10/3 in dimension five
     assert run(["params", "--d", "5", "--p", "3.5"]) == 2
