@@ -9,9 +9,10 @@ produce byte-identical artifacts.
 
 Settings are layered: built-in defaults, then a config file (flat
 ``key = value`` lines under one section per subcommand, path taken from
-``--config`` or the ``CKNLAB_CONFIG`` environment variable), then
-command-line flags.  Unknown config keys are rejected and every numeric
-setting is range-checked no matter which layer supplied it.
+``--config``), then command-line flags.  Unknown config keys are rejected
+and every numeric setting is range-checked no matter which layer supplied
+it.  The settings state the problem; how large the continuation and flow
+steps are is the solvers' own business and no setting.
 
 Exit codes: 0 on success, 1 on usage errors (the message names the
 offending flag), 2 on admissibility or configuration errors and on files
@@ -75,7 +76,6 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-_ENV_CONFIG = "CKNLAB_CONFIG"
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -139,12 +139,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_field_csv(path: Path, fld) -> None:
-    """Cylinder field snapshot: flattened (s, z, value) plus a sidecar."""
+    """Cylinder field snapshot: flattened (s, z, value) plus a sidecar.
+
+    Every cell is a float, so one format per row writes _write_csv's
+    bytes at half its cost.
+    """
     grid = fld.grid
-    _write_csv(path, ("s", "z", "value"),
-               zip(np.repeat(grid.s, grid.nz).tolist(),
-                   np.tile(grid.z, grid.m_cells).tolist(),
-                   fld.values.ravel().tolist()))
+    row = ",".join([_FLOAT_FMT] * 3) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write("s,z,value\n")
+        fh.writelines(row % cells for cells in zip(
+            np.repeat(grid.s, grid.nz).tolist(),
+            np.tile(grid.z, grid.m_cells).tolist(),
+            fld.values.ravel().tolist()))
     _write_json(path.with_suffix(path.suffix + ".json"), {
         "d": grid.d, "h": grid.h, "m_cells": grid.m_cells, "nz": grid.nz,
         "p": fld.p, "Lambda": fld.Lambda,
@@ -246,8 +253,8 @@ def _opt_p(required: bool = True) -> Option:
                   help="interpolation exponent")
 
 
-# the defaults are ContinuationConfig's, as flow's are FlowSpec's (a
-# dataclass holds each field's default as a class attribute), and
+# the defaults are ContinuationConfig's, as flow's --t-end is FlowSpec's
+# (a dataclass holds each field's default as a class attribute), and
 # counterexample's are counterexample_search's keyword defaults
 _SEARCH = sphere_flows.counterexample_search.__kwdefaults__
 _BRANCH_OPTIONS = (
@@ -259,14 +266,6 @@ _BRANCH_OPTIONS = (
            help="zonal nodes"),
     Option("length", float, ContinuationConfig.length, lo=1e-3, hi=1e4,
            help="axial truncation (default scales with the onset)"),
-    Option("ds_init", float, ContinuationConfig.ds_init, lo=1e-10, hi=10.0,
-           help="initial arclength step"),
-    Option("ds_growth", float, ContinuationConfig.ds_growth, lo=1.0,
-           hi=10.0, help="step growth factor after accepted steps"),
-    Option("ds_max", float, ContinuationConfig.ds_max, lo=1e-8, hi=10.0,
-           help="arclength step cap"),
-    Option("max_points", int, ContinuationConfig.max_points, lo=2,
-           hi=100000, help="hard cap on recorded branch points"),
 )
 
 
@@ -329,10 +328,9 @@ def load_config(path) -> dict[str, dict]:
 
 
 def _config_for(args, command: str) -> dict:
-    path = getattr(args, "config", None) or os.environ.get(_ENV_CONFIG)
-    if not path:
+    if not args.config:
         return {}
-    return load_config(path).get(command, {})
+    return load_config(args.config).get(command, {})
 
 
 def _resolve_options(command: str, args, overrides: dict | None = None) -> dict:
@@ -441,9 +439,8 @@ def _initial_density(opts: dict):
 
 
 def _run_flow(opts: dict, out: Path, args) -> tuple[list, dict]:
-    spec = sphere_flows.FlowSpec(
-        kind=opts["kind"], p=opts["p"], m=opts["m"], t_end=opts["t_end"],
-        dt_init=opts["dt_init"], dt_max=opts["dt_max"])
+    spec = sphere_flows.FlowSpec(kind=opts["kind"], p=opts["p"], m=opts["m"],
+                                 t_end=opts["t_end"])
     rho0 = _initial_density(opts)
     traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho0), spec)
     _write_csv(out, ("time", "mass", "E_p", "I_p", "deficit"),
@@ -602,10 +599,6 @@ _COMMANDS: dict[str, _Command] = {
                help="finite-volume cells"),
         Option("t_end", float, sphere_flows.FlowSpec.t_end, lo=1e-12,
                hi=1e4, help="final time"),
-        Option("dt_init", float, sphere_flows.FlowSpec.dt_init, lo=1e-14,
-               hi=10.0, help="initial step"),
-        Option("dt_max", float, sphere_flows.FlowSpec.dt_max, lo=1e-14,
-               hi=10.0, help="step cap"),
         Option("init", str, "tilted", choices=("tilted", "random"),
                help="initial density family"),
         Option("epsilon", float, 0.3, lo=1e-6, hi=0.999999,
@@ -620,8 +613,10 @@ _COMMANDS: dict[str, _Command] = {
         _opt_p(),
         Option("kind", str, _SEARCH["flow_kind"], choices=sphere_flows._KINDS,
                help="which flow the derivative refers to"),
-        Option("n_cells", int, _SEARCH["n_cells"], lo=8, hi=100000,
-               help="finite-volume cells"),
+        # flow keeps the wider bound: it only solves tridiagonal systems
+        Option("n_cells", int, _SEARCH["n_cells"], lo=8, hi=4096,
+               help="finite-volume cells (at most 4096: the heat search's "
+                    "dense eigenbasis takes 8 n^2 bytes, 128 MiB there)"),
     ), "counterexample.json", _run_counterexample),
     "branch": _Command(_schema(_opt_d(), _opt_p(), *_BRANCH_OPTIONS),
                        "branch.csv", _run_branch, needs_out=True),
@@ -972,8 +967,7 @@ def _build_parser() -> _Parser:
             else:
                 p.add_argument(opt.flag, dest=opt.name, type=opt.cast,
                                default=None, help=opt.help)
-        p.add_argument("--config", default=None,
-                       help="config file path (also CKNLAB_CONFIG)")
+        p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", default=None,
                        help="artifact path; JSON commands print to stdout "
                             "when omitted")

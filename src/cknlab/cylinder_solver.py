@@ -87,12 +87,19 @@ _POLISH_MAX_ITER = 60
 # norm of the symmetric solution at the bifurcation point and halves that
 # amplitude until Newton first lands on something genuinely non-symmetric,
 # at most _MAX_SWITCH_TRIES times; past the switch, a step that fails is
-# halved, at most _MAX_STEP_FAILURES times in a row.
+# halved, at most _MAX_STEP_FAILURES times in a row.  The first arclength
+# step past the switch is _DS_INIT, each accepted step lets the next grow
+# by _DS_GROWTH up to _DS_MAX, and the walk records at most _MAX_POINTS
+# points.
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 12
 _SWITCH_FRACTION = 0.1
 _MAX_SWITCH_TRIES = 20
 _MAX_STEP_FAILURES = 25
+_DS_INIT = 0.005
+_DS_GROWTH = 1.3
+_DS_MAX = 0.25
+_MAX_POINTS = 400
 
 
 def default_grid(d: int, lam_min: float, m_cells: int = 400,
@@ -331,26 +338,17 @@ def angular_amplitude(phi: CylinderField) -> float:
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Grid and step settings of the pseudo-arclength walk."""
+    """Where the pseudo-arclength walk ends and the grid it walks on; its
+    step policy is this module's own (_DS_INIT to _MAX_POINTS)."""
 
     lambda_max: float = 12.0
     m_cells: int = 400
     nz: int = 20
     length: float | None = None
-    ds_init: float = 0.005
-    ds_growth: float = 1.3
-    ds_max: float = 0.25
-    max_points: int = 400
 
     def __post_init__(self) -> None:
         if self.lambda_max <= 0.0:
             raise DomainError(f"lambda_max must be positive, got {self.lambda_max}")
-        if self.ds_init <= 0.0 or self.ds_max < self.ds_init:
-            raise DomainError("need 0 < ds_init <= ds_max")
-        if self.ds_growth < 1.0:
-            raise DomainError(f"ds_growth must be >= 1, got {self.ds_growth}")
-        if self.max_points < 2:
-            raise DomainError("max_points must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -613,7 +611,7 @@ def continue_branch(d: int, p: float,
     step_failures = 0
 
     while (not points or points[-1].lam < cfg.lambda_max) \
-            and len(points) < cfg.max_points:
+            and len(points) < _MAX_POINTS:
         out = keller_step(x_cur, tangent, ds)
         amp = 0.0
         if out is not None:
@@ -625,9 +623,9 @@ def continue_branch(d: int, p: float,
             tangent = secant / wnorm(secant)
             record(x_cur, iters, res, ds)
             if switched:
-                ds = min(ds * cfg.ds_growth, cfg.ds_max)
+                ds = min(ds * _DS_GROWTH, _DS_MAX)
             else:
-                ds = cfg.ds_init
+                ds = _DS_INIT
                 switched = True
             step_failures = 0
         elif not switched:

@@ -84,6 +84,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["flow", "--d", "3", "--p", "3.0", "--n-cells", "4",
          "--out", str(tmp_path / "t.csv")],          # too few cells
         ["params", "--d", "5"],                      # cylinder mode needs p
+        ["branch", "--d", "5", "--p", "2.8", "--ds-max", "0.1",
+         "--out", str(tmp_path / "b.csv")],          # step policy: no flag
     )
     for argv in cases:
         assert run(argv) == 1, argv
@@ -93,6 +95,36 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 def test_verify_takes_no_options(capsys):
     assert run(["verify", "--config", "x"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_params_takes_a_diffusion_exponent(tmp_path, capsys):
+    assert run(["params", "--d", "5", "--p", "2.8"]) == 0
+    # 1 - 1/n with n = 2p/(p-2) = 7
+    assert json.loads(capsys.readouterr().out)["m"] == pytest.approx(6 / 7)
+    out = tmp_path / "params.json"
+    assert run(["params", "--d", "5", "--p", "2.8", "--m", "0.9",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["m"] == 0.9
+    assert manifest_of(out)["settings"]["m"] == 0.9
+
+
+def test_counterexample_cells_stop_at_the_dense_basis_bound(
+        tmp_path, monkeypatch, capsys):
+    # the heat search's eigenbasis takes 8 n^2 bytes: 4096 cells is the
+    # last count admitted, and the next is refused before any grid exists
+    options = cli_io._COMMANDS["counterexample"].options
+    assert options["n_cells"].check_range(4096) == 4096
+    built = []
+    monkeypatch.setattr(cli_io.sphere_flows, "_workspace",
+                        lambda *args: built.append(args))
+    assert run(["counterexample", "--d", "3", "--p", "5.5", "--n-cells",
+                "4097", "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert "--n-cells" in err and "4096" in err
+    assert built == []
+    # flow only solves tridiagonal systems and keeps its wider bound
+    flow = cli_io._COMMANDS["flow"].options
+    assert flow["n_cells"].check_range(100000) == 100000
 
 
 def test_params_refuses_inputs_of_another_mode(capsys):
@@ -375,19 +407,44 @@ def test_flow_artifact_and_byte_determinism(tmp_path):
             == sha256_of(outs[0]))
 
 
-def test_config_file_layering(tmp_path, monkeypatch):
+def test_flow_takes_a_diffusion_exponent_for_fde_only(tmp_path, capsys):
+    outs = {}
+    for m in (None, "0.9"):
+        out = outs[m] = tmp_path / f"fde_{m}.csv"
+        extra = ["--m", m] if m else []
+        assert run(FLOW_ARGS + ["--kind", "fde", *extra,
+                                "--out", str(out)]) == 0
+    assert manifest_of(outs[None])["settings"]["m"] is None
+    assert manifest_of(outs["0.9"])["settings"]["m"] == 0.9
+    assert outs[None].read_bytes() != outs["0.9"].read_bytes()
+    # the heat flow has no diffusion exponent
+    assert run(FLOW_ARGS + ["--kind", "heat", "--m", "0.9",
+                            "--out", str(tmp_path / "heat.csv")]) == 2
+    assert "takes no diffusion exponent" in capsys.readouterr().err
+
+
+def test_flow_random_init_follows_its_seed(tmp_path):
+    outs = [tmp_path / f"random_{i}.csv" for i in range(3)]
+    for out, seed in zip(outs, ("7", "7", "8")):
+        assert run(FLOW_ARGS + ["--init", "random", "--seed", seed,
+                                "--out", str(out)]) == 0
+    assert manifest_of(outs[0])["settings"]["seed"] == 7
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() != outs[2].read_bytes()
+
+
+def test_config_file_layering(tmp_path):
     cfg = tmp_path / "cknlab.ini"
     cfg.write_text("[flow]\nn_cells = 24\nt_end = 0.03\n")
-    monkeypatch.setenv("CKNLAB_CONFIG", str(cfg))
     out = tmp_path / "traj.csv"
     assert run(["flow", "--d", "3", "--p", "3.0", "--n-cells", "16",
-                "--out", str(out)]) == 0
+                "--config", str(cfg), "--out", str(out)]) == 0
     settings = manifest_of(out)["settings"]
     assert settings["n_cells"] == 16      # flag beats file
     assert settings["t_end"] == 0.03      # file beats default
-    assert settings["dt_max"] == 0.02     # untouched default
+    assert settings["epsilon"] == 0.3     # untouched default
 
-    # an explicit --config path wins over the environment variable
+    # the file --config names is the one read
     cfg2 = tmp_path / "other.ini"
     cfg2.write_text("[flow]\nt_end = 0.04\n")
     assert run(["flow", "--d", "3", "--p", "3.0", "--config", str(cfg2),
@@ -401,6 +458,11 @@ def test_config_file_rejects_unknown_entries(tmp_path, capsys):
     assert run(["flow", "--d", "3", "--p", "3.0", "--config", str(bad_key),
                 "--out", str(tmp_path / "t.csv")]) == 2
     assert "unknown key" in capsys.readouterr().err
+    # the flow's step policy is no setting
+    bad_key.write_text("[flow]\ndt_max = 0.01\n")
+    assert run(["flow", "--d", "3", "--p", "3.0", "--config", str(bad_key),
+                "--out", str(tmp_path / "t.csv")]) == 2
+    assert "unknown key 'dt_max'" in capsys.readouterr().err
     bad_section = tmp_path / "bad_section.ini"
     bad_section.write_text("[nope]\nx = 1\n")
     assert run(["flow", "--d", "3", "--p", "3.0", "--config",

@@ -172,12 +172,15 @@ def test_every_branch_point_solves_the_discrete_equation(branch_5_2_8):
 def test_continuation_config_validation():
     with pytest.raises(DomainError):
         ContinuationConfig(lambda_max=-1.0)
-    with pytest.raises(DomainError):
-        ContinuationConfig(ds_init=0.5, ds_max=0.1)
-    with pytest.raises(DomainError):
-        ContinuationConfig(ds_growth=0.5)
-    with pytest.raises(DomainError):
-        ContinuationConfig(max_points=1)
+
+
+def test_branch_stops_at_the_point_cap(monkeypatch):
+    # the walk records at most _MAX_POINTS points, even short of lambda_max
+    monkeypatch.setattr(cylinder_solver, "_MAX_POINTS", 4)
+    config = ContinuationConfig(m_cells=40, nz=4)
+    branch = continue_branch(5, 2.8, config)
+    assert len(branch) == 4
+    assert branch.points[-1].lam < config.lambda_max
 
 
 def test_short_cylinders_fail_with_their_state():

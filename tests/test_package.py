@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cknlab
+from cknlab import cli_io
 
 
 def test_public_names_resolve():
@@ -284,6 +285,54 @@ def test_default_guard_tells_same_named_methods_apart():
     }
     assert _unset_defaults(sources) == {"shapes.Fine.integrate(scale)",
                                         "shapes.Fine.refine(level)"}
+
+
+def _unset_options(commands, sources):
+    """Labels "command --flag" of command options that no source sets.
+
+    commands maps each command to its options.  An option counts as set
+    when a string constant in one of the sources holds its flag as a
+    whitespace-separated token (an argv entry or a command line) or
+    holds a ``name = ...`` line (a config file or a sweep spec).
+    """
+    tokens, keys = set(), set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                tokens.update(node.value.split())
+                keys.update(line.partition("=")[0].strip()
+                            for line in node.value.splitlines()
+                            if "=" in line)
+    return {f"{command} {opt.flag}"
+            for command, options in commands.items() for opt in options
+            if opt.flag not in tokens and opt.name not in keys}
+
+
+def _option_sources():
+    tests = Path(__file__).parent
+    workloads = tests.parent / "perfbench" / "workloads.py"
+    return [path.read_text() for path in
+            [*sorted(tests.glob("*.py")), workloads]]
+
+
+def test_every_command_option_is_set_somewhere():
+    # a test, a benchmark workload, or a config file or sweep spec they
+    # write must set each option; any other option is a setting that
+    # nothing exercises, and belongs in the library as a constant
+    commands = {command: entry.options.values()
+                for command, entry in cli_io._COMMANDS.items()}
+    assert _unset_options(commands, _option_sources()) == set()
+
+
+def test_option_guard_reports_an_option_nothing_sets():
+    options = [cli_io.Option(name, float)
+               for name in ("t_end", "n_cells", "step_cap")]
+    sources = ['ARGV = ["flow", "--t-end", "0.5"]\n',
+               'CFG = """[flow]\n  n_cells = 24\n"""\n',
+               '# --step-cap in a comment\nstep_cap = 1.0\n'
+               'NOTE = "--step-caps and step_cap: 1"\n']
+    assert _unset_options({"flow": options}, sources) == {
+        "flow --step-cap"}
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
