@@ -9,10 +9,12 @@ produce byte-identical artifacts.
 
 Settings are layered: built-in defaults, then a config file (flat
 ``key = value`` lines under one section per subcommand, path taken from
-``--config``), then command-line flags.  Unknown config keys are rejected
-and every numeric setting is range-checked no matter which layer supplied
-it.  The settings state the problem; how large the continuation and flow
-steps are is the solvers' own business and no setting.
+``--config``), then command-line flags; a sweep file stands in for the
+config file.  Option.parse casts and range-checks each value once,
+where it enters: argparse a flag, load_config a config key, and
+_parse_sweep_spec a sweep axis or setting.  Unknown config keys are
+rejected.  The settings state the problem; how large the continuation
+and flow steps are is the solvers' own business and no setting.
 
 Exit codes: 0 on success, 1 on usage errors (the message names the
 offending flag), 2 on admissibility or configuration errors and on files
@@ -222,24 +224,21 @@ class Option:
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
-    def check_range(self, value):
-        if value is None:
-            return value
+    def parse(self, raw):
+        """Cast raw and check it against the choices or [lo, hi].
+
+        A setting's one check, where it enters (a flag, a config key, a
+        sweep axis).  Raises ValueError; NaN fails the bounds.
+        """
+        value = self.cast(raw)
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"must be one of {list(self.choices)}, "
                              f"got {value!r}")
-        if self.cast is _cast_float_list:
-            for v in value:
-                if (self.lo is not None and v < self.lo) or \
-                        (self.hi is not None and v > self.hi):
-                    raise ValueError(
-                        f"entries must lie in [{self.lo}, {self.hi}], "
-                        f"got {v}")
-            return value
-        if self.lo is not None and value < self.lo:
-            raise ValueError(f"must be >= {self.lo}, got {value}")
-        if self.hi is not None and value > self.hi:
-            raise ValueError(f"must be <= {self.hi}, got {value}")
+        entries = value if self.cast is _cast_float_list else (value,)
+        if self.lo is not None and not all(self.lo <= v <= self.hi
+                                           for v in entries):
+            raise ValueError(f"must lie in [{self.lo}, {self.hi}], "
+                             f"got {value}")
         return value
 
 
@@ -299,9 +298,8 @@ def _cast_section(command: str, items, where: str) -> dict:
     for key, raw in items:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        opt = schema[key]
         try:
-            values[key] = opt.check_range(opt.cast(raw))
+            values[key] = schema[key].parse(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for {key!r} in {where}: {exc}") from exc
@@ -327,41 +325,35 @@ def load_config(path) -> dict[str, dict]:
     return loaded
 
 
-def _config_for(args, command: str) -> dict:
-    if not args.config:
-        return {}
-    return load_config(args.config).get(command, {})
+def _resolve_options(command: str, *layers: dict) -> dict:
+    """Layer checked values over the defaults and enforce required ones.
 
-
-def _resolve_options(command: str, args, overrides: dict | None = None) -> dict:
-    """Layer defaults, config file, and flags into one settings dict.
-
-    Sweep points pass ``args=None`` with their grid values as overrides;
-    they deliberately skip the config file so a sweep is fully described
-    by its own spec file.
+    A later layer (name -> value) beats an earlier one; None is unset.
     """
-    file_values = _config_for(args, command) if args is not None else {}
-    if overrides:
-        file_values = {**file_values, **overrides}
     resolved = {}
     for opt in _COMMANDS[command].options.values():
-        value = getattr(args, opt.name, None) if args is not None else None
-        origin = opt.flag
-        if value is None and opt.name in file_values:
-            value = file_values[opt.name]
-            origin = f"config key {opt.name!r}"
-        if value is None:
-            value = opt.default
-        else:
-            try:
-                opt.check_range(value)
-            except ValueError as exc:
-                raise UsageError(f"{origin}: {exc}") from exc
+        value = opt.default
+        for layer in layers:
+            if layer.get(opt.name) is not None:
+                value = layer[opt.name]
         if value is None and opt.required:
             raise UsageError(f"{opt.flag} is required for {command!r} "
                              f"(flag or config file)")
         resolved[opt.name] = value
     return resolved
+
+
+def _produce(command: str, opts: dict, out: Path | None, t0: float,
+             manifest: Path | None = None, fields_dir=None) -> None:
+    """Run a handler, then write its manifest (by default beside out).
+
+    The command line and every sweep point take this path.
+    """
+    artifacts, summary = _COMMANDS[command].handler(opts, out, fields_dir)
+    if artifacts:
+        _write_manifest(
+            manifest or out.with_suffix(out.suffix + ".manifest.json"),
+            command, opts, artifacts, summary, t0)
 
 
 def _continuation_config(opts: dict) -> ContinuationConfig:
@@ -423,7 +415,8 @@ def _emit_json(payload: dict, out: Path | None):
     return [out]
 
 
-def _run_params(opts: dict, out: Path | None, args) -> tuple[list, dict]:
+def _run_params(opts: dict, out: Path | None,
+                fields_dir) -> tuple[list, dict]:
     payload = _params_payload(opts)
     summary = {k: payload[k] for k in ("lambda_fs", "two_sharp", "vartheta")
                if k in payload}
@@ -438,7 +431,7 @@ def _initial_density(opts: dict):
     return sphere_flows.random_smooth_density(opts["d"], opts["n_cells"], rng)
 
 
-def _run_flow(opts: dict, out: Path, args) -> tuple[list, dict]:
+def _run_flow(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
     spec = sphere_flows.FlowSpec(kind=opts["kind"], p=opts["p"], m=opts["m"],
                                  t_end=opts["t_end"])
     rho0 = _initial_density(opts)
@@ -456,7 +449,7 @@ def _run_flow(opts: dict, out: Path, args) -> tuple[list, dict]:
 
 
 def _run_counterexample(opts: dict, out: Path | None,
-                        args) -> tuple[list, dict]:
+                        fields_dir) -> tuple[list, dict]:
     report = sphere_flows.counterexample_search(
         opts["d"], opts["p"], n_cells=opts["n_cells"], flow_kind=opts["kind"])
     payload = {
@@ -492,8 +485,7 @@ def _branch_summary(branch: Branch) -> dict:
     }
 
 
-def _run_branch(opts: dict, out: Path, args) -> tuple[list, dict]:
-    fields_dir = getattr(args, "fields_dir", None) if args else None
+def _run_branch(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
     if fields_dir:
         # before the continuation, so that a file in the way fails at once
         fdir = Path(fields_dir)
@@ -513,7 +505,7 @@ _CURVE_HEADER = ("lambda", "Lambda", "mu", "mu_star_theta",
                  "d_Lambda_d_lambda")
 
 
-def _run_curve(opts: dict, out: Path, args) -> tuple[list, dict]:
+def _run_curve(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     curve = branch_analysis.reparametrize(branch, opts["theta"])
     _write_csv(out, _CURVE_HEADER, curve.as_rows())
@@ -522,7 +514,8 @@ def _run_curve(opts: dict, out: Path, args) -> tuple[list, dict]:
                    **asdict(cls)}
 
 
-def _run_criterion(opts: dict, out: Path | None, args) -> tuple[list, dict]:
+def _run_criterion(opts: dict, out: Path | None,
+                   fields_dir) -> tuple[list, dict]:
     branch = None
     if opts["with_branch"]:
         branch = _shared_branch(opts["d"], opts["p"],
@@ -535,7 +528,8 @@ def _run_criterion(opts: dict, out: Path | None, args) -> tuple[list, dict]:
     return _emit_json(payload, out), summary
 
 
-def _run_probe(opts: dict, out: Path | None, args) -> tuple[list, dict]:
+def _run_probe(opts: dict, out: Path | None,
+               fields_dir) -> tuple[list, dict]:
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     report = branch_analysis.conjecture_probe(
         opts["d"], opts["p"], opts["thetas"], branch=branch)
@@ -555,8 +549,10 @@ def _run_probe(opts: dict, out: Path | None, args) -> tuple[list, dict]:
 class _Command:
     """A data-producing subcommand: its settings, artifact and handler.
 
-    artifact names a sweep point's output; needs_out makes --out
-    required on the command line.
+    handler(opts, out, fields_dir) takes resolved settings, the artifact
+    path (None prints JSON to stdout) and branch's --fields-dir (None
+    elsewhere).  artifact names a sweep point's output; needs_out makes
+    --out required on the command line.
     """
 
     options: dict[str, Option]
@@ -815,7 +811,7 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
         opt = schema[key]
         toks = [tok for tok in raw.replace(",", " ").split() if tok]
         try:
-            axis_vals = tuple(opt.check_range(opt.cast(tok)) for tok in toks)
+            axis_vals = tuple(opt.parse(tok) for tok in toks)
         except ValueError as exc:
             raise invalid(f"bad {key!r} value in sweep grid: {exc}") from exc
         if not axis_vals:
@@ -833,16 +829,6 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
                                   f"section [{command}] of {path}")
     points = list(product(*values))
     return command, axes, points, overrides
-
-
-def _sweep_point(command: str, opts: dict, point_dir: Path):
-    point_dir.mkdir(parents=True, exist_ok=True)
-    out = point_dir / _COMMANDS[command].artifact
-    t0 = time.perf_counter()
-    artifacts, summary = _COMMANDS[command].handler(opts, out, None)
-    _write_manifest(point_dir / "manifest.json", command, opts,
-                    artifacts, summary, t0)
-    return out
 
 
 def _sweep_groups(resolved: list[dict]) -> list[list[tuple[int, dict]]]:
@@ -869,15 +855,17 @@ def _run_group(command: str, out_dir: Path,
     cached = set(_BRANCH_CACHE)
     outcomes = []
     for index, opts in points:
+        point_dir = out_dir / f"point_{index:04d}"
+        point_dir.mkdir(parents=True, exist_ok=True)
+        out = point_dir / _COMMANDS[command].artifact
         try:
-            artifact = _sweep_point(command, opts,
-                                    out_dir / f"point_{index:04d}")
+            _produce(command, opts, out, time.perf_counter(),
+                     point_dir / "manifest.json")
         except (CknlabError, UsageError) as exc:
             outcomes.append((index, "failed",
                              f"{type(exc).__name__}: {exc}", ""))
         else:
-            outcomes.append((index, "ok", "",
-                             os.path.relpath(artifact, out_dir)))
+            outcomes.append((index, "ok", "", os.path.relpath(out, out_dir)))
     for key in set(_BRANCH_CACHE) - cached:
         del _BRANCH_CACHE[key]
     return outcomes
@@ -891,11 +879,9 @@ def _run_sweep(args) -> int:
         raise ConfigError(f"output directory {out_dir} exists and is not "
                           f"empty; pass --force to reuse it")
 
-    resolved = []
-    for values in points:
-        merged = dict(overrides)
-        merged.update(zip(axes, values))
-        resolved.append(_resolve_options(command, None, merged))
+    # a sweep is fully described by its own file: no --config layer
+    resolved = [_resolve_options(command, overrides, dict(zip(axes, values)))
+                for values in points]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     results: list[tuple[str, str, str]] = [("", "", "")] * len(points)
@@ -951,6 +937,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag_value(opt: Option, raw: str):
+    # argparse would report a ValueError without its text
+    try:
+        return opt.parse(raw)
+    except ValueError as exc:
+        raise UsageError(f"{opt.flag}: {exc}") from exc
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cknlab",
                      description="Numerical laboratory for symmetry and "
@@ -965,7 +959,8 @@ def _build_parser() -> _Parser:
                                default=None, action="store_const",
                                help=opt.help)
             else:
-                p.add_argument(opt.flag, dest=opt.name, type=opt.cast,
+                p.add_argument(opt.flag, dest=opt.name,
+                               type=partial(_flag_value, opt),
                                default=None, help=opt.help)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", default=None,
@@ -1071,18 +1066,17 @@ def run(argv=None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         t0 = time.perf_counter()
-        entry = _COMMANDS[args.command]
-        opts = _resolve_options(args.command, args)
+        command = args.command
+        config = (load_config(args.config).get(command, {})
+                  if args.config else {})
+        opts = _resolve_options(command, config, vars(args))
         out = Path(args.out) if args.out else None
         if out is not None:
             _check_out_dir(out)
-        elif entry.needs_out:
-            raise UsageError(f"--out is required for {args.command!r}")
-        artifacts, summary = entry.handler(opts, out, args)
-        if artifacts:
-            manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-            _write_manifest(manifest_path, args.command, opts,
-                            artifacts, summary, t0)
+        elif _COMMANDS[command].needs_out:
+            raise UsageError(f"--out is required for {command!r}")
+        _produce(command, opts, out, t0,
+                 fields_dir=getattr(args, "fields_dir", None))
         return _EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

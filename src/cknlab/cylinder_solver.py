@@ -102,8 +102,8 @@ _DS_MAX = 0.25
 _MAX_POINTS = 400
 
 
-def default_grid(d: int, lam_min: float, m_cells: int = 400,
-                 nz: int = 20) -> CylinderGrid:
+def default_grid(d: int, lam_min: float, m_cells: int,
+                 nz: int) -> CylinderGrid:
     """Grid with truncation 20 / sqrt(lam_min).
 
     The symmetric profile decays like exp(-sqrt(Lambda) |s|) and the zonal
@@ -111,7 +111,7 @@ def default_grid(d: int, lam_min: float, m_cells: int = 400,
     relative amplitude of exp(-20); truncation effects are then far below
     every tolerance used in this module.
     """
-    if lam_min <= 0.0:
+    if not lam_min > 0.0:
         raise DomainError(f"need lam_min > 0, got {lam_min}")
     return cylinder_grid(d, 20.0 / math.sqrt(lam_min), m_cells, nz)
 
@@ -198,10 +198,11 @@ def solve_symmetric(d: int, p: float, Lambda: float,
     compared against a discrete branch point.
     """
     check_cylinder_exponent(d, p)
-    if Lambda <= 0.0:
+    if not Lambda > 0.0:
         raise DomainError(f"need Lambda > 0, got {Lambda}")
     if grid is None:
-        grid = default_grid(d, Lambda)
+        cfg = ContinuationConfig()
+        grid = default_grid(d, Lambda, cfg.m_cells, cfg.nz)
     phi = _symmetric_profile(grid, p, Lambda)
     return grid.field(np.tile(phi[:, None], (1, grid.nz)), p=p, Lambda=Lambda)
 
@@ -347,7 +348,7 @@ class ContinuationConfig:
     length: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lambda_max <= 0.0:
+        if not self.lambda_max > 0.0:
             raise DomainError(f"lambda_max must be positive, got {self.lambda_max}")
 
 

@@ -515,8 +515,8 @@ class CylinderGrid:
         return CylinderField(self, values, p=p, Lambda=Lambda)
 
 
-def cylinder_grid(d: int, length: float, m_cells: int = 400,
-                  nz: int = 20) -> CylinderGrid:
+def cylinder_grid(d: int, length: float, m_cells: int,
+                  nz: int) -> CylinderGrid:
     if d < 2:
         raise DomainError(f"cylinder grid needs d >= 2, got d={d}")
     if nz < 4:

@@ -147,10 +147,10 @@ def check_cylinder_exponent(d: int, p: float) -> None:
     """Reject (d, p) outside the cylinder range 2 < p < 2d/(d-2)."""
     if d < 2:
         raise DomainError(f"cylinder problems need d >= 2, got d={d}")
-    if p <= 2.0:
+    if not p > 2.0:
         raise DomainError(f"cylinder exponent must satisfy p > 2, got p={p}")
     hi = two_star_value(d)
-    if p >= hi:
+    if not p < hi:
         raise DomainError(
             f"p={p} is not subcritical for d={d} (needs p < {hi})")
 
@@ -208,30 +208,31 @@ def derive_params(d: int, inputs: Mapping[str, float], mode: str) -> CKNParams:
     if mode == "critical":
         a = float(inputs["a"])
         b = float(inputs["b"])
-        _reject(a >= a_c, "a >= (d-2)/2")
-        _reject(b < a, "b < a")
-        _reject(b >= a + 1.0, "b >= a + 1")
+        _reject(not a < a_c, "a >= (d-2)/2")
+        _reject(not b >= a, "b < a")
+        _reject(not b < a + 1.0, "b >= a + 1")
         denom = d - 2 + 2.0 * (b - a)
-        _reject(denom <= 0.0, "b <= a in dimension 2")
+        _reject(not denom > 0.0, "b <= a in dimension 2")
         p = 2.0 * d / denom
         lam = (a_c - a) ** 2
     elif mode == "cylinder":
         p = float(inputs["p"])
         lam = float(inputs["Lambda"])
-        _reject(p <= 2.0, "p <= 2")
-        _reject(p >= two_star_value(d), "p >= 2*d/(d-2)")
-        _reject(lam <= 0.0, "Lambda <= 0")
+        _reject(not p > 2.0, "p <= 2")
+        _reject(not p < two_star_value(d), "p >= 2*d/(d-2)")
+        _reject(not lam > 0.0, "Lambda <= 0")
         a = a_c - math.sqrt(lam)
         b = a + d / p - a_c
     else:
         beta = float(inputs["beta"])
         gamma = float(inputs["gamma"])
         p = float(inputs["p"])
-        _reject(gamma >= d, "gamma >= d")
-        _reject(beta <= gamma - 2.0, "beta <= gamma - 2")
-        _reject(beta > (d - 2.0) * gamma / d + _TOL, "beta > (d-2)*gamma/d")
-        _reject(p <= 1.0, "p <= 1")
-        _reject(p > _p_star(d, beta, gamma) + _TOL, "p > p_star")
+        _reject(not gamma < d, "gamma >= d")
+        _reject(not beta > gamma - 2.0, "beta <= gamma - 2")
+        _reject(not beta <= (d - 2.0) * gamma / d + _TOL,
+                "beta > (d-2)*gamma/d")
+        _reject(not p > 1.0, "p <= 1")
+        _reject(not p <= _p_star(d, beta, gamma) + _TOL, "p > p_star")
         alpha = 1.0 + 0.5 * (beta - gamma)
         n = 2.0 * (d - gamma) / (beta + 2.0 - gamma)
     if mode != "subcritical":
@@ -340,7 +341,7 @@ def mu_star(params: CKNParams, Lambda: float, theta: float = 1.0) -> float:
     (mu_1, t_1) of `_unit_soliton` fix it through `theta_constant`.
     """
     check_theta(params.d, params.p, theta)
-    if Lambda <= 0.0:
+    if not Lambda > 0.0:
         raise DomainError(f"needs Lambda > 0, got {Lambda}")
     log_mu_1, t_1 = _unit_soliton(params.p)
     return theta_constant(params.p, theta, Lambda, math.exp(log_mu_1), t_1)

@@ -49,9 +49,11 @@ __all__ = [
 _KINDS = ("heat", "fde")
 _DT_FLOOR = 1e-12
 _MASS_TOL = 1e-10
-# each accepted step lets the next grow by this factor, capped at dt_max,
-# so a run started at a small dt_init reaches the cap geometrically
+# a run starts at _DT_INIT and each accepted step lets the next grow by
+# _DT_GROWTH, so it reaches the cap _DT_MAX geometrically
+_DT_INIT = 1e-4
 _DT_GROWTH = 1.15
+_DT_MAX = 2e-2
 # node-steps a trajectory may take before it is rejected as runaway
 _WORK_CAP = 1_000_000
 # the implicit fde step's Newton: relative residual and iteration budget
@@ -69,25 +71,24 @@ _OBS_BLOCK = 16
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Flow kind, diagnostic exponent, and stepping policy.
+    """Flow kind, diagnostic exponent, and final time.
 
     ``m`` is the diffusion exponent of the nonlinear flow; leaving it
     unset selects 1 - 1/n with n = 2p/(p-2), the exponent for which the
-    deficit stays monotone all the way up to the critical p.
+    deficit stays monotone all the way up to the critical p.  The step
+    size is this module's own (_DT_INIT to _DT_MAX), no field.
     """
 
     kind: str
     p: float
     m: float | None = None
     t_end: float = 1.0
-    dt_init: float = 1e-4
-    dt_max: float = 2e-2
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"flow kind must be one of {_KINDS}, "
                               f"got {self.kind!r}")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise DomainError(f"diagnostic exponent must be >= 1, "
                               f"got p={self.p}")
         if self.m is not None:
@@ -97,11 +98,8 @@ class FlowSpec:
                 raise DomainError(
                     f"diffusion exponent must lie in (0, 2] away from 1, "
                     f"got m={self.m}")
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if not 0.0 < self.dt_init <= self.dt_max:
-            raise DomainError(f"need 0 < dt_init <= dt_max, got "
-                              f"({self.dt_init}, {self.dt_max})")
 
     def diffusion_exponent(self) -> float:
         """The m actually used by an fde step."""
@@ -275,7 +273,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
               ) -> FlowTrajectory:
     """Run the flow to t_end, sampling observables at every state.
 
-    The step grows by _DT_GROWTH up to dt_max and halves whenever the
+    The step grows by _DT_GROWTH up to _DT_MAX and halves whenever the
     inner solver rejects; total work, the density's cells times the
     accepted steps, is capped at _WORK_CAP node-steps.
     Mass conservation is enforced, not merely reported: drifting off
@@ -293,7 +291,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
     block[0] = state.density.values
     filled = 1
     rows = []
-    dt = spec.dt_init
+    dt = _DT_INIT
     work = 0
     while state.time < spec.t_end * (1.0 - 1e-14):
         dt_eff = min(dt, spec.t_end - state.time)
@@ -321,7 +319,7 @@ def integrate(state0: FlowState, spec: FlowSpec,
             raise StepRejected(
                 f"trajectory work cap {_WORK_CAP} node-steps exceeded "
                 f"at t={state.time:.6g}", dt=dt_eff)
-        dt = min(dt * _DT_GROWTH, spec.dt_max)
+        dt = min(dt * _DT_GROWTH, _DT_MAX)
     rows.append(sphere_observables(grid, block[:filled], spec.p))
     return FlowTrajectory(np.column_stack((times, np.concatenate(rows))),
                           state)

@@ -92,6 +92,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text, code, named", [
+    (["params", "--d", "5", "--p", "2.8", "--Lambda", "nan"], None, 1,
+     "--Lambda"),
+    (["flow", "--d", "3", "--p", "3.0", "--t-end", "nan",
+      "--out", "{tmp}/t.csv"], None, 1, "--t-end"),
+    (["branch", "--d", "5", "--p", "2.8", "--lambda-max", "nan",
+      "--m-cells", "40", "--nz", "4", "--out", "{tmp}/b.csv"], None, 1,
+     "--lambda-max"),
+    (["flow", "--d", "3", "--p", "3.0", "--config", "{tmp}/in.ini",
+      "--out", "{tmp}/t.csv"], "[flow]\nt_end = nan\n", 2, "{tmp}/in.ini"),
+    (["sweep", "--spec", "{tmp}/in.ini", "--out-dir", "{tmp}/grid"],
+     "[sweep]\ncommand = params\nd = 5\np = nan\n", 2, "{tmp}/in.ini"),
+], ids=["params_flag", "flow_flag", "branch_flag", "config_key",
+        "sweep_axis"])
+def test_nan_settings_fail_where_they_enter(tmp_path, capsys, argv, text,
+                                            code, named):
+    if text is not None:
+        (tmp_path / "in.ini").write_text(text)
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert named.format(tmp=tmp_path) in err and "nan" in err, err
+    # refused before any computation wrote a file
+    assert [p.name for p in tmp_path.iterdir()] == (["in.ini"] if text
+                                                     else [])
+
+
 def test_verify_takes_no_options(capsys):
     assert run(["verify", "--config", "x"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -113,7 +139,7 @@ def test_counterexample_cells_stop_at_the_dense_basis_bound(
     # the heat search's eigenbasis takes 8 n^2 bytes: 4096 cells is the
     # last count admitted, and the next is refused before any grid exists
     options = cli_io._COMMANDS["counterexample"].options
-    assert options["n_cells"].check_range(4096) == 4096
+    assert options["n_cells"].parse("4096") == 4096
     built = []
     monkeypatch.setattr(cli_io.sphere_flows, "_workspace",
                         lambda *args: built.append(args))
@@ -124,7 +150,7 @@ def test_counterexample_cells_stop_at_the_dense_basis_bound(
     assert built == []
     # flow only solves tridiagonal systems and keeps its wider bound
     flow = cli_io._COMMANDS["flow"].options
-    assert flow["n_cells"].check_range(100000) == 100000
+    assert flow["n_cells"].parse("100000") == 100000
 
 
 def test_params_refuses_inputs_of_another_mode(capsys):

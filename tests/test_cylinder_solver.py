@@ -42,17 +42,26 @@ def rel(a, b):
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        cylinder_grid(1, 10.0)
+        cylinder_grid(1, 10.0, 40, 4)
     with pytest.raises(DomainError):
-        cylinder_grid(5, 10.0, nz=3)
+        cylinder_grid(5, 10.0, 40, 3)
     with pytest.raises(DomainError):
-        cylinder_grid(5, -1.0)
-    with pytest.raises(DomainError):
-        default_grid(5, 0.0)
+        cylinder_grid(5, -1.0, 40, 4)
+    for lam in (0.0, math.nan):
+        with pytest.raises(DomainError, match="lam_min"):
+            default_grid(5, lam, 40, 4)
+        with pytest.raises(DomainError, match="Lambda"):
+            solve_symmetric(5, 2.8, lam)
     with pytest.raises(DomainError):
         solve_symmetric(5, 3.4, 1.0)
     with pytest.raises(DomainError):
         solve_symmetric(5, 2.8, -1.0)
+
+
+def test_symmetric_solve_defaults_to_the_continuation_grid():
+    cfg = ContinuationConfig()
+    grid = solve_symmetric(5, 2.8, 2.0).grid
+    assert (grid.m_cells, grid.nz) == (cfg.m_cells, cfg.nz)
 
 
 def test_symmetric_solve_converges_at_second_order():
@@ -170,8 +179,9 @@ def test_every_branch_point_solves_the_discrete_equation(branch_5_2_8):
 
 
 def test_continuation_config_validation():
-    with pytest.raises(DomainError):
-        ContinuationConfig(lambda_max=-1.0)
+    for lambda_max in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="lambda_max"):
+            ContinuationConfig(lambda_max=lambda_max)
 
 
 def test_branch_stops_at_the_point_cap(monkeypatch):
@@ -328,7 +338,9 @@ def test_bordered_assembly_memory_is_bounded():
     # tracemalloc peak of the assembly on continue_branch(5, 2.8)'s grid:
     # 6.3 MB from the stencil, against 18 MB for a Kronecker-product
     # assembly with a full splu of the template
-    grid = cylinder_grid(5, 20.0 / math.sqrt(lambda_fs_value(5, 2.8)))
+    cfg = ContinuationConfig()
+    grid = cylinder_grid(5, 20.0 / math.sqrt(lambda_fs_value(5, 2.8)),
+                         cfg.m_cells, cfg.nz)
     _BorderedKeller(cylinder_grid(5, 4.0, 40, 4))  # loads its lazy imports
     tracemalloc.start()
     try:

@@ -119,6 +119,28 @@ def _keyword_defaults(fn, bound):
     return out
 
 
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        if isinstance(dec, ast.Call):
+            dec = dec.func
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_defaults(node):
+    """{name: position} of a dataclass's fields that have a default.
+
+    The position is the field's place among the generated __init__'s
+    parameters, which are the annotated class attributes in order.
+    """
+    fields = [stmt for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)]
+    return {stmt.target.id: i for i, stmt in enumerate(fields)
+            if stmt.value is not None}
+
+
 def _is_static(fn):
     return any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
                for dec in fn.decorator_list)
@@ -148,8 +170,9 @@ def _unset_defaults(sources):
     sources maps module stems to module source.  A module-level function
     is reached by its name in its own module, by a name imported from its
     module, or as an attribute of its module; a class's __init__ by the
-    class name the same ways.  A method is reached through a receiver
-    whose class is known: self (or cls) inside its class, or a parameter
+    class name the same ways, and a dataclass's fields with a default
+    count as its __init__'s keyword defaults.  A method is reached
+    through a receiver whose class is known: self (or cls) inside its class, or a parameter
     annotated with the class (grid: FVZonalGrid).  Any other attribute
     call of its name, x.integrate(v) with x unknown, reaches every method
     of that name, and module functions such as sphere_flows.integrate
@@ -166,6 +189,9 @@ def _unset_defaults(sources):
                                 _keyword_defaults(node, 0)))
             if not isinstance(node, ast.ClassDef):
                 continue
+            if _is_dataclass(node):
+                targets.append((f"{stem}.{node.name}", (stem, node.name),
+                                _field_defaults(node)))
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
                     static = _is_static(fn)
@@ -285,6 +311,40 @@ def test_default_guard_tells_same_named_methods_apart():
     }
     assert _unset_defaults(sources) == {"shapes.Fine.integrate(scale)",
                                         "shapes.Fine.refine(level)"}
+
+
+def test_default_guard_reports_unset_dataclass_fields():
+    # a field with a default is a keyword default of the generated
+    # __init__: set by keyword, by position or through **, or reported
+    sources = {
+        "specs": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Spec:\n"
+            "    kind: str\n"
+            "    t_end: float = 1.0\n"
+            "    dt_max: float = 2e-2\n"
+            "    cells: int = 96\n"
+            "@dataclass\n"
+            "class Grid:\n"
+            "    n: int = 8\n"
+            "    def refine(self, level=1):\n"
+            "        return Grid(n=self.n * 2 ** level)\n"
+            "class Plain:\n"
+            "    size: int = 3\n"),
+        "use": (
+            "from .specs import Spec\n"
+            "def run(kind, settings):\n"
+            "    Spec(kind, 0.5)\n"
+            "    return Spec(kind, **settings)\n"),
+    }
+    assert _unset_defaults(sources) == {"specs.Grid.refine(level)"}
+    sources["use"] = ("from .specs import Spec\n"
+                      "def run(kind):\n"
+                      "    return Spec(kind, cells=48)\n")
+    assert _unset_defaults(sources) == {"specs.Spec(t_end)",
+                                        "specs.Spec(dt_max)",
+                                        "specs.Grid.refine(level)"}
 
 
 def _unset_options(commands, sources):

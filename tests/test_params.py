@@ -207,6 +207,30 @@ def test_derive_params_admissibility_rejections(inputs, mode):
         derive_params(5, inputs, mode)
 
 
+@pytest.mark.parametrize("inputs, mode, violated", [
+    ({"p": math.nan, "Lambda": 1.0}, "cylinder", "p <= 2"),
+    ({"p": 2.8, "Lambda": math.nan}, "cylinder", "Lambda <= 0"),
+    ({"a": math.nan, "b": 0.5}, "critical", "a >= (d-2)/2"),
+    ({"a": 0.5, "b": math.nan}, "critical", "b < a"),
+    ({"beta": 0.1, "gamma": math.nan, "p": 1.2}, "subcritical",
+     "gamma >= d"),
+    ({"beta": math.nan, "gamma": 0.5, "p": 1.2}, "subcritical",
+     "beta <= gamma - 2"),
+    ({"beta": 0.1, "gamma": 0.5, "p": math.nan}, "subcritical", "p <= 1"),
+], ids=["cylinder_p", "cylinder_Lambda", "critical_a", "critical_b",
+        "subcritical_gamma", "subcritical_beta", "subcritical_p"])
+def test_derive_params_names_a_nan_input(inputs, mode, violated):
+    # a NaN fails the check on its own input, not a later derived one
+    with pytest.raises(AdmissibilityError) as err:
+        derive_params(5, inputs, mode)
+    assert err.value.violated == violated
+
+
+def test_cylinder_exponent_check_rejects_nan():
+    with pytest.raises(DomainError, match="p > 2"):
+        params_mod.check_cylinder_exponent(5, math.nan)
+
+
 def test_derive_params_input_set_errors():
     with pytest.raises(DomainError):
         derive_params(5, {"p": 2.8, "Lambda": 1.0}, "conical")
@@ -266,8 +290,9 @@ def test_symmetric_constant_below_one_matches_scan_minimum():
 
 def test_mu_star_rejects_bad_inputs():
     rec = cylinder_record()
-    with pytest.raises(DomainError):
-        mu_star(rec, -1.0)
+    for lam in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="needs Lambda > 0"):
+            mu_star(rec, lam)
     with pytest.raises(AdmissibilityError):
         mu_star(rec, 1.0, 0.2)
 

@@ -42,12 +42,12 @@ def test_flow_spec_validation():
         FlowSpec(kind="fde", p=3.0, m=1.0)
     with pytest.raises(DomainError):
         FlowSpec(kind="fde", p=3.0, m=2.5)
-    with pytest.raises(DomainError):
-        FlowSpec(kind="heat", p=0.5)
-    with pytest.raises(DomainError):
-        FlowSpec(kind="heat", p=3.0, t_end=0.0)
-    with pytest.raises(DomainError):
-        FlowSpec(kind="heat", p=3.0, dt_init=1e-2, dt_max=1e-3)
+    for p in (0.5, math.nan):
+        with pytest.raises(DomainError, match="diagnostic exponent"):
+            FlowSpec(kind="heat", p=p)
+    for t_end in (0.0, math.nan):
+        with pytest.raises(DomainError, match="t_end"):
+            FlowSpec(kind="heat", p=3.0, t_end=t_end)
 
 
 def test_default_diffusion_exponent():
@@ -110,25 +110,31 @@ def test_uniform_density_is_a_fixed_point():
     assert np.max(np.abs(traj.deficits)) < 1e-15
 
 
-def test_heat_flow_entropy_production_identity():
+def fixed_step(monkeypatch, dt):
+    """Make integrate take steps of dt throughout."""
+    monkeypatch.setattr(sphere_flows, "_DT_INIT", dt)
+    monkeypatch.setattr(sphere_flows, "_DT_MAX", dt)
+
+
+def test_heat_flow_entropy_production_identity(monkeypatch):
     # along the heat flow the entropy dissipates at exactly twice the
     # Fisher information, for every diagnostic exponent
+    fixed_step(monkeypatch, 2e-4)
     rho0 = tilted_density(3, 64, 0.3, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, t_end=0.02,
-                    dt_init=2e-4, dt_max=2e-4)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.02)
     traj = integrate(FlowState.initial(rho0), spec)
     t, E, I = traj.times, traj.data[:, 2], traj.data[:, 3]
     dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     assert np.max(np.abs(dE + 2.0 * I[1:-1]) / np.abs(2.0 * I[1:-1])) < 1e-3
 
 
-def test_heat_flow_mode_decay_rate():
+def test_heat_flow_mode_decay_rate(monkeypatch):
     # a small multiple of the coordinate eigenfunction decays at the
     # first nonzero Laplacian eigenvalue, here 1 * (1 + 3 - 1) = 3
+    fixed_step(monkeypatch, 2e-4)
     grid = _workspace(3, 96)
     rho0 = tilted_density(3, 96, 0.01, 1.0)
-    spec = FlowSpec(kind="heat", p=3.0, t_end=0.1,
-                    dt_init=2e-4, dt_max=2e-4)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=0.1)
     traj = integrate(FlowState.initial(rho0), spec)
     a0 = grid.integrate(rho0.values * grid.centroids)
     aT = grid.integrate(traj.final_state.density.values * grid.centroids)
@@ -236,17 +242,16 @@ def test_deficit_derivative_signs():
 
 def test_work_cap_rejects_runaway_runs(monkeypatch):
     monkeypatch.setattr(sphere_flows, "_WORK_CAP", 200)
+    fixed_step(monkeypatch, 1e-4)
     rho0 = tilted_density(3, 32, 0.3, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, t_end=10.0,
-                    dt_init=1e-4, dt_max=1e-4)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=10.0)
     with pytest.raises(StepRejected):
         integrate(FlowState.initial(rho0), spec)
     # the cap counts the cells the flow steps: five steps on 384 cells are
     # 1,920 node-steps, past a cap of 3 * 384
     monkeypatch.setattr(sphere_flows, "_WORK_CAP", 3 * 384)
     rho0 = tilted_density(3, 384, 0.3, 2.0)
-    spec = FlowSpec(kind="heat", p=3.0, t_end=5e-4, dt_init=1e-4,
-                    dt_max=1e-4)
+    spec = FlowSpec(kind="heat", p=3.0, t_end=5e-4)
     with pytest.raises(StepRejected):
         integrate(FlowState.initial(rho0), spec)
 
