@@ -24,7 +24,6 @@ from .branch_analysis import (
     gn_constant,
     gn_ground_state,
     lemma_criterion,
-    mu_star_theta_line,
     reparametrize,
 )
 from .cylinder_solver import (

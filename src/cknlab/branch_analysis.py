@@ -35,7 +35,6 @@ from scipy.linalg.lapack import dtrtrs
 from .cylinder_solver import (
     Branch,
     continue_branch,
-    default_grid,
     symmetric_quotient,
 )
 from .errors import DomainError, GroundStateFailed, InsufficientSamples
@@ -47,7 +46,6 @@ from .params import (
     lambda_fs_theta,
     mu_star,
     sphere_area,
-    theta_constant,
     theta_Lambda,
     theta_mu,
     theta_optimal_lam,
@@ -60,7 +58,6 @@ __all__ = [
     "Classification",
     "reparametrize",
     "classify_bifurcation",
-    "mu_star_theta_line",
     "GroundState",
     "gn_ground_state",
     "gn_constant",
@@ -88,13 +85,9 @@ class CurveB:
     """A branch re-read at fixed theta, ordered by the continuation lam.
 
     Lambda is theta lam - (1 - theta) t[phi_lam] sample by sample, and
-    mu_star_theta is the symmetric theta-constant at that Lambda from
-    `mu_star_theta_line`, deliberately not from `params.mu_star`: a
-    finite-difference polish and grid quadrature instead of the
-    soliton's closed form, so the two stay independent cross-checks of
-    each other.  The mu
-    column bounds the optimal theta-constant from above at each Lambda;
-    nothing here claims any sample is optimal.
+    mu_star_theta is the symmetric theta-constant `params.mu_star` at
+    that Lambda.  The mu column bounds the optimal theta-constant from
+    above at each Lambda; nothing here claims any sample is optimal.
     """
 
     theta: float
@@ -103,10 +96,6 @@ class CurveB:
     mu: np.ndarray
     mu_star_theta: np.ndarray
     d_Lambda_d_lambda: np.ndarray
-    branch: Branch
-
-    def __len__(self) -> int:
-        return len(self.lam)
 
     def as_rows(self):
         for i in range(len(self.lam)):
@@ -129,42 +118,6 @@ class Classification:
     turning_points: tuple[TurningPoint, ...]
 
 
-@lru_cache(maxsize=64)
-def _unit_line_quotient(d: int, p: float, cells: int):
-    """(mu_1, t_1) of the discrete symmetric profile at lam = 1.
-
-    They depend on (d, p, cells) alone, so a curve computes them once, not
-    once per Lambda.
-    """
-    # an s-only quotient never reads the zonal rule, so 4 nodes do
-    return symmetric_quotient(default_grid(d, 1.0, cells, 4), p, 1.0)
-
-
-def mu_star_theta_line(d: int, p: float, theta: float, Lambda: float,
-                       m_cells: int = 1600) -> float:
-    """Symmetric theta-constant of the discrete s-problem on the line.
-
-    On the grid of length 20/sqrt(lam) with N cells, h^2 lam does not
-    depend on lam, so the discrete profile is lam^(1/(p-2)) times the
-    lam = 1 one, and t(lam) = lam t_1, mu(lam) = lam^((p+2)/(2p)) mu_1.
-    The theta-quotient over lam is then minimized in closed form by
-    `params.theta_constant`, on two line grids (m and 2m cells) whose
-    minima are Richardson-combined; stationarity at the optimum keeps the
-    combination fourth-order.  What keeps this route independent of
-    `params.mu_star` is (mu_1, t_1): a finite-difference polish and grid
-    quadrature, not the soliton's closed form.
-    """
-    check_theta(d, p, theta)
-    if Lambda <= 0.0:
-        raise DomainError(f"need Lambda > 0, got {Lambda}")
-
-    def best(cells: int) -> float:
-        return theta_constant(p, theta, Lambda,
-                              *_unit_line_quotient(d, p, cells))
-
-    return (4.0 * best(2 * m_cells) - best(m_cells)) / 3.0
-
-
 def reparametrize(branch: Branch, theta: float) -> CurveB:
     """Map a continuation branch to its theta < 1 reading.
 
@@ -175,6 +128,7 @@ def reparametrize(branch: Branch, theta: float) -> CurveB:
     bifurcation must use the latter.
     """
     check_theta(branch.d, branch.p, theta)
+    pars = _params_of(branch.d, branch.p)
     lam = branch.column("lam")
     t_phi = branch.column("t_phi")
     mu = branch.column("mu")
@@ -184,12 +138,10 @@ def reparametrize(branch: Branch, theta: float) -> CurveB:
     else:
         Lambda = theta_Lambda(theta, lam, t_phi)
         mu_theta = theta_mu(theta, lam, t_phi, Lambda, mu)
-    stars = np.array([mu_star_theta_line(branch.d, branch.p, theta, v)
-                      for v in Lambda])
-    slope = np.gradient(Lambda, lam)
+    stars = np.array([mu_star(pars, v, theta) for v in Lambda])
     return CurveB(theta=theta, lam=lam, Lambda=Lambda, mu=mu_theta,
-                  mu_star_theta=stars, d_Lambda_d_lambda=slope,
-                  branch=branch)
+                  mu_star_theta=stars,
+                  d_Lambda_d_lambda=np.gradient(Lambda, lam))
 
 
 def _classify(lam: np.ndarray, Lambda: np.ndarray) -> Classification:
@@ -695,17 +647,10 @@ class ProbeRow:
 class ProbeReport:
     """Probe rows over a theta grid, read off one branch of (d, p)."""
 
+    d: int
+    p: float
     rows: list[ProbeRow]
     flip_theta: float | None
-    branch: Branch
-
-    @property
-    def d(self) -> int:
-        return self.branch.d
-
-    @property
-    def p(self) -> float:
-        return self.branch.p
 
     @property
     def vartheta(self) -> float:
@@ -773,4 +718,4 @@ def conjecture_probe(d: int, p: float, theta_grid,
             flip = 0.5 * (lo_t + hi_t)
             break
 
-    return ProbeReport(rows=rows, flip_theta=flip, branch=branch)
+    return ProbeReport(d=d, p=p, rows=rows, flip_theta=flip)

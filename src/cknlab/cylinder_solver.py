@@ -382,13 +382,12 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Ordered continuation points plus how and where the branch was born."""
+    """Ordered continuation points plus where the branch was born."""
 
     d: int
     p: float
     bifurcation_lambda: float
     grid: CylinderGrid
-    config: ContinuationConfig
     points: list[BranchPoint]
 
     @property
@@ -644,5 +643,5 @@ def continue_branch(d: int, p: float,
                     f"step size underflowed at lam={points[-1].lam:.5f}",
                     lam=points[-1].lam)
 
-    return Branch(d=d, p=p, bifurcation_lambda=lam_b, grid=grid, config=cfg,
+    return Branch(d=d, p=p, bifurcation_lambda=lam_b, grid=grid,
                   points=points)

@@ -141,8 +141,8 @@ def k_functional(pf: PressureField, params: CKNParams,
     stencils applied along r or z, so the work and memory are linear in
     the number of grid points.
     """
-    if zeta_star <= 0.0:
-        raise DomainError(f"zeta_star must be positive, got {zeta_star}")
+    if not zeta_star > 0.0:
+        raise DomainError(f"K needs zeta_star > 0, got zeta_star={zeta_star}")
     m, n, alpha = _flow_exponents(params)
     if n < 2.0:
         raise DomainError(f"needs n >= 2, got n={n}")

@@ -177,8 +177,8 @@ def log_radial_quadrature(r_lo: float, r_hi: float, n_panels: int = 128,
     Returns (r, w) with sum(w * f(r)) ~ integral of f dr; callers fold
     in the measure weight r^(n-1) explicitly.
     """
-    if r_lo <= 0.0:
-        raise DomainError(f"radial grid needs r_lo > 0, got {r_lo}")
+    if not r_lo > 0.0:
+        raise DomainError(f"radial grid needs r_lo > 0, got r_lo={r_lo}")
     t, wt = gauss_panels(np.log(r_lo), np.log(r_hi), n_panels, n_nodes)
     r = np.exp(t)
     return r, wt * r
@@ -286,7 +286,6 @@ class FVZonalGrid:
     """
 
     sphere_dim: int
-    edges: np.ndarray
     centroids: np.ndarray
     cell_mass: np.ndarray
     flux: np.ndarray
@@ -397,7 +396,7 @@ def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
     lo[1:] = g[1:-1] / (W[1:] * dz)
     up[:-1] = g[1:-1] / (W[:-1] * dz)
     di = -(lo + up)
-    return FVZonalGrid(d, e, zbar, W, g, lo, di, up)
+    return FVZonalGrid(d, zbar, W, g, lo, di, up)
 
 
 @lru_cache(maxsize=64)
@@ -454,8 +453,8 @@ def tensor_grid(d: int, r_lo: float = 1e-4, r_hi: float = 1e4,
                 n_panels: int = 128, n_nodes: int = 8,
                 nz: int = 32) -> TensorGrid:
     """Assemble the default pressure-field grid for dimension d."""
-    if r_lo <= 0.0 or r_hi <= r_lo:
-        raise DomainError(f"bad radial range [{r_lo}, {r_hi}]")
+    if not (r_lo > 0.0 and r_hi > r_lo):
+        raise DomainError(f"bad radial range r_lo={r_lo}, r_hi={r_hi}")
     r, wr = log_radial_quadrature(r_lo, r_hi, n_panels, n_nodes)
     z, wz = zonal_quadrature(d - 1, nz)
     Dr = derivative_matrix(r, 1)
@@ -477,8 +476,9 @@ def half_line_grid(length: float, m_cells: int):
     vanish at 0 by symmetry and at the cutoff by decay, so every
     Euler-Maclaurin correction term drops out.
     """
-    if length <= 0.0 or m_cells < 4:
-        raise DomainError(f"bad half-line grid ({length}, {m_cells})")
+    if not length > 0.0 or m_cells < 4:
+        raise DomainError(
+            f"bad half-line grid length={length}, m_cells={m_cells}")
     h = length / m_cells
     return (np.arange(m_cells) + 0.5) * h, h
 

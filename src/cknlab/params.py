@@ -260,7 +260,7 @@ def sphere_area(d: int) -> float:
 def b_fs_value(d: int, a: float) -> float:
     """Height of the symmetry-breaking boundary curve at weight a."""
     gap = _a_c(d) - a
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise DomainError(f"curve defined for a < (d-2)/2, got a={a}")
     return d * gap / (2.0 * math.sqrt(gap * gap + d - 1.0)) - gap
 
@@ -272,7 +272,7 @@ def two_sharp_value(d: int) -> float:
 
 
 def lambda_fs_value(d: int, p: float) -> float:
-    if p <= 2.0:
+    if not p > 2.0:
         raise DomainError(f"instability threshold needs p > 2, got p={p}")
     return 4.0 * (d - 1.0) / (p * p - 4.0)
 

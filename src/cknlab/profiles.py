@@ -26,10 +26,10 @@ def _log_sech(x):
 
 def phi_star_log(s, p: float, lam: float):
     """log of the cylinder soliton, useful when the profile underflows."""
-    if p <= 2.0:
+    if not p > 2.0:
         raise DomainError(f"cylinder soliton needs p > 2, got p={p}")
-    if lam <= 0.0:
-        raise DomainError(f"cylinder soliton needs a positive scale, got {lam}")
+    if not lam > 0.0:
+        raise DomainError(f"cylinder soliton needs lam > 0, got lam={lam}")
     s = np.asarray(s, dtype=float)
     width = 0.5 * (p - 2.0) * np.sqrt(lam)
     return (np.log(lam * p / 2.0) + 2.0 * _log_sech(width * s)) / (p - 2.0)

@@ -253,8 +253,8 @@ def _fde_step(grid: FVZonalGrid, rho: np.ndarray, dt: float,
 
 def flow_step(state: FlowState, spec: FlowSpec, dt: float) -> FlowState:
     """Advance one implicit step; mass-exact, positivity-checked."""
-    if dt <= 0.0:
-        raise DomainError(f"step size must be positive, got {dt}")
+    if not dt > 0.0:
+        raise DomainError(f"step size must be positive, got dt={dt}")
     grid = state.density.grid
     rho = state.density.values
     if spec.kind == "heat":

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from cknlab import (
     lambda_fs_theta,
     lemma_criterion,
     mu_star,
-    mu_star_theta_line,
     reparametrize,
     sphere_area,
 )
@@ -40,7 +40,6 @@ from cknlab.branch_analysis import (
     ProbeRow,
     _classify,
     _monotone_increasing,
-    _unit_line_quotient,
     _witness_scan,
     grid_theta_reference,
 )
@@ -59,7 +58,7 @@ from cknlab.grids import (
     zonal_laplacian,
     zonal_quadrature,
 )
-from cknlab.params import theta_Lambda
+from cknlab.params import theta_constant, theta_Lambda
 
 
 def rel(a, b):
@@ -71,8 +70,8 @@ def test_reparametrize_identity_at_theta_one(branch_5_2_8):
     curve = reparametrize(branch, 1.0)
     np.testing.assert_array_equal(curve.Lambda, branch.column("lam"))
     np.testing.assert_array_equal(curve.mu, branch.column("mu"))
-    # the curve's symmetric reference comes from the line quadrature, the
-    # branch's from its own grid, so they differ by the O(h^2) grid bias
+    # the curve's symmetric reference is the closed form, the branch's
+    # comes from its own grid, so they differ by the O(h^2) grid bias
     np.testing.assert_allclose(curve.mu_star_theta,
                                branch.column("mu_star"), rtol=5e-4)
     with pytest.raises(AdmissibilityError):
@@ -116,11 +115,35 @@ def test_grid_reference_recovers_stored_column(branch_5_2_8):
                                rtol=1e-13)
 
 
+# The symmetric theta-constant by a second route, the tests' oracle for
+# params.mu_star.  On the line grid of length 20/sqrt(lam) with N cells,
+# h^2 lam does not depend on lam, so the discrete profile is
+# lam^(1/(p-2)) times the lam = 1 one, t(lam) = lam t_1 and
+# mu(lam) = lam^((p+2)/(2p)) mu_1.  theta_constant minimizes the
+# theta-quotient over lam in closed form on m and 2m cells, and the two
+# minima are Richardson-combined; stationarity at the optimum keeps the
+# combination fourth-order.  (mu_1, t_1) come from a finite-difference
+# polish and grid quadrature, not from the soliton's closed form.
+
+@functools.lru_cache(maxsize=None)
+def _unit_line_quotient(d, p, cells):
+    # an s-only quotient never reads the zonal rule, so 4 nodes do
+    return symmetric_quotient(default_grid(d, 1.0, cells, 4), p, 1.0)
+
+
+def _line_theta_constant(d, p, theta, Lambda, m_cells=1600):
+    def best(cells):
+        return theta_constant(p, theta, Lambda,
+                              *_unit_line_quotient(d, p, cells))
+
+    return (4.0 * best(2 * m_cells) - best(m_cells)) / 3.0
+
+
 def test_line_minimization_agrees_with_quadrature_constant():
     rec = derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
-    got = mu_star_theta_line(5, 2.8, 0.718, 2.5)
+    got = _line_theta_constant(5, 2.8, 0.718, 2.5)
     assert rel(got, mu_star(rec, 2.5, 0.718)) < 1e-9
-    got = mu_star_theta_line(5, 2.8, 1.0, 4.0)
+    got = _line_theta_constant(5, 2.8, 1.0, 4.0)
     assert rel(got, mu_star(rec, 4.0)) < 1e-9
 
 
@@ -474,10 +497,9 @@ def test_quotient_scale_invariance():
     lambda: gn_ground_state(5, 3.5),
     lambda: gn_constant(5, 3.5),
     lambda: lemma_criterion(5, 3.5),
-    lambda: mu_star_theta_line(5, 3.5, 1.0, 1.0),
     lambda: conjecture_probe(5, 3.5, [1.0]),
 ], ids=["gn_ground_state", "gn_constant", "lemma_criterion",
-        "mu_star_theta_line", "conjecture_probe"])
+        "conjecture_probe"])
 def test_out_of_range_exponent_raises_domain_error(call):
     with pytest.raises(DomainError, match="not subcritical"):
         call()
@@ -599,14 +621,10 @@ def _inline_direction(branch, theta):
 READING_THETAS = (0.718, 0.74, 1.0)
 
 
-def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
-                                                          monkeypatch):
+def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8):
     branch, _ = branch_5_2_8
     lam = branch.column("lam")
-    # the curve's symmetric column echoes each Lambda it is asked for; the
-    # line constant itself is compared in the next test
-    monkeypatch.setattr(branch_analysis, "mu_star_theta_line",
-                        lambda d, p, theta, Lambda: Lambda)
+    rec = derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
     rows = []
     for theta in READING_THETAS:
         Lambda, mu_theta = _inline_reading(branch, theta)
@@ -624,7 +642,8 @@ def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
             want_Lambda, want_mu = Lambda, mu_theta
         assert np.array_equal(curve.Lambda, want_Lambda)
         assert np.array_equal(curve.mu, want_mu)
-        assert np.array_equal(curve.mu_star_theta, want_Lambda)
+        assert np.array_equal(curve.mu_star_theta,
+                              [mu_star(rec, v, theta) for v in want_Lambda])
         assert np.array_equal(curve.d_Lambda_d_lambda,
                               np.gradient(want_Lambda, lam))
         cls = _classify(lam, Lambda)
@@ -661,17 +680,18 @@ def test_theta_reading_is_bit_identical_to_inline_formulas(branch_5_2_8,
 
 
 def test_line_constant_matches_direct_minimization():
-    # the closed-form optimum against a bounded minimizer: the minimizer's
-    # value error is O(1e-16), the polish residual of 1e-12 enters t at
-    # about 1e-13, and Richardson multiplies that by 5/3
+    # theta_constant's closed-form optimum against a bounded minimizer:
+    # the minimizer's value error is O(1e-16), the polish residual of
+    # 1e-12 enters t at about 1e-13, and Richardson multiplies that by 5/3
     for theta, Lambda in ((0.718, 2.5), (0.74, 3.1), (1.0, 4.0)):
-        got = mu_star_theta_line(5, 2.8, theta, Lambda, m_cells=200)
+        got = _line_theta_constant(5, 2.8, theta, Lambda, m_cells=200)
         assert rel(got, _inline_line_constant(5, 2.8, theta, Lambda, 200)) \
             <= 1e-12
 
 
 def test_line_constant_keeps_its_closed_form_bits():
-    # the optimum as mu_star_theta_line wrote it before params held it
+    # theta_constant's optimum as the line route wrote it before params
+    # held it
     for d, p, theta, Lambda in ((5, 2.8, 0.718, 2.5), (3, 2.5, 0.4, 0.9),
                                 (5, 2.8, 1.0, 4.0)):
         def best(cells):
@@ -682,29 +702,21 @@ def test_line_constant_keeps_its_closed_form_bits():
                     / (lam * t_1 + lam))
 
         want = (4.0 * best(3200) - best(1600)) / 3.0
-        assert mu_star_theta_line(d, p, theta, Lambda).hex() == want.hex()
+        assert _line_theta_constant(d, p, theta, Lambda).hex() == want.hex()
 
 
-def test_curve_computes_its_line_quotients_once(branch_5_2_8, monkeypatch):
-    # (mu_1, t_1) depend on (d, p, cells) alone, so a curve needs two
-    # line quotients, not two per branch point
+def test_curve_reads_the_closed_form_constant(branch_5_2_8, monkeypatch):
+    # the curve's symmetric column is params.mu_star at each Lambda, bit
+    # for bit, and no grid solve goes into it
     branch, _ = branch_5_2_8
     calls = []
-    real = branch_analysis.symmetric_quotient
-
-    def counted(grid, p, lam):
-        calls.append((grid.m_cells, p, lam))
-        return real(grid, p, lam)
-
-    monkeypatch.setattr(branch_analysis, "symmetric_quotient", counted)
-    _unit_line_quotient.cache_clear()
+    monkeypatch.setattr(branch_analysis, "symmetric_quotient",
+                        lambda *args: calls.append(args))
     curve = reparametrize(branch, 0.718)
-    assert sorted(calls) == [(1600, 2.8, 1.0), (3200, 2.8, 1.0)]
-    fresh = []
-    for Lambda in curve.Lambda:
-        _unit_line_quotient.cache_clear()
-        fresh.append(mu_star_theta_line(5, 2.8, 0.718, Lambda))
-    assert np.array_equal(curve.mu_star_theta, fresh)
+    assert calls == []
+    rec = derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
+    want = [mu_star(rec, Lambda, 0.718) for Lambda in curve.Lambda]
+    assert np.array_equal(curve.mu_star_theta, want)
 
 
 def _polished_and_settled(p, lam):
@@ -743,17 +755,13 @@ def test_line_profile_obeys_the_discrete_scaling_law(p):
                 <= 1e-12 * size + step
 
 
-def test_theta_range_has_one_slack_everywhere(branch_5_2_8, monkeypatch):
+def test_theta_range_has_one_slack_everywhere(branch_5_2_8):
     branch, _ = branch_5_2_8
     rec = derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder")
-    monkeypatch.setattr(branch_analysis, "mu_star_theta_line",
-                        lambda d, p, theta, Lambda: 1.0)
     readers = (
         lambda theta: mu_star(rec, 2.5, theta),
         lambda theta: lambda_fs_theta(rec, theta),
-        lambda theta: reparametrize(branch, theta).Lambda,
-        # the test module keeps the real line constant
-        lambda theta: mu_star_theta_line(5, 2.8, theta, 2.5, m_cells=100),
+        lambda theta: reparametrize(branch, theta).mu_star_theta,
     )
     for read in readers:
         assert np.all(np.isfinite(read(rec.vartheta - 5e-10)))

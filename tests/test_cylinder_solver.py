@@ -251,7 +251,7 @@ def test_branch_shape_and_diagnostics(branch_5_2_8):
     assert int(branch.column("newton_iters").sum()) == 218
     lam = branch.column("lam")
     assert np.all(np.diff(lam) > 0.0)
-    assert lam[-1] >= branch.config.lambda_max
+    assert lam[-1] >= ContinuationConfig().lambda_max
     assert np.all(branch.column("residual") <= 1e-9)
     arc = branch.column("arclength")
     # each point records the step increment it was reached by, and every
@@ -349,3 +349,21 @@ def test_bordered_assembly_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_symmetric_polish_fails_when_it_stalls_or_runs_out(monkeypatch):
+    grid = default_grid(5, 2.0, 400, 4)
+    # the sampled profile is far from the tolerance, and a budget of one
+    # iteration ends after the first Newton step
+    monkeypatch.setattr(cylinder_solver, "_POLISH_MAX_ITER", 1)
+    with pytest.raises(NewtonDiverged, match="used all 1 iterations") as info:
+        _symmetric_profile(grid, 2.8, 2.0)
+    assert info.value.iterations == 1
+    monkeypatch.undo()
+    # a solve that never moves the profile stalls at the sampling error
+    monkeypatch.setattr(cylinder_solver, "_tridiagonal_solve",
+                        lambda lower, diag, upper, rhs: np.zeros_like(rhs))
+    with pytest.raises(NewtonDiverged, match="stalled at residual") as info:
+        _symmetric_profile(grid, 2.8, 2.0)
+    assert info.value.iterations == 1
+    assert info.value.residual > 1e-10

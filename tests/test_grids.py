@@ -324,7 +324,7 @@ def test_fv_operators_on_a_stack_match_row_by_row(case):
 def test_cached_fv_grid_is_shared_and_read_only():
     grid = _workspace(3, 48)
     assert _workspace(3, 48) is grid
-    for arr in (grid.edges, grid.centroids, grid.cell_mass, grid.lap_di):
+    for arr in (grid.centroids, grid.cell_mass, grid.flux, grid.lap_di):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     fresh = fv_zonal_grid(3, 48)
@@ -456,6 +456,22 @@ def test_call_sites_find_the_roots_scipy_finds(monkeypatch):
     mu_star(derive_params(5, {"p": 2.8, "Lambda": 1.0}, "cylinder"), 2.5, 0.8)
     assert lemma_criterion(5, 2.8).breaking_predicted
     assert found == {"_locate_bifurcation"}
+
+
+def test_brent_root_returns_an_end_that_is_a_root():
+    # the other end has the same sign as the rest of the bracket, which
+    # the sign test alone would refuse; no step is taken past the ends
+    calls = []
+
+    def counted(f):
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g
+
+    assert brent_root(counted(lambda x: x - 1.0), 1.0, 3.0) == 1.0
+    assert brent_root(counted(lambda x: 1.0 - x), -1.0, 1.0) == 1.0
+    assert calls == [1.0, 3.0, -1.0, 1.0]
 
 
 def test_brent_root_raises_with_its_bracket(monkeypatch):

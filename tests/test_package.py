@@ -88,8 +88,6 @@ def test_every_library_definition_has_a_caller():
 # set them to reach a reference.  Any other such default is a constant
 # written as a setting.
 DEFAULTS_KEPT_WITHOUT_CALLER = {
-    # line resolution of the grid-refinement and minimizer checks
-    "branch_analysis.mu_star_theta_line(m_cells)",
     # the pointwise K functional away from its default scale
     "functionals.k_functional(zeta_star)",
     # the zonal rule's exactness by degree

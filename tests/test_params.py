@@ -26,8 +26,16 @@ from cknlab import (
     thresholds,
     two_sharp_value,
 )
-from cknlab.grids import brent_root
+from cknlab.functionals import PressureField, k_functional
+from cknlab.grids import (
+    brent_root,
+    half_line_grid,
+    log_radial_quadrature,
+    tensor_grid,
+)
 from cknlab.params import CKNParams, theta_Lambda
+from cknlab.profiles import phi_star_log
+from cknlab.sphere_flows import FlowSpec, FlowState, flow_step, tilted_density
 from soliton_quadrature import symmetric_profile_data
 
 
@@ -224,6 +232,34 @@ def test_derive_params_names_a_nan_input(inputs, mode, violated):
     with pytest.raises(AdmissibilityError) as err:
         derive_params(5, inputs, mode)
     assert err.value.violated == violated
+
+
+def _pressure_field():
+    rec = derive_params(3, {"beta": 0.1, "gamma": 0.5, "p": 1.2},
+                        "subcritical")
+    grid = tensor_grid(3, 1e-2, 1e2, n_panels=2, n_nodes=6, nz=8)
+    values = np.zeros((len(grid.r), len(grid.z)))
+    return PressureField(grid, values, rec.m, rec.n, rec.alpha), rec
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: phi_star_log(0.0, math.nan, 1.0), "p"),
+    (lambda: phi_star_log(0.0, 2.8, math.nan), "lam"),
+    (lambda: half_line_grid(math.nan, 40), "length"),
+    (lambda: log_radial_quadrature(math.nan, 1.0), "r_lo"),
+    (lambda: tensor_grid(3, 1e-2, math.nan), "r_hi"),
+    (lambda: lambda_fs_value(5, math.nan), "p"),
+    (lambda: b_fs_value(5, math.nan), "a"),
+    (lambda: k_functional(*_pressure_field(), zeta_star=math.nan),
+     "zeta_star"),
+    (lambda: flow_step(FlowState.initial(tilted_density(3, 32, 0.3, 1.0)),
+                       FlowSpec(kind="heat", p=3.0), math.nan), "dt"),
+], ids=["phi_star_log-p", "phi_star_log-lam", "half_line_grid",
+        "log_radial_quadrature", "tensor_grid", "lambda_fs_value",
+        "b_fs_value", "k_functional", "flow_step"])
+def test_library_validators_name_a_nan_input(call, name):
+    with pytest.raises(DomainError, match=rf"\b{name}=nan"):
+        call()
 
 
 def test_cylinder_exponent_check_rejects_nan():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cknlab import (
+    CknlabError,
     DomainError,
     FlowSpec,
     FlowState,
@@ -554,3 +555,37 @@ def test_search_with_every_candidate_skipped_fails_typed(monkeypatch):
         counterexample_search(3, 5.5, n_cells=32)
     assert info.value.best_value is None
     assert "all 640 scan candidates" in str(info.value)
+
+
+def test_integrate_gives_up_below_the_step_floor(monkeypatch):
+    # every step is rejected, so dt halves from _DT_INIT until it falls
+    # below _DT_FLOOR and the last rejection is raised
+    calls = []
+
+    def reject(state, spec, dt):
+        calls.append(dt)
+        if len(calls) > 100:
+            raise RuntimeError("integrate never gave up")
+        raise StepRejected("rejected", dt=dt)
+
+    monkeypatch.setattr(sphere_flows, "flow_step", reject)
+    state = FlowState.initial(tilted_density(3, 32, 0.3, 1.0))
+    with pytest.raises(StepRejected) as info:
+        integrate(state, FlowSpec(kind="heat", p=3.0))
+    halvings = math.ceil(math.log2(sphere_flows._DT_INIT
+                                   / sphere_flows._DT_FLOOR))
+    assert len(calls) == halvings
+    assert info.value.dt == calls[-1]
+    assert 0.5 * calls[-1] < sphere_flows._DT_FLOOR <= calls[-1]
+
+
+def test_integrate_aborts_on_mass_drift(monkeypatch):
+    def leak(state, spec, dt):
+        density = GridFunction1D(state.density.grid,
+                                 state.density.values * (1.0 + 1e-8))
+        return FlowState(density, state.time + dt)
+
+    monkeypatch.setattr(sphere_flows, "flow_step", leak)
+    state = FlowState.initial(tilted_density(3, 32, 0.3, 1.0))
+    with pytest.raises(CknlabError, match="mass drifted by 1.000e-08"):
+        integrate(state, FlowSpec(kind="heat", p=3.0))
