@@ -97,12 +97,6 @@ class CurveB:
     mu_star_theta: np.ndarray
     d_Lambda_d_lambda: np.ndarray
 
-    def as_rows(self):
-        for i in range(len(self.lam)):
-            yield (float(self.lam[i]), float(self.Lambda[i]),
-                   float(self.mu[i]), float(self.mu_star_theta[i]),
-                   float(self.d_Lambda_d_lambda[i]))
-
 
 @dataclass(frozen=True)
 class TurningPoint:
@@ -189,12 +183,12 @@ def classify_bifurcation(curve: CurveB) -> Classification:
 class GroundState:
     """Radial ground state of -u'' - (d-1) u'/r + u = u^(p-1).
 
-    height is u(0), and profile.at(r) gives u and du/dr from the
-    spectral interpolant at radii in [0, _OUTER_R], the collocation
-    domain (past it the polynomial grows without bound); du is the
-    interpolant's own derivative, not a finite difference.  The three
-    integrals are sphere-area-free radial integrals against r^(d-1) dr
-    over the whole collocation domain.
+    profile.at(r) gives u and du/dr from the spectral interpolant at
+    radii in [0, _OUTER_R], the collocation domain (past it the
+    polynomial grows without bound); du is the interpolant's own
+    derivative, not a finite difference.  The three integrals are
+    sphere-area-free radial integrals against r^(d-1) dr over the whole
+    collocation domain.
     """
 
     d: int
@@ -203,10 +197,6 @@ class GroundState:
     grad_sq: float
     mass_sq: float
     p_int: float
-
-    @property
-    def height(self) -> float:
-        return float(self.profile.at(np.array(0.0))[0])
 
 
 # The ground state is collocated on x in [-1, 1] with r = R sinh(a x) /

@@ -37,7 +37,7 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import chain, product, repeat
 from pathlib import Path
@@ -95,7 +95,6 @@ class UsageError(Exception):
 
 def _render(value) -> str:
     """One cell of CSV output; floats get 17 significant digits."""
-    # floats first: they are most cells, and no int is a float
     if isinstance(value, (float, np.floating)):
         return _FLOAT_FMT % float(value)
     if isinstance(value, (int, np.integer)):
@@ -104,11 +103,25 @@ def _render(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """A table with text cells; the csv module quotes them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_render(v) for v in row])
+
+
+def _write_table(path: Path, names, columns) -> None:
+    """Equal-length NumPy columns, one format per row: %d for integer
+    columns and _FLOAT_FMT for the rest (_render's bytes, at about half
+    _write_csv's cost).  The column lam is headed lambda."""
+    row = ",".join("%d" if col.dtype.kind in "iu" else _FLOAT_FMT
+                   for col in columns) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join("lambda" if name == "lam" else name
+                          for name in names) + "\n")
+        fh.writelines(row % cells
+                      for cells in zip(*(col.tolist() for col in columns)))
 
 
 def _jsonable(obj):
@@ -141,19 +154,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_field_csv(path: Path, fld) -> None:
-    """Cylinder field snapshot: flattened (s, z, value) plus a sidecar.
+    """Cylinder field snapshot: a table of flattened (s, z, value).
 
-    Every cell is a float, so one format per row writes _write_csv's
-    bytes at half its cost.
+    The table goes through _write_table; what it does not hold (the
+    grid's size and spacing, the field's p and Lambda, the measure) goes
+    into a JSON sidecar beside it.
     """
     grid = fld.grid
-    row = ",".join([_FLOAT_FMT] * 3) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("s,z,value\n")
-        fh.writelines(row % cells for cells in zip(
-            np.repeat(grid.s, grid.nz).tolist(),
-            np.tile(grid.z, grid.m_cells).tolist(),
-            fld.values.ravel().tolist()))
+    _write_table(path, ("s", "z", "value"),
+                 (np.repeat(grid.s, grid.nz), np.tile(grid.z, grid.m_cells),
+                  fld.values.ravel()))
     _write_json(path.with_suffix(path.suffix + ".json"), {
         "d": grid.d, "h": grid.h, "m_cells": grid.m_cells, "nz": grid.nz,
         "p": fld.p, "Lambda": fld.Lambda,
@@ -242,14 +252,9 @@ class Option:
         return value
 
 
-def _opt_d() -> Option:
-    return Option("d", int, required=True, lo=2, hi=64,
-                  help="ambient dimension")
-
-
-def _opt_p(required: bool = True) -> Option:
-    return Option("p", float, required=required, lo=1.0, hi=64.0,
-                  help="interpolation exponent")
+_D = Option("d", int, required=True, lo=2, hi=64, help="ambient dimension")
+_P = Option("p", float, required=True, lo=1.0, hi=64.0,
+            help="interpolation exponent")
 
 
 # the defaults are ContinuationConfig's, as flow's --t-end is FlowSpec's
@@ -436,8 +441,7 @@ def _run_flow(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
                                  t_end=opts["t_end"])
     rho0 = _initial_density(opts)
     traj = sphere_flows.integrate(sphere_flows.FlowState.initial(rho0), spec)
-    _write_csv(out, ("time", "mass", "E_p", "I_p", "deficit"),
-               (tuple(row) for row in traj.data))
+    _write_table(out, ("time", "mass", "E_p", "I_p", "deficit"), traj.data.T)
     deficits = traj.deficits
     return [out], {
         "n_states": len(traj.data),
@@ -453,27 +457,23 @@ def _run_counterexample(opts: dict, out: Path | None,
     report = sphere_flows.counterexample_search(
         opts["d"], opts["p"], n_cells=opts["n_cells"], flow_kind=opts["kind"])
     payload = {
-        "d": opts["d"],
-        "p": opts["p"],
-        "kind": opts["kind"],
-        "n_cells": opts["n_cells"],
-        "epsilon": report.epsilon,
-        "q": report.q,
-        "derivative": report.derivative,
-        "error": report.error,
-        "n_skipped": report.n_skipped,
+        **{key: opts[key] for key in ("d", "p", "kind", "n_cells")},
+        **{f.name: getattr(report, f.name) for f in fields(report)
+           if f.name != "density"},
         "trace_columns": ["epsilon", "q", "derivative", "error"],
-        "trace": report.trace,
         "density_nodes": report.density.nodes,
         "density_values": report.density.values,
     }
-    summary = {"epsilon": report.epsilon, "q": report.q,
-               "derivative": report.derivative, "error": report.error}
+    summary = {key: payload[key]
+               for key in ("epsilon", "q", "derivative", "error")}
     return _emit_json(payload, out), summary
 
 
-_BRANCH_HEADER = ("lambda", "mu", "mu_star", "t_phi", "lowest_eig",
-                  "newton_iters", "residual", "arclength")
+# each artifact's columns, named by the attribute that holds them
+_BRANCH_COLUMNS = ("lam", "mu", "mu_star", "t_phi", "lowest_eig",
+                   "newton_iters", "residual", "arclength")
+_CURVE_COLUMNS = ("lam", "Lambda", "mu", "mu_star_theta",
+                  "d_Lambda_d_lambda")
 
 
 def _branch_summary(branch: Branch) -> dict:
@@ -481,7 +481,7 @@ def _branch_summary(branch: Branch) -> dict:
         "bifurcation_lambda": branch.bifurcation_lambda,
         "predicted_lambda_fs": branch.predicted_lambda_fs,
         "n_points": len(branch),
-        "lambda_final": branch.points[-1].lam if len(branch) else None,
+        "lambda_final": branch.points[-1].lam,
     }
 
 
@@ -491,7 +491,8 @@ def _run_branch(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
         fdir = Path(fields_dir)
         fdir.mkdir(parents=True, exist_ok=True)
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
-    _write_csv(out, _BRANCH_HEADER, branch.as_rows())
+    _write_table(out, _BRANCH_COLUMNS,
+                 [branch.column(name) for name in _BRANCH_COLUMNS])
     artifacts = [out]
     if fields_dir:
         for i, point in enumerate(branch.points):
@@ -501,14 +502,11 @@ def _run_branch(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
     return artifacts, _branch_summary(branch)
 
 
-_CURVE_HEADER = ("lambda", "Lambda", "mu", "mu_star_theta",
-                 "d_Lambda_d_lambda")
-
-
 def _run_curve(opts: dict, out: Path, fields_dir) -> tuple[list, dict]:
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     curve = branch_analysis.reparametrize(branch, opts["theta"])
-    _write_csv(out, _CURVE_HEADER, curve.as_rows())
+    _write_table(out, _CURVE_COLUMNS,
+                 [getattr(curve, name) for name in _CURVE_COLUMNS])
     cls = branch_analysis.classify_bifurcation(curve)
     return [out], {**_branch_summary(branch), "theta": opts["theta"],
                    **asdict(cls)}
@@ -533,13 +531,7 @@ def _run_probe(opts: dict, out: Path | None,
     branch = _shared_branch(opts["d"], opts["p"], _continuation_config(opts))
     report = branch_analysis.conjecture_probe(
         opts["d"], opts["p"], opts["thetas"], branch=branch)
-    payload = {
-        "d": report.d,
-        "p": report.p,
-        "vartheta": report.vartheta,
-        "flip_theta": report.flip_theta,
-        "rows": [asdict(row) for row in report.rows],
-    }
+    payload = {**asdict(report), "vartheta": report.vartheta}
     summary = {"flip_theta": report.flip_theta,
                "n_rows": len(report.rows)}
     return _emit_json(payload, out), summary
@@ -551,24 +543,24 @@ class _Command:
 
     handler(opts, out, fields_dir) takes resolved settings, the artifact
     path (None prints JSON to stdout) and branch's --fields-dir (None
-    elsewhere).  artifact names a sweep point's output; needs_out makes
-    --out required on the command line.
+    elsewhere).  artifact names a sweep point's output, and its suffix
+    decides the --out rule: a CSV cannot go to stdout, so a command whose
+    artifact ends in .csv needs --out on the command line.
     """
 
     options: dict[str, Option]
     artifact: str
     handler: Callable
-    needs_out: bool = False
 
 
 # in the order the subcommands are listed in --help
 _COMMANDS: dict[str, _Command] = {
     "params": _Command(_schema(
-        _opt_d(),
+        _D,
         Option("mode", str, "cylinder",
                choices=("cylinder", "critical", "subcritical"),
                help="which generating set the inputs form"),
-        _opt_p(required=False),
+        replace(_P, required=False),
         Option("Lambda", float, None, lo=1e-12, hi=1e6,
                help="cylinder coercivity parameter (default 1)"),
         Option("theta", float, None, lo=1e-6, hi=1.0,
@@ -585,8 +577,7 @@ _COMMANDS: dict[str, _Command] = {
                help="diffusion exponent override"),
     ), "params.json", _run_params),
     "flow": _Command(_schema(
-        _opt_d(),
-        _opt_p(),
+        _D, _P,
         Option("kind", str, "heat", choices=sphere_flows._KINDS,
                help="which flow to integrate"),
         Option("m", float, None, lo=1e-6, hi=2.0,
@@ -603,10 +594,9 @@ _COMMANDS: dict[str, _Command] = {
                help="tilt exponent (tilted init)"),
         Option("seed", int, 0, lo=0, hi=2**63 - 1,
                help="generator seed (random init)"),
-    ), "trajectory.csv", _run_flow, needs_out=True),
+    ), "trajectory.csv", _run_flow),
     "counterexample": _Command(_schema(
-        _opt_d(),
-        _opt_p(),
+        _D, _P,
         Option("kind", str, _SEARCH["flow_kind"], choices=sphere_flows._KINDS,
                help="which flow the derivative refers to"),
         # flow keeps the wider bound: it only solves tridiagonal systems
@@ -614,25 +604,22 @@ _COMMANDS: dict[str, _Command] = {
                help="finite-volume cells (at most 4096: the heat search's "
                     "dense eigenbasis takes 8 n^2 bytes, 128 MiB there)"),
     ), "counterexample.json", _run_counterexample),
-    "branch": _Command(_schema(_opt_d(), _opt_p(), *_BRANCH_OPTIONS),
-                       "branch.csv", _run_branch, needs_out=True),
+    "branch": _Command(_schema(_D, _P, *_BRANCH_OPTIONS), "branch.csv",
+                       _run_branch),
     "curve": _Command(_schema(
-        _opt_d(),
-        _opt_p(),
+        _D, _P,
         Option("theta", float, None, required=True, lo=1e-6, hi=1.0,
                help="interpolation strength for the reparametrization"),
         *_BRANCH_OPTIONS,
-    ), "curve.csv", _run_curve, needs_out=True),
+    ), "curve.csv", _run_curve),
     "criterion": _Command(_schema(
-        _opt_d(),
-        _opt_p(),
+        _D, _P,
         Option("with_branch", _cast_bool, False,
                help="also run the continuation to harvest witnesses"),
         *_BRANCH_OPTIONS,
     ), "criterion.json", _run_criterion),
     "probe": _Command(_schema(
-        _opt_d(),
-        _opt_p(),
+        _D, _P,
         Option("thetas", _cast_float_list, None, required=True,
                lo=1e-6, hi=1.0,
                help="comma-separated interpolation strengths"),
@@ -884,13 +871,12 @@ def _run_sweep(args) -> int:
                 for values in points]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    results: list[tuple[str, str, str]] = [("", "", "")] * len(points)
 
     # Points are pure Python compute, so only processes run them in
     # parallel.  The default start method is kept: where it is fork,
     # workers inherit the imported modules and any warm caches.
     groups = _sweep_groups(resolved)
-    workers = min(max(1, int(args.workers)), len(groups))
+    workers = min(args.workers, len(groups))
     if workers == 1:
         outcomes = [_run_group(command, out_dir, group) for group in groups]
     else:
@@ -899,26 +885,22 @@ def _run_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_group, repeat(command),
                                      repeat(out_dir), groups))
-    for index, status, message, artifact in chain.from_iterable(outcomes):
-        results[index] = (status, message, artifact)
+    outcomes = sorted(chain.from_iterable(outcomes))
+    failed = [(i, message) for i, status, message, _ in outcomes
+              if status != "ok"]
 
     aggregate = out_dir / "aggregate.csv"
     header = ("index", "command") + tuple(axes) + ("status", "message",
                                                    "artifact")
-    rows = []
-    for i, values in enumerate(points):
-        status, message, artifact = results[i]
-        rows.append((i, command) + values + (status, message, artifact))
-    _write_csv(aggregate, header, rows)
+    _write_csv(aggregate, header,
+               [(i, command) + points[i] + (status, message, artifact)
+                for i, status, message, artifact in outcomes])
     _write_manifest(out_dir / "sweep.manifest.json", "sweep",
                     {"command": command, "axes": list(axes),
                      "n_points": len(points), "overrides": overrides,
                      "workers": workers, "spec_file": str(args.spec)},
-                    [aggregate], {"n_failed": sum(
-                        1 for s, _, _ in results if s != "ok")}, t0)
+                    [aggregate], {"n_failed": len(failed)}, t0)
 
-    failed = [(i, results[i][1]) for i in range(len(points))
-              if results[i][0] != "ok"]
     print(f"sweep over {len(points)} points: {len(points) - len(failed)} ok, "
           f"{len(failed)} failed; aggregate at {aggregate}")
     if failed:
@@ -977,7 +959,9 @@ def _build_parser() -> _Parser:
                    help="directory for per-point artifacts")
     s.add_argument("--force", action="store_true",
                    help="reuse a non-empty output directory")
-    s.add_argument("--workers", type=int, default=1,
+    # no upper bound: at most one worker per (d, p) group is started
+    workers = Option("workers", int, lo=1, hi=math.inf)
+    s.add_argument("--workers", type=partial(_flag_value, workers), default=1,
                    help="worker processes; points sharing (d, p) run in "
                         "one, so at most one per (d, p) pair is used")
     return parser
@@ -1073,7 +1057,7 @@ def run(argv=None) -> int:
         out = Path(args.out) if args.out else None
         if out is not None:
             _check_out_dir(out)
-        elif _COMMANDS[command].needs_out:
+        elif _COMMANDS[command].artifact.endswith(".csv"):
             raise UsageError(f"--out is required for {command!r}")
         _produce(command, opts, out, t0,
                  fields_dir=getattr(args, "fields_dir", None))

@@ -204,7 +204,8 @@ def solve_symmetric(d: int, p: float, Lambda: float,
         cfg = ContinuationConfig()
         grid = default_grid(d, Lambda, cfg.m_cells, cfg.nz)
     phi = _symmetric_profile(grid, p, Lambda)
-    return grid.field(np.tile(phi[:, None], (1, grid.nz)), p=p, Lambda=Lambda)
+    return CylinderField(grid, np.tile(phi[:, None], (1, grid.nz)), p=p,
+                         Lambda=Lambda)
 
 
 def _sector_operator(grid: CylinderGrid, p: float, lam: float,
@@ -401,12 +402,6 @@ class Branch:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(q, name) for q in self.points])
 
-    def as_rows(self):
-        """Rows for the branch CSV, in continuation order."""
-        for q in self.points:
-            yield (q.lam, q.mu, q.mu_star, q.t_phi, q.lowest_eig,
-                   q.newton_iters, q.residual, q.arclength)
-
 
 def _locate_bifurcation(grid: CylinderGrid, p: float, lam_fs: float) -> float:
     """Discrete lam where the even k=1 eigenvalue changes sign.
@@ -599,7 +594,7 @@ def continue_branch(d: int, p: float,
         points.append(BranchPoint(
             lam=lam, mu=mu, mu_star=mu_sym, t_phi=t_phi, lowest_eig=eig,
             newton_iters=iters, residual=res, arclength=ds,
-            field=grid.field(np.maximum(u, 0.0), p=p, Lambda=lam)))
+            field=CylinderField(grid, np.maximum(u, 0.0), p=p, Lambda=lam)))
 
     x_cur = np.append(np.tile(profile_b[:, None], (1, nz)).ravel(), lam_b)
     tangent = np.append((u1[:, None] * grid.z[None, :]).ravel(), 0.0)
@@ -615,7 +610,8 @@ def continue_branch(d: int, p: float,
         out = keller_step(x_cur, tangent, ds)
         amp = 0.0
         if out is not None:
-            amp = angular_amplitude(grid.field(out[0][:-1].reshape(m, nz)))
+            amp = angular_amplitude(
+                CylinderField(grid, out[0][:-1].reshape(m, nz)))
         if out is not None and (switched or amp > 1e-8):
             xk, iters, res = out
             secant = xk - x_cur

@@ -510,10 +510,6 @@ class CylinderGrid:
     def nz(self) -> int:
         return len(self.z)
 
-    def field(self, values: np.ndarray, p: float | None = None,
-              Lambda: float | None = None) -> "CylinderField":
-        return CylinderField(self, values, p=p, Lambda=Lambda)
-
 
 def cylinder_grid(d: int, length: float, m_cells: int,
                   nz: int) -> CylinderGrid:

@@ -146,10 +146,6 @@ class FlowTrajectory:
     final_state: FlowState
 
     @property
-    def times(self) -> np.ndarray:
-        return self.data[:, 0]
-
-    @property
     def masses(self) -> np.ndarray:
         return self.data[:, 1]
 

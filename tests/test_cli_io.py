@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cknlab import CknlabError, ContinuationConfig, cli_io, cylinder_grid
+from cknlab import (
+    CknlabError,
+    ContinuationConfig,
+    CylinderField,
+    branch_analysis,
+    cli_io,
+    cylinder_grid,
+)
 from cknlab.cli_io import _sweep_groups, run
 
 
@@ -261,7 +268,7 @@ def test_field_snapshot_keeps_its_hand_written_bytes(tmp_path):
     values = np.random.default_rng(3).standard_normal((30, 4))
     values[0, 0], values[1, 1], values[2, 2] = 0.0, -0.0, 5e-324
     values[3] *= 1e300
-    fld = grid.field(values, p=2.8, Lambda=4.2)
+    fld = CylinderField(grid, values, p=2.8, Lambda=4.2)
     path = tmp_path / "field.csv"
     cli_io._write_field_csv(path, fld)
     want = ["s,z,value\n"]
@@ -364,8 +371,9 @@ def test_continuation_workload_matches_the_benchmark_reference(
         branch_5_2_8, tmp_path, capsys, monkeypatch):
     # the benchmark's seed-0 branch and probe operations, on the session
     # branch, must write its reference artifacts byte for byte.  curve.csv
-    # is left out: its line constants differ from the reference in the
-    # last digits with the host's BLAS kernels.
+    # is left out: the reference holds the symmetric constants of an
+    # earlier line-grid route, up to 4.7e-12 off params.mu_star's
+    # closed form; test_curve_keeps_its_csv_writer_bytes pins its bytes.
     def unreachable(*args):
         pytest.fail("the continuation ran instead of the session branch")
 
@@ -382,6 +390,37 @@ def test_continuation_workload_matches_the_benchmark_reference(
     for name in ("branch.csv", "probe.json"):
         assert (tmp_path / name).read_bytes() == \
             (reference / name).read_bytes(), name
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def test_curve_keeps_its_csv_writer_bytes(branch_5_2_8, tmp_path, capsys,
+                                         monkeypatch):
+    # the benchmark's seed-0 curve of the session branch, against the
+    # rows as the csv module wrote them before curve.csv went through
+    # the numeric-table writer: %.17g per float, str per int
+    monkeypatch.setitem(cli_io._BRANCH_CACHE, (5, 2.8, ContinuationConfig()),
+                        branch_5_2_8[0])
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--d", "5", "--p", "2.8", "--theta", "0.718",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    curve = branch_analysis.reparametrize(branch_5_2_8[0], 0.718)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("lambda", "Lambda", "mu", "mu_star_theta",
+                         "d_Lambda_d_lambda"))
+        for row in zip(curve.lam, curve.Lambda, curve.mu,
+                       curve.mu_star_theta, curve.d_Lambda_d_lambda):
+            writer.writerow([_csv_cell(v) for v in row])
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_failed_search_exits_three(capsys):
@@ -683,6 +722,22 @@ def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
     assert trees[1] == trees[2] == trees[3]
     rows = read_csv(tmp_path / "grid_1" / "aggregate.csv")
     assert [r[4] for r in rows[1:]].count("failed") == (1 if code else 0)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch,
+                                            workers):
+    def unreachable(*args):
+        pytest.fail("a sweep point ran")
+
+    monkeypatch.setattr(cli_io, "_run_group", unreachable)
+    spec = tmp_path / "sweep.ini"
+    spec.write_text("[sweep]\ncommand = params\nd = 3 5\np = 2.5\n")
+    out_dir = tmp_path / "grid"
+    assert run(["sweep", "--spec", str(spec), "--out-dir", str(out_dir),
+                "--workers", workers]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --workers: ")
+    assert not out_dir.exists()
 
 
 def test_curve_sweep_releases_each_groups_branch(tmp_path, capsys,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cknlab import (
+    CylinderField,
     DegenerateInput,
     DomainError,
     PressureField,
@@ -220,7 +221,8 @@ def test_cylinder_quotient_matches_line_solver():
     expected = (t_line + lam) ** theta * out["mu"] / (t_line + lam)
     assert out_theta["mu"] == pytest.approx(expected, rel=1e-12)
     with pytest.raises(DegenerateInput):
-        cylinder_quotient(grid.field(np.zeros((300, 8)), p=p), lam, p)
+        cylinder_quotient(CylinderField(grid, np.zeros((300, 8)), p=p), lam,
+                          p)
     with pytest.raises(DomainError):
         cylinder_quotient(np.ones(10), lam, p)
 

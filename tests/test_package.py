@@ -46,6 +46,8 @@ KEPT_WITHOUT_CALLER = {
     "gaussian_h",
     # samples the curvature tests' families of pressure fields
     "TensorGrid.sample",
+    # the symmetry-breaking gap the README's library tour reads
+    "BranchPoint.gap",
 }
 
 
@@ -53,13 +55,15 @@ def test_every_library_definition_has_a_caller():
     src = Path(cknlab.__file__).parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
-    referenced = set()
+    # a method or property is reached only as x.name; a bare name that
+    # matches one is some local variable
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
     uncalled = {}
     for stem, tree in trees.items():
         if stem in ("__init__", "__main__"):
@@ -68,7 +72,7 @@ def test_every_library_definition_has_a_caller():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
-            if node.name not in referenced:
+            if node.name not in names | attributes:
                 uncalled[node.name] = f"{stem}.{node.name}"
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -76,7 +80,7 @@ def test_every_library_definition_has_a_caller():
             for fn in node.body:
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not fn.name.startswith("__")
-                        and fn.name not in referenced):
+                        and fn.name not in attributes):
                     uncalled[f"{node.name}.{fn.name}"] = \
                         f"{stem}.{node.name}.{fn.name}"
     # equality: an allowance whose name is gone or has gained a caller

@@ -124,7 +124,7 @@ def test_heat_flow_entropy_production_identity(monkeypatch):
     rho0 = tilted_density(3, 64, 0.3, 2.0)
     spec = FlowSpec(kind="heat", p=3.0, t_end=0.02)
     traj = integrate(FlowState.initial(rho0), spec)
-    t, E, I = traj.times, traj.data[:, 2], traj.data[:, 3]
+    t, E, I = traj.data[:, 0], traj.data[:, 2], traj.data[:, 3]
     dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     assert np.max(np.abs(dE + 2.0 * I[1:-1]) / np.abs(2.0 * I[1:-1])) < 1e-3
 
@@ -214,7 +214,7 @@ def test_deficit_monotone_and_mass_exact_along_heat_flow():
     assert np.max(np.diff(traj.deficits)) <= 1e-8
     assert traj.mass_drift() <= 1e-12
     assert min(minima) > 0.0
-    assert len(minima) == len(traj.times) - 1
+    assert len(minima) == len(traj.data) - 1
 
 
 def test_deficit_monotone_along_nonlinear_flow():
