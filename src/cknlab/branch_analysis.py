@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgetrs
 
 from .cylinder_solver import (
     Branch,
@@ -326,7 +326,8 @@ def _lu_factor(a: np.ndarray):
     LAPACK's unblocked dgetf2 runs on the calling thread; the blocked
     getrf hands its updates to the BLAS pool, which made the bits and
     the time of a sweep depend on the thread count.  Returns the
-    column-major factors (L unit lower) and the row permutation.
+    column-major factors (L unit lower) and dgetf2's row interchanges,
+    0-based as scipy.linalg.lapack's getrs takes them.
     """
     lu = np.array(a, dtype=np.float64, order="F")
     size = len(lu)
@@ -336,20 +337,16 @@ def _lu_factor(a: np.ndarray):
     _dgetf2(n, n, lu.ctypes.data, n, ipiv.ctypes.data, info)
     if info.value != 0:
         return None
-    perm = list(range(size))
-    for k, piv in enumerate(ipiv.tolist()):  # 1-based swaps, in order
-        perm[k], perm[piv - 1] = perm[piv - 1], perm[k]
-    return lu, np.array(perm)
+    return lu, ipiv - 1
 
 
 def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solve with _lu_factor's factors by two triangular solves.
+    """Solve with _lu_factor's factors by one LAPACK getrs call.
 
-    trtrs with one right-hand side stays on one thread at these sizes.
+    getrs swaps the rows of b and makes the two triangular solves; with
+    one right-hand side it stays on one thread at these sizes.
     """
-    lu, perm = factors
-    y, _ = dtrtrs(lu, b[perm], lower=1, unitdiag=1)
-    x, _ = dtrtrs(lu, y, lower=0)
+    x, _ = dgetrs(*factors, b)
     return x
 
 

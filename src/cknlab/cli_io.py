@@ -202,12 +202,11 @@ def _write_manifest(manifest_path: Path, command: str, settings: dict,
 
 
 def _cast_bool(raw: str) -> bool:
-    low = str(raw).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    try:
+        return states[str(raw).strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _cast_float_list(raw: str):

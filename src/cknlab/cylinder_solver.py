@@ -22,25 +22,22 @@ step lengths mean the same thing on every grid.
 Cost: sparse LU of the bordered Keller matrix dominates continuation.  The
 matrix keeps one nonzero pattern per grid.  It is assembled once, straight
 from the s-stencil and the zonal Laplacian into CSC arrays (_stencil_csc,
-int32 indices); its COLAMD column order is read off an incomplete LU that
-drops every entry, and the columns are gathered into that order.  Every
-corrector then refills the u-dependent entries in place and factors
-without reordering; the steps are bit-identical to assembling and ordering
-each matrix afresh.  The assembly builds no Kronecker products and its
-ILU keeps no fill, so it stays well below the memory that the corrector
-LUs and the stored branch fields need.  Skipping COLAMD altogether (NATURAL
-on the s-major unknowns) was rejected: that LU rounds differently, and
-corrector residuals sitting at the floor just below _NEWTON_TOL then change
-the Newton iteration counts of the branch.  scipy.sparse is imported
-only inside _BorderedKeller, so processes that never continue a branch,
-such as params, criterion and the sphere flows, do not load it.  Each
-factorization allocates SuperLU's LU storage afresh, and with glibc's
-default allocator its pages are mapped, faulted in and unmapped every
-time: continue_branch(5, 2.8) then takes about 285,000 minor page faults
-and 0.6-0.8 s of system time (2-core Xeon).  cli_io.run sets the
-allocator to keep freed heap memory, so in a CLI process each
-factorization reuses the last one's pages: about 4,400 faults and 0.01 s.
-Library callers of continue_branch keep the allocator's defaults.
+int32 indices), and its columns are put in order once (_BorderedKeller
+says which order and why).  Every corrector then refills the u-dependent
+entries in place and factors without reordering; the steps are
+bit-identical to assembling and ordering each matrix afresh.  The
+assembly builds no Kronecker products and its ILU keeps no fill, so it
+stays well below the memory that the corrector LUs and the stored branch
+fields need.  scipy.sparse is imported only inside _BorderedKeller, so
+processes that never continue a branch, such as params, criterion and the
+sphere flows, do not load it.  Each factorization allocates SuperLU's LU
+storage afresh, and with glibc's default allocator its pages are mapped,
+faulted in and unmapped every time: continue_branch(5, 2.8) then takes
+about 285,000 minor page faults and 0.6-0.8 s of system time (2-core
+Xeon).  cli_io.run sets the allocator to keep freed heap memory, so in a
+CLI process each factorization reuses the last one's pages: about 4,400
+faults and 0.01 s.  Library callers of continue_branch keep the
+allocator's defaults.
 """
 
 from __future__ import annotations
@@ -442,10 +439,13 @@ class _BorderedKeller:
     The column order depends on the pattern alone, so it is read off an
     incomplete LU that drops every entry: SuperLU orders columns the same
     way for ILU and LU, and the dropping ILU holds no fill.  Factoring the
-    ordered matrix with NATURAL gives the very LU that splu(A) computes
-    with COLAMD on each matrix, hence bit-identical steps.  NATURAL on the
-    s-major unknowns themselves would be cheaper, but it rounds
-    differently (see the module docstring).
+    matrix with its columns in that (COLAMD) order with NATURAL gives the
+    very LU that splu(A) computes with COLAMD on each matrix, hence
+    bit-identical steps.  NATURAL on the s-major unknowns themselves would
+    be cheaper, but that LU rounds differently, and corrector residuals
+    sitting at the floor just below _NEWTON_TOL then change the Newton
+    iteration counts of the branch.  A factorization that SuperLU finds
+    exactly singular raises ContinuationStalled at its lam.
     """
 
     def __init__(self, grid: CylinderGrid):
@@ -460,20 +460,14 @@ class _BorderedKeller:
         data[-1] = 1.0
         template = csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
         perm_c = spilu(template, drop_tol=1e300, fill_factor=1).perm_c
-        # perm_c[j] is the position of column j in the ordered matrix;
-        # gather whole columns, whose rows stay sorted, into that order
+        # perm_c[j] is the position of column j in the ordered matrix
         self._order = np.argsort(perm_c)
-        size = np.diff(indptr)[self._order]
-        start = np.zeros(n + 2, dtype=np.int32)
-        np.cumsum(size, out=start[1:])
-        src = np.repeat(indptr[self._order] - start[:-1], size)
-        src += np.arange(len(data), dtype=np.int32)
+        self._matrix = template[:, self._order]
+        start = self._matrix.indptr
         first = start[perm_c]
         self._diag = first[:n] + (diag - indptr[:n])
         self._ucol = first[n] + np.arange(n)
         self._row = start[perm_c + 1] - 1
-        self._matrix = csc_matrix((data[src], indices[src], start),
-                                  shape=(n + 1, n + 1))
 
     def solve(self, p: float, lam: float, u: np.ndarray, row: np.ndarray,
               rhs: np.ndarray) -> np.ndarray:
@@ -483,8 +477,14 @@ class _BorderedKeller:
         data[self._diag] = self._fixed_diag + _diag_term(p, lam, u)
         data[self._ucol] = u.ravel()
         data[self._row] = row
+        try:
+            lu = splu(self._matrix, permc_spec="NATURAL")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ContinuationStalled(
+                f"bordered Keller matrix is singular at lam={lam:.5f}: {exc}",
+                lam=float(lam)) from exc
         step = np.empty_like(rhs)
-        step[self._order] = splu(self._matrix, permc_spec="NATURAL").solve(rhs)
+        step[self._order] = lu.solve(rhs)
         return step
 
 
@@ -542,10 +542,10 @@ def continue_branch(d: int, p: float,
     happily land.
 
     The bordered matrix has the same nonzero pattern at every corrector
-    iteration on the grid, so it is ordered once (see _BorderedKeller) and
-    only its u-dependent entries are rewritten per iteration.  NATURAL
-    factorization of the raw s-major ordering is cheaper, but it flips
-    newton_iters at points whose residual sits at the rounding floor.
+    iteration on the grid, so it is ordered once and only its u-dependent
+    entries are rewritten per iteration; _BorderedKeller says which order
+    and why.  A vanishing secant or a singular bordered matrix raises
+    ContinuationStalled.
     """
     check_cylinder_exponent(d, p)
     cfg = config if config is not None else ContinuationConfig()
@@ -608,15 +608,17 @@ def continue_branch(d: int, p: float,
     while (not points or points[-1].lam < cfg.lambda_max) \
             and len(points) < _MAX_POINTS:
         out = keller_step(x_cur, tangent, ds)
-        amp = 0.0
-        if out is not None:
-            amp = angular_amplitude(
-                CylinderField(grid, out[0][:-1].reshape(m, nz)))
-        if out is not None and (switched or amp > 1e-8):
+        # only the switch asks whether Newton left the symmetric family
+        if out is not None and (switched or angular_amplitude(
+                CylinderField(grid, out[0][:-1].reshape(m, nz))) > 1e-8):
             xk, iters, res = out
             secant = xk - x_cur
+            length = wnorm(secant)
+            if length == 0.0:
+                raise ContinuationStalled(
+                    f"secant vanished at lam={xk[-1]:.5f}", lam=float(xk[-1]))
             x_cur = xk
-            tangent = secant / wnorm(secant)
+            tangent = secant / length
             record(x_cur, iters, res, ds)
             if switched:
                 ds = min(ds * _DS_GROWTH, _DS_MAX)

@@ -16,6 +16,8 @@ tensor product:
 A sampled function holds the grid it lives on (GridFunction1D its
 finite-volume zonal grid, CylinderField its cylinder grid), so integration
 weights and operators always come from that grid and nothing rebuilds it.
+The finite-volume grid of one (sphere_dim, n_cells) is built once and
+shared by every caller, so its arrays are read-only.
 The one scalar root finder of the package, Brent's method, and the one
 tridiagonal solver, LAPACK's dgtsv, live here too.
 """
@@ -23,7 +25,7 @@ tridiagonal solver, LAPACK's dgtsv, live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -367,8 +369,9 @@ def _last_axis_sum(a: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
+@lru_cache(maxsize=64)
 def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
-    """Build the conservative zonal grid with Chebyshev-like spaced edges."""
+    """The shared, read-only zonal grid with Chebyshev-like spaced edges."""
     if sphere_dim < 2:
         raise DomainError(
             f"finite-volume grid needs sphere dimension >= 2, got {sphere_dim}")
@@ -396,18 +399,10 @@ def fv_zonal_grid(sphere_dim: int, n_cells: int) -> FVZonalGrid:
     lo[1:] = g[1:-1] / (W[1:] * dz)
     up[:-1] = g[1:-1] / (W[:-1] * dz)
     di = -(lo + up)
-    return FVZonalGrid(d, zbar, W, g, lo, di, up)
-
-
-@lru_cache(maxsize=64)
-def _workspace(sphere_dim: int, n_cells: int) -> FVZonalGrid:
-    """The shared, read-only finite-volume grid for (sphere_dim, n_cells)."""
-    grid = fv_zonal_grid(sphere_dim, n_cells)
-    for f in fields(grid):
-        value = getattr(grid, f.name)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return grid
+    arrays = (zbar, W, g, lo, di, up)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return FVZonalGrid(d, *arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (CknlabError, DomainError, PositivityLoss, SearchFailed,
                      StepRejected)
 from .functionals import sphere_observables
 from .grids import (FVZonalGrid, GridFunction1D, _tridiagonal_solve,
-                    _workspace)
+                    fv_zonal_grid)
 from .params import check_sphere_exponent, m_value, n_value
 
 __all__ = [
@@ -185,7 +185,7 @@ class CounterexampleReport:
 
 @lru_cache(maxsize=64)
 def _modes(sphere_dim: int, n_cells: int):
-    grid = _workspace(sphere_dim, n_cells)
+    grid = fv_zonal_grid(sphere_dim, n_cells)
     lam, vecs = grid.symmetrized_modes()
     return lam, vecs, np.sqrt(grid.cell_mass)
 
@@ -475,7 +475,7 @@ def tilted_density(d: int, n_cells: int, epsilon: float,
     """Unit-mass density (1 + epsilon z)^q on the finite-volume grid."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"tilt needs epsilon in (0, 1), got {epsilon}")
-    grid = _workspace(d, n_cells)
+    grid = fv_zonal_grid(d, n_cells)
     rho = (1.0 + epsilon * grid.centroids) ** q
     return GridFunction1D(grid, rho / grid.integrate(rho))
 
@@ -483,7 +483,7 @@ def tilted_density(d: int, n_cells: int, epsilon: float,
 def random_smooth_density(d: int, n_cells: int,
                           rng: np.random.Generator) -> GridFunction1D:
     """Unit-mass exponential of a random cubic in z; always positive."""
-    grid = _workspace(d, n_cells)
+    grid = fv_zonal_grid(d, n_cells)
     coef = rng.uniform(-0.5, 0.5, size=4)
     v = np.polynomial.polynomial.polyval(grid.centroids, coef)
     rho = np.exp(v)
@@ -506,7 +506,7 @@ def counterexample_search(d: int, p: float, *, n_cells: int = 96,
     the best value found, which in the monotone regime is the negative
     certificate the caller wants.
     """
-    grid = _workspace(d, n_cells)
+    grid = fv_zonal_grid(d, n_cells)
     check_sphere_exponent(d, p)
     spec = FlowSpec(kind=flow_kind, p=p)
 

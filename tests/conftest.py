@@ -5,10 +5,11 @@ to continue and three test modules inspect it, so it is built once per
 session.  The fixture hands out (branch, build_seconds) because the
 acceptance tests also budget the construction time.
 
-A few byte tests hold only under OpenBLAS's SkylakeX kernels, so the
-run ends with one line naming the kernels and version of the OpenBLAS
-that NumPy and SciPy each bundle (``unknown`` where a library or symbol
-is missing), also under ``-q``.
+A few byte tests hold only under OpenBLAS's SkylakeX kernels and NumPy's
+AVX-512 loops, so the run ends with one line naming the kernels and
+version of the OpenBLAS that NumPy and SciPy each bundle and the SIMD
+targets that NumPy dispatches to on this CPU (``unknown`` where a library
+or symbol is missing), also under ``-q``.
 """
 
 import ctypes
@@ -51,7 +52,18 @@ def _openblas(package: str, suffix: str) -> str:
     return f"{core} {version}"
 
 
+def _numpy_dispatch() -> str:
+    """NumPy's SIMD dispatch targets that this CPU runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        targets, features = umath.__cpu_dispatch__, umath.__cpu_features__
+    except (ImportError, AttributeError):
+        return "unknown"
+    return " ".join(t for t in targets if features.get(t)) or "none"
+
+
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"openblas: numpy {_openblas('numpy', '64_')}, "
-        f"scipy {_openblas('scipy', '')}")
+        f"scipy {_openblas('scipy', '')}; "
+        f"numpy dispatch: {_numpy_dispatch()}")

@@ -265,7 +265,8 @@ def test_lu_factor_refuses_a_non_square_matrix():
 
 
 def test_lu_factor_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """_lu_factor on the rung Jacobians under 1 and 2 BLAS threads.
+    """_lu_factor and _lu_solve on the rung Jacobians under 1 and 2 BLAS
+    threads; each solve takes one fixed right-hand side.
 
     On a 1-core host both settings run one thread, so there the test
     cannot tell them apart.
@@ -275,12 +276,14 @@ def test_lu_factor_bytes_do_not_depend_on_blas_threads(tmp_path):
     script = (
         "import hashlib, sys\n"
         "import numpy as np\n"
-        "from cknlab.branch_analysis import _lu_factor\n"
+        "from cknlab.branch_analysis import _lu_factor, _lu_solve\n"
         "with np.load(sys.argv[1]) as mats:\n"
         "    for name in sorted(mats.files):\n"
-        "        lu, perm = _lu_factor(mats[name])\n"
-        "        print(hashlib.sha256(lu.tobytes('A') + perm.tobytes())"
-        ".hexdigest())\n")
+        "        lu, piv = _lu_factor(mats[name])\n"
+        "        print(hashlib.sha256(lu.tobytes('A') + piv.tobytes())"
+        ".hexdigest())\n"
+        "        x = _lu_solve((lu, piv), np.linspace(-1.0, 1.0, len(piv)))\n"
+        "        print(hashlib.sha256(x.tobytes()).hexdigest())\n")
     src = str(Path(branch_analysis.__file__).parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -290,7 +293,7 @@ def test_lu_factor_bytes_do_not_depend_on_blas_threads(tmp_path):
                               timeout=120)
         assert done.returncode == 0, done.stderr
         digests.append(done.stdout.split())
-    assert len(digests[0]) == len(_LU_RUNGS)
+    assert len(digests[0]) == 2 * len(_LU_RUNGS)
     assert digests[0] == digests[1]
 
 
@@ -300,7 +303,7 @@ def _blas_references(tree: ast.Module) -> list[str]:
     Products are @ and any name with dot, matmul, inner or linalg in it,
     and getrf is LAPACK's threaded LU; a name with solve or lu_factor in
     it counts unless the module defines it.  Import sources are not
-    read: dtrtrs and the Cython capsules come from scipy.linalg.
+    read: dgetrs and the Cython capsules come from scipy.linalg.
     """
     own = {node.name for node in tree.body
            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}

@@ -148,7 +148,7 @@ def test_counterexample_cells_stop_at_the_dense_basis_bound(
     options = cli_io._COMMANDS["counterexample"].options
     assert options["n_cells"].parse("4096") == 4096
     built = []
-    monkeypatch.setattr(cli_io.sphere_flows, "_workspace",
+    monkeypatch.setattr(cli_io.sphere_flows, "fv_zonal_grid",
                         lambda *args: built.append(args))
     assert run(["counterexample", "--d", "3", "--p", "5.5", "--n-cells",
                 "4097", "--out", str(tmp_path / "c.json")]) == 1

@@ -243,6 +243,36 @@ def test_steps_that_never_land_stall_at_the_last_point(monkeypatch):
         f"step size underflowed at lam={recorded[-1]:.5f}"
 
 
+def test_singular_bordered_system_stalls_at_its_lam():
+    # a zero tangent row leaves the bordered matrix exactly singular, and
+    # SuperLU's RuntimeError comes out typed, with the lam it was met at
+    grid = cylinder_grid(5, 4.0, 40, 4)
+    n = grid.m_cells * grid.nz
+    u = np.ones((grid.m_cells, grid.nz))
+    with pytest.raises(ContinuationStalled, match="singular") as info:
+        _BorderedKeller(grid).solve(2.8, 3.0, u, np.zeros(n + 1),
+                                    np.ones(n + 1))
+    assert info.value.lam == 3.0
+
+
+def test_vanishing_secant_stalls_at_the_last_point(monkeypatch):
+    # a first step of length 0 past the switch lands back on the switch
+    # point, so its secant is exactly zero and no tangent can be formed
+    recorded = []
+    quotient = cylinder_solver._quotient_data
+
+    def record(grid, p, lam, u):
+        recorded.append(lam)
+        return quotient(grid, p, lam, u)
+
+    monkeypatch.setattr(cylinder_solver, "_quotient_data", record)
+    monkeypatch.setattr(cylinder_solver, "_DS_INIT", 0.0)
+    with pytest.raises(ContinuationStalled, match="secant vanished") as info:
+        continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
+    assert len(recorded) == 1
+    assert info.value.lam == recorded[0]
+
+
 def test_branch_shape_and_diagnostics(branch_5_2_8):
     branch, _ = branch_5_2_8
     lam_fs = lambda_fs_value(5, 2.8)

@@ -36,7 +36,6 @@ from cknlab import grids
 from cknlab.grids import (
     GridFunction1D,
     _tridiagonal_solve,
-    _workspace,
     brent_root,
     derivative_matrix,
     fornberg_weights,
@@ -322,12 +321,13 @@ def test_fv_operators_on_a_stack_match_row_by_row(case):
 
 
 def test_cached_fv_grid_is_shared_and_read_only():
-    grid = _workspace(3, 48)
-    assert _workspace(3, 48) is grid
+    grid = fv_zonal_grid(3, 48)
+    assert fv_zonal_grid(3, 48) is grid
     for arr in (grid.centroids, grid.cell_mass, grid.flux, grid.lap_di):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    fresh = fv_zonal_grid(3, 48)
+    fresh = fv_zonal_grid.__wrapped__(3, 48)
+    assert fresh is not grid
     assert np.array_equal(grid.cell_mass, fresh.cell_mass)
     assert np.array_equal(grid.lap_di, fresh.lap_di)
 

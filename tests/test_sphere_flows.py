@@ -26,8 +26,8 @@ from cknlab.sphere_flows import (
     _fde_step,
     _modes,
     _tridiagonal_solve,
-    _workspace,
     flow_step,
+    fv_zonal_grid,
     random_smooth_density,
     tilted_density,
 )
@@ -102,7 +102,7 @@ def test_flow_step_rejects_a_nan_state(monkeypatch):
 
 
 def test_uniform_density_is_a_fixed_point():
-    grid = _workspace(3, 48)
+    grid = fv_zonal_grid(3, 48)
     rho = GridFunction1D(grid, np.ones(grid.n))
     spec = FlowSpec(kind="heat", p=3.0, t_end=0.1)
     traj = integrate(FlowState.initial(rho), spec)
@@ -133,7 +133,7 @@ def test_heat_flow_mode_decay_rate(monkeypatch):
     # a small multiple of the coordinate eigenfunction decays at the
     # first nonzero Laplacian eigenvalue, here 1 * (1 + 3 - 1) = 3
     fixed_step(monkeypatch, 2e-4)
-    grid = _workspace(3, 96)
+    grid = fv_zonal_grid(3, 96)
     rho0 = tilted_density(3, 96, 0.01, 1.0)
     spec = FlowSpec(kind="heat", p=3.0, t_end=0.1)
     traj = integrate(FlowState.initial(rho0), spec)
@@ -189,7 +189,7 @@ def test_fde_step_is_bit_identical_to_the_recompute_form():
               (tilted_density(3, 32, 0.99, -30.0).values, 0.3, 2.0)]
     halved = rejected = 0
     for rho, dt, m in cases:
-        grid = _workspace(3, len(rho))
+        grid = fv_zonal_grid(3, len(rho))
         try:
             want, halvings = _reference_fde_step(grid, rho, dt, m)
         except StepRejected as ref:
@@ -236,7 +236,7 @@ def test_deficit_derivative_signs():
     assert est.value == pytest.approx(0.0827, rel=0.05)
     assert estimate(tilted_density(3, 96, 0.4, 2.0), 3.0).value < 0.0
     # a density that is zero on half the sphere cannot be propagated back
-    grid = _workspace(3, 32)
+    grid = fv_zonal_grid(3, 32)
     flat = GridFunction1D(grid, np.where(grid.centroids > 0.0, 1.0, 0.0))
     assert estimate(flat, 3.0) is None
 
@@ -356,7 +356,7 @@ _TILTS = [(0.6, -5.0), (0.65, 22.0), (0.41, -22.0), (0.95, 22.0),
 @pytest.mark.parametrize("kind", ["heat"])
 def test_batched_deficit_derivatives_are_bit_identical(kind, monkeypatch):
     p = 5.5
-    grid = _workspace(3, 96)
+    grid = fv_zonal_grid(3, 96)
     spec = FlowSpec(kind=kind, p=p)
     rhos = np.array([tilted_density(3, 96, e, q).values for e, q in _TILTS])
     inner = sphere_flows._spectral_propagate
@@ -394,7 +394,7 @@ def test_fde_closed_form_matches_rk4_richardson():
     # reference loses positivity at (0.95, 22) and (0.89, -22); the
     # closed form propagates nothing and gives a value there too.
     p = 5.5
-    grid = _workspace(3, 96)
+    grid = fv_zonal_grid(3, 96)
     spec = FlowSpec(kind="fde", p=p)
     rhos = np.array([tilted_density(3, 96, e, q).values for e, q in _TILTS])
     got = _deficit_derivatives(grid, rhos, spec)
@@ -413,7 +413,7 @@ def test_fde_closed_form_rows_stay_independent_of_bad_neighbours():
     # density with a zero, NaN or infinite cell has no finite Fisher
     # gradient and gives None without disturbing its neighbours
     p = 5.5
-    grid = _workspace(3, 96)
+    grid = fv_zonal_grid(3, 96)
     spec = FlowSpec(kind="fde", p=p)
     good = [tilted_density(3, 96, e, q).values for e, q in _TILTS]
     zero, bad_nan, bad_inf = good[0].copy(), good[1].copy(), good[2].copy()
@@ -467,7 +467,7 @@ def test_fde_closed_form_error_bounds_a_40_digit_sum(monkeypatch):
     # search's certificate: the stated error must cover the distance to
     # the exact sum and still sit far below the value
     p = 5.5
-    grid = _workspace(3, 96)
+    grid = fv_zonal_grid(3, 96)
     spec = FlowSpec(kind="fde", p=p)
     seen = []
     inner = sphere_flows._deficit_derivatives
