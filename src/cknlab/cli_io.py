@@ -38,7 +38,7 @@ import stat
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Callable
@@ -365,19 +365,14 @@ def _continuation_config(opts: dict) -> ContinuationConfig:
         **{f.name: opts[f.name] for f in fields(ContinuationConfig)})
 
 
-_BRANCH_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1)
 def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
     """One continuation per (d, p, config), shared across sweep points.
 
     A sweep runs all points of one (d, p) in one process, so the memo
-    needs no lock.
+    needs no lock, and the next group's branch evicts the last one's.
     """
-    key = (d, p, config)
-    if key not in _BRANCH_CACHE:
-        _BRANCH_CACHE[key] = continue_branch(d, p, config)
-    return _BRANCH_CACHE[key]
+    return continue_branch(d, p, config)
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +829,8 @@ def _run_group(command: str, out_dir: Path,
                points: list[tuple[int, dict]]) -> list[tuple]:
     """Run one group's points in index order; a failed point fails alone.
 
-    Returns ``(index, status, message, artifact)`` per point.  No other
-    group shares the (d, p), so a branch the group put into the memo is
-    dropped once its points are done.
+    Returns ``(index, status, message, artifact)`` per point.
     """
-    cached = set(_BRANCH_CACHE)
     outcomes = []
     for index, opts in points:
         point_dir = out_dir / f"point_{index:04d}"
@@ -852,8 +844,6 @@ def _run_group(command: str, out_dir: Path,
                              f"{type(exc).__name__}: {exc}", ""))
         else:
             outcomes.append((index, "ok", "", os.path.relpath(out, out_dir)))
-    for key in set(_BRANCH_CACHE) - cached:
-        del _BRANCH_CACHE[key]
     return outcomes
 
 

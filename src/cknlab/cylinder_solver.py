@@ -78,21 +78,17 @@ __all__ = [
 _POLISH_TOL = 1e-12
 _POLISH_MAX_ITER = 60
 
-# Continuation corrector and recovery limits.  A Keller corrector converges
+# Continuation corrector and step policy.  A Keller corrector converges
 # when its sup-residual drops below _NEWTON_TOL within _NEWTON_MAX_ITER
 # iterations.  The branch switch starts at _SWITCH_FRACTION of the weighted
-# norm of the symmetric solution at the bifurcation point and halves that
-# amplitude until Newton first lands on something genuinely non-symmetric,
-# at most _MAX_SWITCH_TRIES times; past the switch, a step that fails is
-# halved, at most _MAX_STEP_FAILURES times in a row.  The first arclength
-# step past the switch is _DS_INIT, each accepted step lets the next grow
-# by _DS_GROWTH up to _DS_MAX, and the walk records at most _MAX_POINTS
-# points.
+# norm of the symmetric solution at the bifurcation point; the first
+# arclength step past the switch is _DS_INIT, each accepted step lets the
+# next grow by _DS_GROWTH up to _DS_MAX, and the walk records at most
+# _MAX_POINTS points.  Every rejected step halves ds, and the walk gives up
+# once ds falls below continue_branch's floor.
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 12
 _SWITCH_FRACTION = 0.1
-_MAX_SWITCH_TRIES = 20
-_MAX_STEP_FAILURES = 25
 _DS_INIT = 0.005
 _DS_GROWTH = 1.3
 _DS_MAX = 0.25
@@ -149,8 +145,15 @@ def _symmetric_profile(grid: CylinderGrid, p: float,
     amplifies storage rounding by 1/h^2), so stagnation below stall_tol
     counts as success; stagnation above it is a genuine failure.  stall_tol
     is that floor with a 10x safety margin, never below 1e-10 so the
-    standard-grid residual contract stays meaningful.
+    standard-grid residual contract stays meaningful.  As p falls to 2
+    the peak (lam p/2)^(1/(p-2)) grows without bound; once its p-th power,
+    which the quotients sum, passes the square root of the largest double,
+    DomainError is raised instead of overflowing.
     """
+    if p * math.log(lam * p / 2.0) / (p - 2.0) > \
+            0.5 * math.log(np.finfo(float).max):
+        raise DomainError(f"the symmetric profile at lam={lam}, p={p} is "
+                          f"too large to represent")
     main, off = _s_operator(grid.m_cells, grid.h, "even")
     phi = phi_star(grid.s, p, lam)
     peak = (lam * p / 2.0) ** (1.0 / (p - 2.0))
@@ -527,6 +530,27 @@ def _profile_quotient(grid: CylinderGrid, p: float, lam: float,
     return (grad + lam * l2) / lp ** 2, grad / l2
 
 
+def _keller_step(grid: CylinderGrid, bordered: _BorderedKeller, p: float,
+                 w2: np.ndarray, x_cur: np.ndarray, tangent: np.ndarray,
+                 ds: float):
+    """One bordered corrector solve from x_cur + ds * tangent, with the
+    tangent weighted by w2 as its constraint row: (x, iters, residual), or
+    None if _NEWTON_MAX_ITER iterations leave it above _NEWTON_TOL."""
+    m, nz = grid.m_cells, grid.nz
+    xk = x_cur + ds * tangent
+    row = np.append(w2 * tangent[:-1], tangent[-1])
+    for it in range(_NEWTON_MAX_ITER):
+        u = xk[:-1].reshape(m, nz)
+        lam = xk[-1]
+        f = _residual_2d(grid, p, lam, u).ravel()
+        constraint = float(row @ (xk - x_cur)) - ds
+        res = max(float(np.max(np.abs(f))), abs(constraint))
+        if res < _NEWTON_TOL:
+            return xk, it, res
+        xk = xk - bordered.solve(p, lam, u, row, np.append(f, constraint))
+    return None
+
+
 def continue_branch(d: int, p: float,
                     config: ContinuationConfig | None = None) -> Branch:
     """Follow the zonal branch from the symmetry-breaking point.
@@ -544,8 +568,14 @@ def continue_branch(d: int, p: float,
     The bordered matrix has the same nonzero pattern at every corrector
     iteration on the grid, so it is ordered once and only its u-dependent
     entries are rewritten per iteration; _BorderedKeller says which order
-    and why.  A vanishing secant or a singular bordered matrix raises
-    ContinuationStalled.
+    and why.
+
+    One rule gives up: every rejected step halves ds, whether its corrector
+    gave up or the switch fell back onto the symmetric family, and once ds
+    falls below a floor of sqrt(eps) times the onset state's weighted norm
+    the walk raises ContinuationStalled at the last recorded lam (at the
+    bifurcation lam before the switch lands).  A vanishing secant or a
+    singular bordered matrix raises it too.
     """
     check_cylinder_exponent(d, p)
     cfg = config if config is not None else ContinuationConfig()
@@ -567,21 +597,6 @@ def continue_branch(d: int, p: float,
     def wnorm(x: np.ndarray) -> float:
         return math.sqrt(float(np.sum(w2 * x[:-1] ** 2)) + x[-1] ** 2)
 
-    def keller_step(x_cur, tangent, ds):
-        """One bordered corrector solve; (x, iters, residual) or None."""
-        xk = x_cur + ds * tangent
-        row = np.append(w2 * tangent[:-1], tangent[-1])
-        for it in range(_NEWTON_MAX_ITER):
-            u = xk[:-1].reshape(m, nz)
-            lam = xk[-1]
-            f = _residual_2d(grid, p, lam, u).ravel()
-            constraint = float(row @ (xk - x_cur)) - ds
-            res = max(float(np.max(np.abs(f))), abs(constraint))
-            if res < _NEWTON_TOL:
-                return xk, it, res
-            xk = xk - bordered.solve(p, lam, u, row, np.append(f, constraint))
-        return None
-
     points: list[BranchPoint] = []
 
     def record(x, iters, res, ds):
@@ -596,50 +611,42 @@ def continue_branch(d: int, p: float,
             newton_iters=iters, residual=res, arclength=ds,
             field=CylinderField(grid, np.maximum(u, 0.0), p=p, Lambda=lam)))
 
-    x_cur = np.append(np.tile(profile_b[:, None], (1, nz)).ravel(), lam_b)
+    symmetric = np.tile(profile_b[:, None], (1, nz)).ravel()
+    x_cur = np.append(symmetric, lam_b)
     tangent = np.append((u1[:, None] * grid.z[None, :]).ravel(), 0.0)
     tangent = tangent / wnorm(tangent)
-    ds = _SWITCH_FRACTION * wnorm(
-        np.append(np.tile(profile_b[:, None], (1, nz)).ravel(), 0.0))
-    switched = False
-    switch_tries = 0
-    step_failures = 0
+    size = wnorm(np.append(symmetric, 0.0))
+    ds = _SWITCH_FRACTION * size
+    # The step floor, set once.  The secant tangent is a forward difference
+    # of the branch in arclength: its truncation error shrinks like ds, its
+    # rounding error grows like eps * size / ds, and the two balance at
+    # sqrt(eps) * size.  Below that, halving ds only makes the tangent noise.
+    ds_min = math.sqrt(np.finfo(float).eps) * size
 
     while (not points or points[-1].lam < cfg.lambda_max) \
             and len(points) < _MAX_POINTS:
-        out = keller_step(x_cur, tangent, ds)
-        # only the switch asks whether Newton left the symmetric family
-        if out is not None and (switched or angular_amplitude(
+        out = _keller_step(grid, bordered, p, w2, x_cur, tangent, ds)
+        # a rejected step: the corrector gave up, or the switch (the walk
+        # before the first point) fell back onto the symmetric family
+        if out is None or not (points or angular_amplitude(
                 CylinderField(grid, out[0][:-1].reshape(m, nz))) > 1e-8):
-            xk, iters, res = out
-            secant = xk - x_cur
-            length = wnorm(secant)
-            if length == 0.0:
-                raise ContinuationStalled(
-                    f"secant vanished at lam={xk[-1]:.5f}", lam=float(xk[-1]))
-            x_cur = xk
-            tangent = secant / length
-            record(x_cur, iters, res, ds)
-            if switched:
-                ds = min(ds * _DS_GROWTH, _DS_MAX)
-            else:
-                ds = _DS_INIT
-                switched = True
-            step_failures = 0
-        elif not switched:
-            switch_tries += 1
             ds *= 0.5
-            if switch_tries > _MAX_SWITCH_TRIES:
+            if ds < ds_min:
+                lam = points[-1].lam if points else lam_b
+                phase = "step size" if points else "branch switch step size"
                 raise ContinuationStalled(
-                    "branch switch never produced a non-symmetric point",
-                    lam=lam_b)
-        else:
-            ds *= 0.5
-            step_failures += 1
-            if step_failures > _MAX_STEP_FAILURES:
-                raise ContinuationStalled(
-                    f"step size underflowed at lam={points[-1].lam:.5f}",
-                    lam=points[-1].lam)
+                    f"{phase} fell below its floor at lam={lam:.5f}", lam=lam)
+            continue
+        xk, iters, res = out
+        secant = xk - x_cur
+        length = wnorm(secant)
+        if length == 0.0:
+            raise ContinuationStalled(
+                f"secant vanished at lam={xk[-1]:.5f}", lam=float(xk[-1]))
+        x_cur = xk
+        tangent = secant / length
+        record(x_cur, iters, res, ds)
+        ds = min(ds * _DS_GROWTH, _DS_MAX) if len(points) > 1 else _DS_INIT
 
     return Branch(d=d, p=p, bifurcation_lambda=lam_b, grid=grid,
                   points=points)

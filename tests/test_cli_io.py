@@ -232,15 +232,33 @@ def test_missing_out_directory_fails_before_the_computation(
         assert captured.out == ""
 
 
+@pytest.fixture
+def fresh_branch_memo():
+    """An empty branch memo, emptied again afterwards."""
+    cli_io._shared_branch.cache_clear()
+    yield
+    cli_io._shared_branch.cache_clear()
+
+
+def _serve_session_branch(monkeypatch, branch):
+    """Let the CLI's continuation hand out the session (5, 2.8) branch at
+    the default configuration, and fail on any other."""
+    def session(d, p, config):
+        if (d, p, config) != (5, 2.8, ContinuationConfig()):
+            pytest.fail(f"the continuation ran for {(d, p, config)}")
+        return branch
+
+    monkeypatch.setattr(cli_io, "continue_branch", session)
+
+
 def test_unwritable_branch_outputs_fail_before_the_continuation(
-        tmp_path, capsys, monkeypatch):
+        fresh_branch_memo, tmp_path, capsys, monkeypatch):
     # an --out that is a directory, or a --fields-dir that is a file or
     # lies below one, fails with the line its write would print, but
     # before the branch is computed or branch.csv written
     def unreachable(*args):
         pytest.fail("the continuation ran although an output is unwritable")
 
-    monkeypatch.setattr(cli_io, "_BRANCH_CACHE", {})
     monkeypatch.setattr(cli_io, "continue_branch", unreachable)
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
@@ -368,18 +386,13 @@ def test_sphere_workload_matches_the_benchmark_reference(tmp_path, capsys,
 
 
 def test_continuation_workload_matches_the_benchmark_reference(
-        branch_5_2_8, tmp_path, capsys, monkeypatch):
+        branch_5_2_8, fresh_branch_memo, tmp_path, capsys, monkeypatch):
     # the benchmark's seed-0 branch and probe operations, on the session
     # branch, must write its reference artifacts byte for byte.  curve.csv
     # is left out: the reference holds the symmetric constants of an
     # earlier line-grid route, up to 4.7e-12 off params.mu_star's
     # closed form; test_curve_keeps_its_csv_writer_bytes pins its bytes.
-    def unreachable(*args):
-        pytest.fail("the continuation ran instead of the session branch")
-
-    monkeypatch.setitem(cli_io._BRANCH_CACHE, (5, 2.8, ContinuationConfig()),
-                        branch_5_2_8[0])
-    monkeypatch.setattr(cli_io, "continue_branch", unreachable)
+    _serve_session_branch(monkeypatch, branch_5_2_8[0])
     monkeypatch.chdir(tmp_path)
     dp = ["--d", "5", "--p", "2.8"]
     assert run(["branch", *dp, "--out", "branch.csv"]) == 0
@@ -400,13 +413,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def test_curve_keeps_its_csv_writer_bytes(branch_5_2_8, tmp_path, capsys,
-                                         monkeypatch):
+def test_curve_keeps_its_csv_writer_bytes(branch_5_2_8, fresh_branch_memo,
+                                         tmp_path, capsys, monkeypatch):
     # the benchmark's seed-0 curve of the session branch, against the
     # rows as the csv module wrote them before curve.csv went through
     # the numeric-table writer: %.17g per float, str per int
-    monkeypatch.setitem(cli_io._BRANCH_CACHE, (5, 2.8, ContinuationConfig()),
-                        branch_5_2_8[0])
+    _serve_session_branch(monkeypatch, branch_5_2_8[0])
     out = tmp_path / "curve.csv"
     assert run(["curve", "--d", "5", "--p", "2.8", "--theta", "0.718",
                 "--out", str(out)]) == 0
@@ -740,9 +752,8 @@ def test_sweep_refuses_fewer_than_one_worker(tmp_path, capsys, monkeypatch,
     assert not out_dir.exists()
 
 
-def test_curve_sweep_releases_each_groups_branch(tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.setattr(cli_io, "_BRANCH_CACHE", {})
+def test_curve_sweep_releases_each_groups_branch(fresh_branch_memo,
+                                               tmp_path, capsys):
     spec = tmp_path / "sweep.ini"
     spec.write_text("[sweep]\ncommand = curve\nd = 5\np = 2.8 3.0\n"
                     "theta = 0.9\n[curve]\nm_cells = 120\nnz = 8\n"
@@ -750,7 +761,10 @@ def test_curve_sweep_releases_each_groups_branch(tmp_path, capsys,
     out_dir = tmp_path / "sweep"
     assert run(["sweep", "--spec", str(spec), "--out-dir", str(out_dir),
                 "--workers", "1"]) == 0
-    assert cli_io._BRANCH_CACHE == {}
+    # one continuation per group, and the second group's branch evicted
+    # the first's: at most one branch stays alive
+    memo = cli_io._shared_branch.cache_info()
+    assert (memo.misses, memo.hits, memo.currsize) == (2, 0, 1)
     rows = read_csv(out_dir / "aggregate.csv")
     assert [(r[3], r[5], r[7]) for r in rows[1:]] == [
         ("2.7999999999999998", "ok", "point_0000/curve.csv"),

@@ -211,36 +211,72 @@ def test_short_cylinders_fail_with_their_state():
 
 def test_branch_switch_that_never_lands_stalls_at_the_onset(monkeypatch):
     # with no corrector iteration allowed every Keller step gives up, so
-    # each switch try halves the step until the tries run out
+    # the switch halves its step until it falls below the floor
     lam_fs = lambda_fs_value(5, 2.8)
     grid = cylinder_grid(5, 20.0 / math.sqrt(lam_fs), 40, 4)
     lam_b = _locate_bifurcation(grid, 2.8, lam_fs)
     monkeypatch.setattr(cylinder_solver, "_NEWTON_MAX_ITER", 0)
-    with pytest.raises(ContinuationStalled,
-                       match="branch switch never produced") as info:
+    with pytest.raises(ContinuationStalled) as info:
         continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
     assert info.value.lam == lam_b
+    assert str(info.value) == \
+        f"branch switch step size fell below its floor at lam={lam_b:.5f}"
+
+
+def _steps_from_the_switch(monkeypatch, gives_up):
+    """Run the 40 x 4 walk with Keller step k past the switch (k = 1, 2,
+    ...) giving up where gives_up(k) holds; returns the recorded lams and
+    the steps taken past the switch, in lists that fill as it runs."""
+    recorded, steps = [], []
+    quotient = cylinder_solver._quotient_data
+    keller_step = cylinder_solver._keller_step
+
+    def record(grid, p, lam, u):
+        recorded.append(lam)
+        return quotient(grid, p, lam, u)
+
+    def step(*args):
+        if recorded:
+            steps.append(args[-1])
+            if gives_up(len(steps)):
+                return None
+        return keller_step(*args)
+
+    monkeypatch.setattr(cylinder_solver, "_quotient_data", record)
+    monkeypatch.setattr(cylinder_solver, "_keller_step", step)
+    return recorded, steps
 
 
 def test_steps_that_never_land_stall_at_the_last_point(monkeypatch):
     # three points land; from then on every Keller step gives up, so the
-    # step is halved until the failures in a row run out
-    recorded = []
-    quotient = cylinder_solver._quotient_data
-
-    def three_points(grid, p, lam, u):
-        recorded.append(lam)
-        if len(recorded) == 3:
-            monkeypatch.setattr(cylinder_solver, "_NEWTON_MAX_ITER", 0)
-        return quotient(grid, p, lam, u)
-
-    monkeypatch.setattr(cylinder_solver, "_quotient_data", three_points)
+    # walk halves its step until it falls below the floor
+    recorded, steps = _steps_from_the_switch(monkeypatch, lambda k: k > 2)
     with pytest.raises(ContinuationStalled) as info:
         continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
     assert len(recorded) == 3
     assert info.value.lam == recorded[-1]
     assert str(info.value) == \
-        f"step size underflowed at lam={recorded[-1]:.5f}"
+        f"step size fell below its floor at lam={recorded[-1]:.5f}"
+    # each give-up halved the step the one before it tried
+    given_up = steps[2:]
+    assert all(b == 0.5 * a for a, b in zip(given_up, given_up[1:]))
+
+
+def test_a_collapsing_branch_stalls_though_steps_land_between(monkeypatch):
+    # every other Keller step past the switch gives up: each landed step
+    # grows ds by _DS_GROWTH and each rejected one halves it, so ds
+    # shrinks by 0.65 a pair and the floor stops the walk after a few
+    # dozen points, although no two steps in a row give up
+    recorded, steps = _steps_from_the_switch(monkeypatch,
+                                             lambda k: k % 2 == 1)
+    with pytest.raises(ContinuationStalled) as info:
+        continue_branch(5, 2.8, ContinuationConfig(m_cells=40, nz=4))
+    assert info.value.lam == recorded[-1]
+    assert str(info.value) == \
+        f"step size fell below its floor at lam={recorded[-1]:.5f}"
+    assert 1 < len(recorded) < 40
+    assert len(steps) == 2 * len(recorded) - 1
+    assert min(steps) < 1e-6
 
 
 def test_singular_bordered_system_stalls_at_its_lam():
@@ -288,6 +324,12 @@ def test_branch_shape_and_diagnostics(branch_5_2_8):
     # each point records the step increment it was reached by, and every
     # accepted Keller step has a positive pseudo-arclength
     assert np.all(arc > 0.0)
+    # no step is rejected: past the switch each step grows from the last,
+    # so only the walk's failure paths depend on how it gives up
+    assert arc[1] == cylinder_solver._DS_INIT
+    for i in range(1, len(arc) - 1):
+        assert arc[i + 1] == min(arc[i] * cylinder_solver._DS_GROWTH,
+                                 cylinder_solver._DS_MAX), i
     assert np.all(branch.column("lowest_eig") < 0.0)
     assert angular_amplitude(branch.points[-1].field) > 0.5
     # branch.csv writes an integer column with %d
