@@ -366,13 +366,39 @@ def _continuation_config(opts: dict) -> ContinuationConfig:
 
 
 @lru_cache(maxsize=1)
-def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
+def _branch_or_failure(d: int, p: float,
+                       config: ContinuationConfig) -> Branch | CknlabError:
     """One continuation per (d, p, config), shared across sweep points.
 
     A sweep runs all points of one (d, p) in one process, so the memo
-    needs no lock, and the next group's branch evicts the last one's.
+    needs no lock, and the next group's outcome evicts the last one's.
+    A failure is kept as well, so a group whose continuation fails pays
+    for it once.  Its traceback and the errors it chains are dropped,
+    since their frames hold the solver's arrays; the message stays.
     """
-    return continue_branch(d, p, config)
+    try:
+        return continue_branch(d, p, config)
+    except CknlabError as exc:
+        exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+        return exc
+
+
+def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
+    """The memoized branch, or its memoized failure raised afresh."""
+    outcome = _branch_or_failure(d, p, config)
+    if isinstance(outcome, CknlabError):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+def _continues_branch(command: str, opts: dict) -> bool:
+    """Whether a point of command continues a branch (_shared_branch).
+
+    Such a point takes seconds; any other takes 1-60 ms, less than a
+    process pool costs to start and stop (see _run_sweep).
+    """
+    return (command in ("branch", "curve", "probe")
+            or command == "criterion" and opts["with_branch"])
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +888,15 @@ def _run_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Points are pure Python compute, so only processes run them in
-    # parallel.  The default start method is kept: where it is fork,
-    # workers inherit the imported modules and any warm caches.
+    # parallel.  A pool takes 15-25 ms to start and stop, and each worker
+    # pays its own first-use costs, so only groups that continue a branch
+    # (seconds each) are worth one; every other sweep runs in the caller.
+    # The default start method is kept: where it is fork, workers inherit
+    # the imported modules and any warm caches.
     groups = _sweep_groups(resolved)
-    workers = min(args.workers, len(groups))
+    workers = 1
+    if _continues_branch(command, resolved[0]):
+        workers = min(args.workers, len(groups))
     if workers == 1:
         outcomes = [_run_group(command, out_dir, group) for group in groups]
     else:
@@ -951,8 +982,12 @@ def _build_parser() -> _Parser:
     # no upper bound: at most one worker per (d, p) group is started
     workers = Option("workers", int, lo=1, hi=math.inf)
     s.add_argument("--workers", type=partial(_flag_value, workers), default=1,
-                   help="worker processes; points sharing (d, p) run in "
-                        "one, so at most one per (d, p) pair is used")
+                   help="most worker processes; points sharing (d, p) run "
+                        "in one, so at most one per (d, p) pair is used, "
+                        "and only sweeps whose points continue a branch "
+                        "(branch, curve, probe, criterion with_branch) "
+                        "fork; every other sweep runs in the calling "
+                        "process")
     return parser
 
 
@@ -1011,8 +1046,9 @@ def run(argv=None) -> int:
     and SciPy (about 40,000 objects).  That graph lives until exit
     anyway, and frozen objects leave every later collection: the full
     collections of interpreter shutdown (15-30 ms each on a 2-core Xeon,
-    finding nothing to free), and the collections in the sweep's forked
-    workers, which would otherwise write to the pages they share with the
+    finding nothing to free), and the collections in the forked workers
+    of a sweep whose points continue a branch (the only sweeps that
+    fork), which would otherwise write to the pages they share with the
     parent.  Later calls leave the frozen set alone, so cyclic garbage
     that an earlier call left stays collectable.
 

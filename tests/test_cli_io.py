@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,9 +19,12 @@ import pytest
 from cknlab import (
     CknlabError,
     ContinuationConfig,
+    ContinuationStalled,
     CylinderField,
+    DomainError,
     branch_analysis,
     cli_io,
+    continue_branch,
     cylinder_grid,
 )
 from cknlab.cli_io import _sweep_groups, run
@@ -235,9 +239,9 @@ def test_missing_out_directory_fails_before_the_computation(
 @pytest.fixture
 def fresh_branch_memo():
     """An empty branch memo, emptied again afterwards."""
-    cli_io._shared_branch.cache_clear()
+    cli_io._branch_or_failure.cache_clear()
     yield
-    cli_io._shared_branch.cache_clear()
+    cli_io._branch_or_failure.cache_clear()
 
 
 def _serve_session_branch(monkeypatch, branch):
@@ -707,17 +711,21 @@ def artifact_bytes(out_dir):
             if p.is_file() and not p.name.endswith("manifest.json")}
 
 
-@pytest.mark.parametrize("spec_text, code", [
+@pytest.mark.parametrize("spec_text, code, forks", [
     # two (d, p) groups of two points each
-    ("[sweep]\ncommand = params\nd = 3 5\np = 2.5\nLambda = 1.0 2.0\n", 0),
+    ("[sweep]\ncommand = params\nd = 3 5\np = 2.5\nLambda = 1.0 2.0\n", 0,
+     False),
     # p = 3.5 is admissible in dimension three but not in dimension five
-    ("[sweep]\ncommand = params\nd = 3 5\np = 3.5\n", 3),
+    ("[sweep]\ncommand = params\nd = 3 5\np = 3.5\n", 3, False),
     # each (d, p) group continues its own branch, on a coarse grid
     ("[sweep]\ncommand = criterion\nd = 5\np = 2.8 3.0\n[criterion]\n"
-     "with_branch = on\nm_cells = 120\nnz = 8\nlambda_max = 5.0\n", 0),
-], ids=["all_ok", "partial_failure", "with_branch"])
+     "with_branch = on\nm_cells = 120\nnz = 8\nlambda_max = 5.0\n", 0,
+     True),
+    ("[sweep]\ncommand = curve\nd = 5\np = 2.8 3.0\ntheta = 0.9 1.0\n"
+     "[curve]\nm_cells = 120\nnz = 8\nlambda_max = 5.0\n", 0, True),
+], ids=["all_ok", "partial_failure", "with_branch", "curve"])
 def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
-                                                  spec_text, code):
+                                                  spec_text, code, forks):
     spec = tmp_path / "sweep.ini"
     spec.write_text(spec_text)
     trees = {}
@@ -727,8 +735,10 @@ def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
                     "--workers", str(workers)]) == code
         manifest = json.loads(
             (out_dir / "sweep.manifest.json").read_text())
-        # capped at the number of (d, p) groups
-        assert manifest["settings"]["workers"] == min(workers, 2)
+        # the count that ran: only groups that continue a branch fork,
+        # at most one worker per (d, p) group
+        assert manifest["settings"]["workers"] == (
+            min(workers, 2) if forks else 1)
         trees[workers] = artifact_bytes(out_dir)
     capsys.readouterr()
     assert trees[1] == trees[2] == trees[3]
@@ -763,7 +773,7 @@ def test_curve_sweep_releases_each_groups_branch(fresh_branch_memo,
                 "--workers", "1"]) == 0
     # one continuation per group, and the second group's branch evicted
     # the first's: at most one branch stays alive
-    memo = cli_io._shared_branch.cache_info()
+    memo = cli_io._branch_or_failure.cache_info()
     assert (memo.misses, memo.hits, memo.currsize) == (2, 0, 1)
     rows = read_csv(out_dir / "aggregate.csv")
     assert [(r[3], r[5], r[7]) for r in rows[1:]] == [
@@ -779,6 +789,87 @@ def test_curve_sweep_releases_each_groups_branch(fresh_branch_memo,
         point = out_dir / f"point_{index:04d}" / "curve.csv"
         assert point.read_bytes() == alone.read_bytes()
     capsys.readouterr()
+
+
+def test_a_failed_continuation_runs_once_per_group(fresh_branch_memo,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    # so close to p = 2 the symmetric profile overflows, so every point of
+    # the group fails with the DomainError of one continuation
+    calls = []
+
+    def counted(d, p, config):
+        calls.append((d, p))
+        return continue_branch(d, p, config)
+
+    monkeypatch.setattr(cli_io, "continue_branch", counted)
+    spec = tmp_path / "sweep.ini"
+    spec.write_text("[sweep]\ncommand = curve\nd = 2\np = 2.0083\n"
+                    "theta = 0.8 0.9 1.0\n")
+    out_dir = tmp_path / "sweep"
+    assert run(["sweep", "--spec", str(spec), "--out-dir",
+                str(out_dir)]) == 3
+    capsys.readouterr()
+    assert calls == [(2, 2.0083)]
+    with pytest.raises(DomainError) as alone:
+        continue_branch(2, 2.0083, ContinuationConfig())
+    rows = read_csv(out_dir / "aggregate.csv")
+    assert [r[4:] for r in rows[1:]] == [
+        [theta, "failed", f"DomainError: {alone.value}", ""]
+        for theta in ("0.80000000000000004", "0.90000000000000002", "1")]
+    # the memo keeps the error, but no frame of the solver that raised it
+    kept = cli_io._branch_or_failure(2, 2.0083, ContinuationConfig())
+    assert isinstance(kept, DomainError)
+    assert kept.__cause__ is None and kept.__context__ is None
+    tb = kept.__traceback__
+    while tb is not None:
+        assert tb.tb_frame.f_globals["__name__"] != "cknlab.cylinder_solver"
+        tb = tb.tb_next
+
+
+def test_a_point_that_stalls_in_the_solver_fails_alone(fresh_branch_memo,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    # the continuation stalls at p = 3.0 only; forked workers inherit the
+    # patch, and each call leaves the id of the process that made it
+    calls_dir = tmp_path / "calls"
+
+    def stalls_at_three(d, p, config):
+        (calls_dir / repr(p)).write_text(str(os.getpid()))
+        if p == 3.0:
+            raise ContinuationStalled(
+                "step size fell below its floor at lam=1.00000", lam=1.0)
+        return continue_branch(d, p, config)
+
+    monkeypatch.setattr(cli_io, "continue_branch", stalls_at_three)
+    spec = tmp_path / "sweep.ini"
+    spec.write_text("[sweep]\ncommand = curve\nd = 5\np = 2.8 3.0\n"
+                    "theta = 0.9\n[curve]\nm_cells = 120\nnz = 8\n"
+                    "lambda_max = 5.0\n")
+    calls_dir.mkdir()
+    trees = {}
+    for workers in (1, 2):
+        # each run calls afresh and overwrites both records
+        cli_io._branch_or_failure.cache_clear()
+        out_dir = tmp_path / f"grid_{workers}"
+        assert run(["sweep", "--spec", str(spec), "--out-dir", str(out_dir),
+                    "--workers", str(workers)]) == 3
+        assert "point_0001: ContinuationStalled: " in capsys.readouterr().err
+        here = {path.name: int(path.read_text()) == os.getpid()
+                for path in calls_dir.iterdir()}
+        # one worker runs both groups here; two fork, one per group
+        assert here == {"2.8": workers == 1, "3.0": workers == 1}
+        manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
+        assert manifest["settings"]["workers"] == workers
+        assert manifest["summary"]["n_failed"] == 1
+        trees[workers] = artifact_bytes(out_dir)
+    assert trees[1] == trees[2]
+    rows = read_csv(tmp_path / "grid_1" / "aggregate.csv")
+    assert [r[5:] for r in rows[1:]] == [
+        ["ok", "", "point_0000/curve.csv"],
+        ["failed", "ContinuationStalled: step size fell below its floor at "
+                   "lam=1.00000", ""],
+    ]
 
 
 def test_sweep_groups_by_d_and_p_in_first_index_order():

@@ -404,8 +404,9 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # cylinder's 2-D solves factor a sparse matrix and only zonal grids
     # need scipy.special, so neither the import nor params and criterion
     # may load those two (together about 7 MB and 0.1 s of import).  Only
-    # a sweep with more than one worker starts a process pool, so nothing
-    # else may load multiprocessing (14 modules, about 1.7 MB).
+    # a sweep whose points continue a branch starts a process pool, so
+    # nothing else, not even a two-group criterion sweep with two workers,
+    # may load multiprocessing (14 modules, about 1.7 MB) or the pool.
     # The first run freezes the import graph once; later runs must leave
     # the frozen set alone, and garbage made after it is still collected.
     # The first run also sets the allocator up, once, through ctypes; where
@@ -415,7 +416,7 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # run a first run again.
     env = dict(os.environ, PYTHONPATH=str(Path(cknlab.__file__).parents[1]))
     (tmp_path / "grid.ini").write_text(
-        "[sweep]\ncommand = criterion\nd = 3\np = 2.5\n")
+        "[sweep]\ncommand = criterion\nd = 3\np = 2.5 3.0\n")
     code = ("import ctypes\n"
             "loads = []\n"
             "def no_libc(name, *args, **kwargs):\n"
@@ -426,7 +427,8 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
             "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
             "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
-            "lazy = {'scipy.sparse', 'scipy.special', 'multiprocessing'}\n"
+            "lazy = {'scipy.sparse', 'scipy.special', 'multiprocessing',\n"
+            "        'concurrent.futures.process'}\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "from cknlab import cli_io\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
@@ -438,7 +440,7 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
             "assert cli_io.run(['params', '--d', '5', '--p', '2.8']) == 0\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "assert cli_io.run(['sweep', '--spec', 'grid.ini', '--out-dir',\n"
-            "                   'swept', '--workers', '1']) == 0\n"
+            "                   'swept', '--workers', '2']) == 0\n"
             "assert not lazy & sys.modules.keys(), lazy & sys.modules.keys()\n"
             "assert gc.get_freeze_count() == frozen, gc.get_freeze_count()\n"
             "assert len(loads) == 1, loads\n"
