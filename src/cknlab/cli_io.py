@@ -391,15 +391,6 @@ def _shared_branch(d: int, p: float, config: ContinuationConfig) -> Branch:
     return outcome
 
 
-def _continues_branch(command: str, opts: dict) -> bool:
-    """Whether a point of command continues a branch (_shared_branch).
-
-    Such a point takes seconds; any other takes 1-60 ms, less than a
-    process pool costs to start and stop (see _run_sweep).
-    """
-    return (command in ("branch", "curve", "probe")
-            or command == "criterion" and opts["with_branch"])
-
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
@@ -838,6 +829,22 @@ def _parse_sweep_spec(path) -> tuple[str, list[str], list[tuple], dict]:
     return command, axes, points, overrides
 
 
+def _runs_in_caller(command: str, opts: dict) -> bool:
+    """Whether a sweep of command runs its groups in the calling process.
+
+    Only params and criterion without with_branch do: what a point of
+    either costs is decided by its (d, p) alone.  On a 2-core Xeon a
+    params point takes 0.2-3 ms; a criterion point takes 5-250 ms
+    (median 14 ms) where the GN oracle resolves it, and up to 1.6 s
+    where it refuses.  Most are cheaper than the pool's start and stop.
+    Every other command's cost grows with its settings (a branch's grid,
+    a flow's n_cells and t_end), so it, and any command added later,
+    keeps the pool.
+    """
+    return command == "params" or (command == "criterion"
+                                   and not opts["with_branch"])
+
+
 def _sweep_groups(resolved: list[dict]) -> list[list[tuple[int, dict]]]:
     """Sweep points grouped by (d, p), groups in order of first index.
 
@@ -889,13 +896,12 @@ def _run_sweep(args) -> int:
 
     # Points are pure Python compute, so only processes run them in
     # parallel.  A pool takes 15-25 ms to start and stop, and each worker
-    # pays its own first-use costs, so only groups that continue a branch
-    # (seconds each) are worth one; every other sweep runs in the caller.
-    # The default start method is kept: where it is fork, workers inherit
-    # the imported modules and any warm caches.
+    # pays its own first-use costs, which outweigh the cheap points of
+    # _runs_in_caller.  The default start method is kept: where it is
+    # fork, workers inherit the imported modules and any warm caches.
     groups = _sweep_groups(resolved)
     workers = 1
-    if _continues_branch(command, resolved[0]):
+    if not _runs_in_caller(command, resolved[0]):
         workers = min(args.workers, len(groups))
     if workers == 1:
         outcomes = [_run_group(command, out_dir, group) for group in groups]
@@ -983,11 +989,9 @@ def _build_parser() -> _Parser:
     workers = Option("workers", int, lo=1, hi=math.inf)
     s.add_argument("--workers", type=partial(_flag_value, workers), default=1,
                    help="most worker processes; points sharing (d, p) run "
-                        "in one, so at most one per (d, p) pair is used, "
-                        "and only sweeps whose points continue a branch "
-                        "(branch, curve, probe, criterion with_branch) "
-                        "fork; every other sweep runs in the calling "
-                        "process")
+                        "in one, so at most one per (d, p) pair is used; "
+                        "params and criterion (without with_branch) "
+                        "sweeps always run in the calling process")
     return parser
 
 
@@ -1047,9 +1051,8 @@ def run(argv=None) -> int:
     anyway, and frozen objects leave every later collection: the full
     collections of interpreter shutdown (15-30 ms each on a 2-core Xeon,
     finding nothing to free), and the collections in the forked workers
-    of a sweep whose points continue a branch (the only sweeps that
-    fork), which would otherwise write to the pages they share with the
-    parent.  Later calls leave the frozen set alone, so cyclic garbage
+    of a sweep (every command but params and plain criterion forks them),
+    which would otherwise write to the pages they share with the parent.  Later calls leave the frozen set alone, so cyclic garbage
     that an earlier call left stays collectable.
 
     Right after the freeze, the first call also tells glibc's allocator to

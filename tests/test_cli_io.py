@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -723,7 +724,10 @@ def artifact_bytes(out_dir):
      True),
     ("[sweep]\ncommand = curve\nd = 5\np = 2.8 3.0\ntheta = 0.9 1.0\n"
      "[curve]\nm_cells = 120\nnz = 8\nlambda_max = 5.0\n", 0, True),
-], ids=["all_ok", "partial_failure", "with_branch", "curve"])
+    # a flow's cost grows with its settings, so it keeps the pool
+    ("[sweep]\ncommand = flow\nd = 3 4\np = 2.5\n[flow]\nn_cells = 16\n",
+     0, True),
+], ids=["all_ok", "partial_failure", "with_branch", "curve", "flow"])
 def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
                                                   spec_text, code, forks):
     spec = tmp_path / "sweep.ini"
@@ -735,7 +739,7 @@ def test_sweep_artifacts_do_not_depend_on_workers(tmp_path, capsys,
                     "--workers", str(workers)]) == code
         manifest = json.loads(
             (out_dir / "sweep.manifest.json").read_text())
-        # the count that ran: only groups that continue a branch fork,
+        # the count that ran: params sweeps never fork, the others use
         # at most one worker per (d, p) group
         assert manifest["settings"]["workers"] == (
             min(workers, 2) if forks else 1)
@@ -830,8 +834,9 @@ def test_a_failed_continuation_runs_once_per_group(fresh_branch_memo,
 def test_a_point_that_stalls_in_the_solver_fails_alone(fresh_branch_memo,
                                                        tmp_path, capsys,
                                                        monkeypatch):
-    # the continuation stalls at p = 3.0 only; forked workers inherit the
-    # patch, and each call leaves the id of the process that made it
+    # the continuation stalls at p = 3.0 only, and each call leaves the id
+    # of the process that made it; only workers started by fork inherit
+    # the patch, so only there do two workers run the same code as one
     calls_dir = tmp_path / "calls"
 
     def stalls_at_three(d, p, config):
@@ -848,7 +853,8 @@ def test_a_point_that_stalls_in_the_solver_fails_alone(fresh_branch_memo,
                     "lambda_max = 5.0\n")
     calls_dir.mkdir()
     trees = {}
-    for workers in (1, 2):
+    counts = (1, 2) if multiprocessing.get_start_method() == "fork" else (1,)
+    for workers in counts:
         # each run calls afresh and overwrites both records
         cli_io._branch_or_failure.cache_clear()
         out_dir = tmp_path / f"grid_{workers}"
@@ -863,7 +869,7 @@ def test_a_point_that_stalls_in_the_solver_fails_alone(fresh_branch_memo,
         assert manifest["settings"]["workers"] == workers
         assert manifest["summary"]["n_failed"] == 1
         trees[workers] = artifact_bytes(out_dir)
-    assert trees[1] == trees[2]
+    assert all(tree == trees[1] for tree in trees.values())
     rows = read_csv(tmp_path / "grid_1" / "aggregate.csv")
     assert [r[5:] for r in rows[1:]] == [
         ["ok", "", "point_0000/curve.csv"],
